@@ -34,13 +34,12 @@ def main():
     release = os.path.join(target, "release")
     command = [os.path.join(release, "jim-perfbench"),
                "--jim-serve", os.path.join(release, "jim-serve")] + sys.argv[1:]
-    # Client and server share one CPU. In a closed loop one of them is
+    # Client and server share one CPU: the client inherits this mask, and
+    # the server inherits the client's. In a closed loop one of them is
     # always runnable, so the CPU never idles between a request and its
     # response, and round trips do not pay for waking an idle virtual CPU,
     # whose latency swings with the host's load.
-    cpu = min(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpu})
-    command += ["--server-cpus", str(cpu)]
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     return subprocess.run(command, env=env).returncode
 
 

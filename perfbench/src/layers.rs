@@ -23,14 +23,28 @@ const CORE_OPS: [Op; 5] = [
 ];
 
 /// The agreement the traced handler span must show with the server's own
-/// per-op median: within this factor, or within [`AGREE_ABS_US`].
-const AGREE_FACTOR: f64 = 1.5;
+/// per-op median: within this factor, or within [`AGREE_ABS_US`]. The two
+/// passes run seconds apart on a host whose speed drifts by up to ~1.5×,
+/// so the factor leaves room for that and catches a shadow that skips or
+/// repeats work.
+const AGREE_FACTOR: f64 = 2.0;
 /// Absolute slack for ops of a few microseconds, where the server's
 /// histogram rounds to whole microseconds.
 const AGREE_ABS_US: f64 = 3.0;
+/// Medians are compared only over at least this many traced requests, or
+/// above [`AGREE_ALWAYS_US`]: `huge-open` sends a dozen or so questions a
+/// pass, each to a freshly opened engine, and their median of a few
+/// microseconds moves by half from pass to pass.
+const AGREE_MIN_SAMPLES: usize = 50;
+/// Ops slower than this are compared whatever their sample count.
+const AGREE_ALWAYS_US: f64 = 1000.0;
 /// Most of a traced request must be attributed to some layer: the root's
-/// own self time stays under this share of the root span.
+/// own self time stays under this share of the root span, or under
+/// [`UNATTRIBUTED_ABS_US`] a request.
 const UNATTRIBUTED_MAX: f64 = 0.25;
+/// Absolute slack for ops of a few microseconds, where the session lock
+/// and the tracer's own bookkeeping alone are a quarter of the span.
+const UNATTRIBUTED_ABS_US: f64 = 5.0;
 
 /// Inputs measured outside the traced pass.
 pub struct Context<'a> {
@@ -46,9 +60,18 @@ pub struct Context<'a> {
     pub overhead_frac: f64,
 }
 
-/// The metrics `BENCHMARK.json` lists under `per_layer`, and a detail
-/// document with everything else the trace shows.
-pub fn analyze(shadow: &Shadow, ctx: &Context<'_>) -> (Vec<(String, f64, &'static str)>, Json) {
+/// What the traced pass shows.
+pub struct Analysis {
+    /// The metrics `BENCHMARK.json` lists under `per_layer`.
+    pub metrics: Vec<(String, f64, &'static str)>,
+    /// Everything else the trace shows, the checks included.
+    pub detail: Json,
+    /// The checks that did not hold, one line each.
+    pub failed_checks: Vec<String>,
+}
+
+/// Analyze the traced pass's spans.
+pub fn analyze(shadow: &Shadow, ctx: &Context<'_>) -> Analysis {
     let spans = &shadow.tracer.spans;
     let mut child_us = vec![0.0; spans.len()];
     for s in spans {
@@ -165,16 +188,6 @@ pub fn analyze(shadow: &Shadow, ctx: &Context<'_>) -> (Vec<(String, f64, &'stati
             "us",
         ),
         (
-            "store.hit_ratio".into(),
-            hits as f64 / (hits + resumes).max(1) as f64,
-            "ratio",
-        ),
-        (
-            "store.evictions".into(),
-            store.evicted_total() as f64,
-            "count",
-        ),
-        (
             "journal.append_us_p50".into(),
             p(&all("journal.append"), 0.5),
             "us",
@@ -242,6 +255,13 @@ pub fn analyze(shadow: &Shadow, ctx: &Context<'_>) -> (Vec<(String, f64, &'stati
         "store.resume_us_p50".into(),
         num(percentile(&with("store.fetch", &|d| d == "resume"), 0.5)),
     ));
+    // Only `resume-churn` keeps more sessions open than the store holds;
+    // elsewhere these read 1 and 0.
+    detail.push((
+        "store.hit_ratio".into(),
+        Json::from(hits as f64 / (hits + resumes).max(1) as f64),
+    ));
+    detail.push(("store.evictions".into(), Json::from(store.evicted_total())));
     detail.push((
         "factorize.build_ms".into(),
         num(percentile(&with("engine.build", &|d| d == "factorized"), 0.5).map(|v| v / 1e3)),
@@ -355,20 +375,25 @@ pub fn analyze(shadow: &Shadow, ctx: &Context<'_>) -> (Vec<(String, f64, &'stati
         .iter()
         .map(|&(name, value)| (name.to_string(), Json::from(value)))
         .collect();
+    let mut failed_checks = Vec::new();
     if let Some((name, majority)) = expectation {
         let value = dominance
             .iter()
             .find(|(n, _)| *n == name)
             .map_or(0.0, |d| d.1);
+        let expected = if majority { "> 0.5" } else { "< 0.5" };
+        let holds = (value > 0.5) == majority;
+        if !holds {
+            failed_checks.push(format!(
+                "dominant layer: {name} is {value:.3}, expected {expected}"
+            ));
+        }
         checks.push((
             "dominant_layer".into(),
             Json::object([
                 ("share", Json::from(name)),
-                (
-                    "expected",
-                    Json::from(if majority { "> 0.5" } else { "< 0.5" }),
-                ),
-                ("holds", Json::Bool((value > 0.5) == majority)),
+                ("expected", Json::from(expected)),
+                ("holds", Json::Bool(holds)),
             ]),
         ));
     }
@@ -380,43 +405,70 @@ pub fn analyze(shadow: &Shadow, ctx: &Context<'_>) -> (Vec<(String, f64, &'stati
         let Some(traced) = core_us.get(op.name()).and_then(|v| percentile(v, 0.5)) else {
             continue;
         };
-        let unattributed = self_by_op
+        let unattributed_us = self_by_op
             .get(op.name())
             .and_then(|m| m.get("handler"))
             .copied()
-            .unwrap_or(0.0)
+            .unwrap_or(0.0);
+        let unattributed = unattributed_us
             / handler_by_op
                 .get(op.name())
                 .copied()
                 .unwrap_or(0.0)
                 .max(1e-9);
+        let samples = roots(op.name()).len();
+        let unattributed_mean_us = unattributed_us / samples.max(1) as f64;
+        let attributed =
+            unattributed <= UNATTRIBUTED_MAX || unattributed_mean_us <= UNATTRIBUTED_ABS_US;
         let server = ctx.server_p50.get(op.name()).copied();
-        let agrees = server.map(|s| {
+        let comparable = samples >= AGREE_MIN_SAMPLES || traced >= AGREE_ALWAYS_US;
+        let agrees = server.filter(|_| comparable).map(|s| {
             (traced - s).abs() <= AGREE_ABS_US
                 || (traced / s.max(1e-9)).max(s / traced.max(1e-9)) <= AGREE_FACTOR
         });
+        if let (Some(false), Some(s)) = (agrees, server) {
+            failed_checks.push(format!(
+                "{}: traced handle() median {traced:.1} us vs the server's {s:.1} us",
+                op.name()
+            ));
+        }
+        if !attributed {
+            failed_checks.push(format!(
+                "{}: {:.0}% of the traced span, {unattributed_mean_us:.1} us a request, is in no layer",
+                op.name(),
+                unattributed * 100.0
+            ));
+        }
         agreement.push((
             op.name().to_string(),
             Json::object([
                 ("traced_handle_us_p50", Json::from(traced)),
+                ("samples", Json::from(samples)),
                 ("server_us_p50", num(server)),
                 ("agrees", agrees.map_or(Json::Null, Json::Bool)),
                 ("unattributed_share", Json::from(unattributed)),
-                ("attributed", Json::Bool(unattributed <= UNATTRIBUTED_MAX)),
+                ("unattributed_us_mean", Json::from(unattributed_mean_us)),
+                ("attributed", Json::Bool(attributed)),
             ]),
         ));
     }
     checks.push((
         "tolerance".into(),
         Json::from(format!(
-            "traced handle() median within {AGREE_FACTOR}x or {AGREE_ABS_US}us of the server's; \
-             unattributed root self time <= {UNATTRIBUTED_MAX} of the root span"
+            "traced handle() median within {AGREE_FACTOR}x or {AGREE_ABS_US}us of the server's, \
+             over >= {AGREE_MIN_SAMPLES} requests or above {AGREE_ALWAYS_US}us; \
+             unattributed root self time <= {UNATTRIBUTED_MAX} of the root span \
+             or <= {UNATTRIBUTED_ABS_US}us a request"
         )),
     ));
     checks.push(("per_op".into(), Json::Object(agreement)));
     detail.push(("checks".into(), Json::Object(checks)));
     detail.push(("spans".into(), Json::from(spans.len())));
-    (out, Json::Object(detail))
+    Analysis {
+        metrics: out,
+        detail: Json::Object(detail),
+        failed_checks,
+    }
 }
 
 fn num(v: Option<f64>) -> Json {

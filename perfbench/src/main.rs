@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! jim-perfbench --jim-serve PATH --workload NAME --seed N --seconds S --trace 0|1
-//!               [--server-cpus LIST] [--out DIR]
+//!               [--out DIR]
 //! ```
 //!
 //! `--trace 0` launches `jim-serve` as a child process several times
@@ -14,8 +14,10 @@
 //! prints the per-layer metrics. Either way, every op count is
 //! cross-checked against the server's `Metrics` counters and every
 //! resolved session's predicate is checked against its goal over the full
-//! product. The last line of standard output is the result; a fuller
-//! document lands in `DIR/<workload>-seed<N>-trace<T>.json`.
+//! product; a traced run also fails when its own checks (dominant layer,
+//! agreement with the server's medians, attribution) do not hold. The
+//! last line of standard output is the result; a fuller document lands in
+//! `DIR/<workload>-seed<N>-trace<T>.json`.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +43,13 @@ use verify::Verifier;
 use workload::Workload;
 
 /// Launches of `jim-serve` per untraced run; set-up time is their median.
-const SETUPS: usize = 9;
+/// A launch takes 3 to 5 ms depending on the host's load, which holds for
+/// a second or more at a time; so the launches are many, and
+/// [`SETUP_SPACING`] apart, so their median does not rest on one instant.
+const SETUPS: usize = 31;
+
+/// Pause between two set-up launches.
+const SETUP_SPACING: Duration = Duration::from_millis(100);
 
 /// Time the traced run may spend rebuilding and replaying journals.
 const REPLAY_BUDGET: Duration = Duration::from_secs(2);
@@ -56,7 +64,6 @@ struct Args {
     seed: u64,
     seconds: u64,
     trace: bool,
-    server_cpus: Option<String>,
     out: PathBuf,
 }
 
@@ -79,7 +86,6 @@ fn parse_args() -> Result<Args, String> {
             "1" => true,
             other => return Err(format!("bad --trace {other:?}")),
         },
-        server_cpus: take("--server-cpus").ok(),
         out: PathBuf::from(take("--out").unwrap_or_else(|_| ".bench_out".into())),
     };
     if let Some(flag) = found.keys().next() {
@@ -118,13 +124,15 @@ fn main() {
 }
 
 /// Failures found after a pass: protocol/transport errors, cross-check
-/// mismatches and wrong inferences on full-fidelity sessions.
+/// mismatches, wrong inferences on full-fidelity sessions and, in traced
+/// runs, the trace's own checks that did not hold.
 #[derive(Default)]
 struct Failures {
     protocol: u64,
     io: u64,
     cross_check: Vec<String>,
     wrong: u64,
+    trace_checks: Vec<String>,
     /// Wrong inferences on sessions the server opened over a sample:
     /// reported, not failed — a sample can rule out the goal's witnesses.
     sampled_wrong: u64,
@@ -135,7 +143,11 @@ struct Failures {
 
 impl Failures {
     fn count(&self) -> u64 {
-        self.protocol + self.io + self.cross_check.len() as u64 + self.wrong
+        self.protocol
+            + self.io
+            + self.cross_check.len() as u64
+            + self.wrong
+            + self.trace_checks.len() as u64
     }
 
     fn add_ledger(
@@ -172,6 +184,8 @@ impl Failures {
     }
 
     fn to_json(&self) -> Json {
+        let strings =
+            |v: &[String]| Json::Array(v.iter().map(|s| Json::from(s.as_str())).collect());
         Json::object([
             ("protocol_errors", Json::from(self.protocol)),
             ("io_errors", Json::from(self.io)),
@@ -184,18 +198,11 @@ impl Failures {
                 },
             ),
             ("wrong_inferences", Json::from(self.wrong)),
+            ("trace_checks_failed", strings(&self.trace_checks)),
             ("sampled_sessions", Json::from(self.sampled_sessions)),
             ("sampled_wrong_inferences", Json::from(self.sampled_wrong)),
             ("sessions_verified", Json::from(self.verified)),
-            (
-                "samples",
-                Json::Array(
-                    self.samples
-                        .iter()
-                        .map(|s| Json::from(s.as_str()))
-                        .collect(),
-                ),
-            ),
+            ("samples", strings(&self.samples)),
         ])
     }
 }
@@ -228,6 +235,19 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown (not a git checkout)".into())
 }
 
+/// The CPUs this process may run on; `jim-serve` inherits the same mask.
+fn cpu_affinity() -> Json {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+                .map(|v| v.trim().to_string())
+        })
+        .map_or(Json::Null, Json::from)
+}
+
 /// Provenance shared by both result documents.
 fn provenance(args: &Args, w: &Workload, ledger: &Ledger, simd: &str) -> Vec<(String, Json)> {
     let mut atoms: HashMap<usize, u64> = HashMap::new();
@@ -255,10 +275,7 @@ fn provenance(args: &Args, w: &Workload, ledger: &Ledger, simd: &str) -> Vec<(St
                 w.live
             )),
         ),
-        (
-            "server_cpus".into(),
-            args.server_cpus.as_deref().map_or(Json::Null, Json::from),
-        ),
+        ("cpu_affinity".into(), cpu_affinity()),
         ("instances".into(), workload::shapes(w)),
         (
             "atoms".into(),
@@ -277,23 +294,13 @@ fn untraced(args: &Args, w: &Workload) -> Result<(Json, Json), String> {
     let log = args.out.join(format!("serve-{}.log", w.name));
     let mut setups = Vec::new();
     for _ in 1..SETUPS {
-        let (server, _conn, setup) = Server::launch(
-            &args.jim_serve,
-            args.server_cpus.as_deref(),
-            &w.serve.flags(),
-            &data,
-            &log,
-        )?;
+        let (server, _conn, setup) =
+            Server::launch(&args.jim_serve, &w.serve.flags(), &data, &log)?;
         setups.push(setup.as_secs_f64());
         drop(server);
+        std::thread::sleep(SETUP_SPACING);
     }
-    let (server, mut conn, setup) = Server::launch(
-        &args.jim_serve,
-        args.server_cpus.as_deref(),
-        &w.serve.flags(),
-        &data,
-        &log,
-    )?;
+    let (server, mut conn, setup) = Server::launch(&args.jim_serve, &w.serve.flags(), &data, &log)?;
     setups.push(setup.as_secs_f64());
     let mut ledger = Ledger::default();
     // The launch's first `Metrics` request is on the server's books.
@@ -384,13 +391,7 @@ fn traced(args: &Args, w: &Workload) -> Result<(Json, Json), String> {
     // Pass 1: the TCP loop, for the transport's share of a round trip.
     let data = args.out.join(format!("data-{}", w.name));
     let log = args.out.join(format!("serve-{}.log", w.name));
-    let (server, mut conn, _) = Server::launch(
-        &args.jim_serve,
-        args.server_cpus.as_deref(),
-        &w.serve.flags(),
-        &data,
-        &log,
-    )?;
+    let (server, mut conn, _) = Server::launch(&args.jim_serve, &w.serve.flags(), &data, &log)?;
     let mut tcp = Ledger::default();
     tcp.sent[Op::Metrics as usize] += 1;
     tcp.drive(w, &mut conn, pass)?;
@@ -466,7 +467,7 @@ fn traced(args: &Args, w: &Workload) -> Result<(Json, Json), String> {
     let _ = std::fs::remove_dir_all(&dir);
 
     let overhead_frac = (untraced_rps - traced_rps) / untraced_rps.max(1e-9);
-    let (layer_metrics, layer_detail) = layers::analyze(
+    let analysis = layers::analyze(
         &shadow,
         &layers::Context {
             workload: w.name,
@@ -476,7 +477,9 @@ fn traced(args: &Args, w: &Workload) -> Result<(Json, Json), String> {
             overhead_frac,
         },
     );
-    let metrics: Vec<(String, Json)> = layer_metrics
+    failures.trace_checks = analysis.failed_checks;
+    let metrics: Vec<(String, Json)> = analysis
+        .metrics
         .iter()
         .map(|(name, value, unit)| metric(name, *value, unit))
         .collect();
@@ -521,7 +524,7 @@ fn traced(args: &Args, w: &Workload) -> Result<(Json, Json), String> {
         ),
         ("failures".into(), failures.to_json()),
         ("metrics".into(), Json::Object(metrics.clone())),
-        ("layers".into(), layer_detail),
+        ("layers".into(), analysis.detail),
     ]);
     Ok((
         result_line(attempted, &failures, metrics),

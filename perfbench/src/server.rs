@@ -56,14 +56,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Launch `bin` over a fresh `data_dir` — restricted to the CPU list
-    /// `cpus` through `taskset`, when given — and wait for its first
-    /// successful response (a `Metrics` request). Returns the server, the
-    /// open connection the response arrived on, and the set-up time from
-    /// spawning the process to holding that response.
+    /// Launch `bin` over a fresh `data_dir` and wait for its first
+    /// successful response (a `Metrics` request). The server inherits the
+    /// client's CPU affinity. Returns the server, the open connection the
+    /// response arrived on, and the set-up time from spawning the process
+    /// to holding that response.
     pub fn launch(
         bin: &Path,
-        cpus: Option<&str>,
         flags: &[String],
         data_dir: &Path,
         log: &Path,
@@ -76,16 +75,7 @@ impl Server {
             .port();
         let stderr = File::create(log).map_err(|e| format!("{}: {e}", log.display()))?;
         let start = Instant::now();
-        let mut command = match cpus {
-            // `taskset` execs the server, so the child's pid is the server's.
-            Some(cpus) => {
-                let mut taskset = Command::new("taskset");
-                taskset.arg("-c").arg(cpus).arg(bin);
-                taskset
-            }
-            None => Command::new(bin),
-        };
-        let child = command
+        let child = Command::new(bin)
             .arg("--port")
             .arg(port.to_string())
             .arg("--data-dir")
@@ -114,7 +104,7 @@ impl Server {
                     if Instant::now() > deadline {
                         return Err(format!("jim-serve never accepted on port {port}: {e}"));
                     }
-                    std::thread::sleep(Duration::from_micros(200));
+                    std::thread::sleep(Duration::from_micros(50));
                 }
             }
         };

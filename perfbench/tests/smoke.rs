@@ -30,6 +30,39 @@ fn jim_serve(target: &Path) -> PathBuf {
     target.join("release").join("jim-serve")
 }
 
+/// The traced run's own checks, from its result document: the workload's
+/// intended layer dominates, and per op the traced handler agrees with the
+/// server's median and its layers account for the span.
+fn assert_trace_checks_hold(out: &Path, workload: &str) {
+    let path = out.join(format!("{workload}-seed3-trace1.json"));
+    let text = std::fs::read_to_string(&path).expect("a traced result document");
+    let detail = Json::parse(text.trim_end()).expect("the result document is JSON");
+    let checks = detail
+        .get("layers")
+        .and_then(|l| l.get("checks"))
+        .expect("a checks object");
+    let holds = checks
+        .get("dominant_layer")
+        .and_then(|d| d.get("holds"))
+        .and_then(Json::as_bool);
+    assert_eq!(holds, Some(true), "{workload}: {}", checks.render());
+    let Some(Json::Object(per_op)) = checks.get("per_op") else {
+        panic!("{workload}: no per-op checks in {}", checks.render());
+    };
+    assert!(!per_op.is_empty(), "{workload}: no op was traced");
+    for (op, check) in per_op {
+        let agrees = check.get("agrees").and_then(Json::as_bool);
+        assert_ne!(agrees, Some(false), "{workload} {op}: {}", check.render());
+        let attributed = check.get("attributed").and_then(Json::as_bool);
+        assert_eq!(
+            attributed,
+            Some(true),
+            "{workload} {op}: {}",
+            check.render()
+        );
+    }
+}
+
 #[test]
 fn every_workload_runs_clean_for_a_few_seconds() {
     let bench = PathBuf::from(env!("CARGO_BIN_EXE_jim-perfbench"));
@@ -74,6 +107,9 @@ fn every_workload_runs_clean_for_a_few_seconds() {
             for (_, metric) in metrics {
                 let value = metric.get("value").and_then(Json::as_f64);
                 assert!(value.is_some_and(f64::is_finite), "{workload}: {last}");
+            }
+            if trace == "1" {
+                assert_trace_checks_hold(&target.join("out"), workload);
             }
         }
     }
