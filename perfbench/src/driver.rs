@@ -13,7 +13,7 @@ use jim_json::Json;
 use jim_server::Op;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// One request line in, one response line out.
@@ -90,23 +90,38 @@ pub struct Ledger {
     pub window: Duration,
 }
 
-/// A timing and when it completed.
+/// A timing and the step of the cycle it timed.
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
-    /// Completion instant.
-    pub at: Instant,
+    /// The step: a script's index in the cycle and the step's ordinal
+    /// within that script. Scripts are seeded, so a key names the same
+    /// work in every cycle.
+    pub key: (usize, u64),
     /// Duration, microseconds.
     pub us: f64,
 }
 
 impl Sample {
-    fn since(start: Instant) -> Sample {
-        let at = Instant::now();
+    fn since(start: Instant, key: (usize, u64)) -> Sample {
         Sample {
-            at,
-            us: (at - start).as_secs_f64() * 1e6,
+            key,
+            us: start.elapsed().as_secs_f64() * 1e6,
         }
     }
+}
+
+/// The `q`-quantile, over the steps of a cycle, of each step's fastest
+/// repetition, in microseconds. The host's speed drifts by up to ~1.5×,
+/// in bursts shorter than a second that can crowd a whole run; every
+/// step repeats once per cycle, and its fastest repetition is the one
+/// the fewest bursts reached.
+pub fn floor_quantile(samples: &[Sample], q: f64) -> Option<f64> {
+    let mut fastest: HashMap<(usize, u64), f64> = HashMap::new();
+    for s in samples {
+        let us = fastest.entry(s.key).or_insert(f64::INFINITY);
+        *us = us.min(s.us);
+    }
+    percentile(&fastest.into_values().collect::<Vec<_>>(), q)
 }
 
 /// A proposed tuple's rank and rendered values.
@@ -154,23 +169,6 @@ impl Ledger {
         (0..ROUNDS as u32)
             .map(|k| (start + slice * k, start + slice * (k + 1)))
             .collect()
-    }
-
-    /// The best (lowest) round's `q`-quantile of `samples`, microseconds.
-    /// The host's speed drifts by up to ~1.5× for seconds at a time; the
-    /// best round reads the code's cost with the least of that drift.
-    pub fn best_quantile(&self, samples: &[Sample], q: f64) -> Option<f64> {
-        self.rounds()
-            .iter()
-            .filter_map(|&(from, to)| {
-                let inside: Vec<f64> = samples
-                    .iter()
-                    .filter(|s| s.at > from && s.at <= to)
-                    .map(|s| s.us)
-                    .collect();
-                percentile(&inside, q)
-            })
-            .min_by(f64::total_cmp)
     }
 
     /// Completed requests per second in the best (fastest) round.
@@ -222,12 +220,6 @@ impl Ledger {
             format!("unparseable {} response: {e}", op.name())
         })?;
         self.rtt_us[op as usize].push(elapsed.as_secs_f64() * 1e6);
-        if op == Op::CreateSession {
-            self.creates.push(Sample {
-                at: start + elapsed,
-                us: elapsed.as_secs_f64() * 1e6,
-            });
-        }
         if json.get("ok").and_then(Json::as_bool) != Some(true) {
             self.protocol_errors += 1;
             let message = json.get("error").and_then(Json::as_str).unwrap_or("?");
@@ -296,6 +288,9 @@ impl Ledger {
         let script = &w.sessions[spec];
         let started = Instant::now();
         let r = self.request(ch, Op::CreateSession, &create_line(w, script))?;
+        if let Some(&us) = self.rtt_us[Op::CreateSession as usize].last() {
+            self.creates.push(Sample { key: (spec, 0), us });
+        }
         let Some(sid) = r.get("session").and_then(Json::as_u64) else {
             return Ok(None);
         };
@@ -383,7 +378,8 @@ impl Ledger {
             }
             live.labels += labels.len() as u64;
             if is_resolved(&r) {
-                self.turns.push(Sample::since(sent));
+                self.turns
+                    .push(Sample::since(sent, (live.spec, live.labels)));
                 return self.finish(ch, live, &r);
             }
             if live.labels > MAX_LABELS {
@@ -421,7 +417,8 @@ impl Ledger {
             )?,
         };
         if let Some(sent) = live.turn_start.take() {
-            self.turns.push(Sample::since(sent));
+            self.turns
+                .push(Sample::since(sent, (live.spec, live.labels)));
         }
         if !is_ok(&r) {
             return self.close(ch, sid);
@@ -447,7 +444,8 @@ impl Ledger {
     }
 
     fn finish(&mut self, ch: &mut dyn Channel, live: &Live, r: &Json) -> Result<bool, String> {
-        self.sessions.push(Sample::since(live.started));
+        self.sessions
+            .push(Sample::since(live.started, (live.spec, 0)));
         self.questions.push(live.labels);
         self.resolved.push(Resolved {
             spec: live.spec,

@@ -29,7 +29,7 @@ mod trace;
 mod verify;
 mod workload;
 
-use driver::{Channel, Ledger, Sample};
+use driver::{floor_quantile, Channel, Ledger, Sample};
 use jim_json::Json;
 use jim_server::{Handler, JournalStore, Op, SessionStore};
 use server::Server;
@@ -316,7 +316,7 @@ fn untraced(args: &Args, w: &Workload) -> Result<(Json, Json), String> {
         ..Failures::default()
     };
     failures.add_ledger(w, &ledger, &mut Verifier::default())?;
-    let ms = |v: &[Sample], q: f64| ledger.best_quantile(v, q).unwrap_or(0.0) / 1e3;
+    let ms = |v: &[Sample], q: f64| floor_quantile(v, q).unwrap_or(0.0) / 1e3;
     let questions: Vec<f64> = ledger.questions.iter().map(|&q| q as f64).collect();
     let metrics = vec![
         metric("setup_s", percentile(&setups, 0.5).unwrap_or(0.0), "s"),
