@@ -189,16 +189,21 @@ impl AtomUniverse {
     /// Render one atom with qualified attribute names (`flights.To ≍
     /// hotels.City`).
     pub fn atom_name(&self, id: AtomId) -> String {
+        let mut out = String::new();
+        self.write_atom_name(id, &mut out);
+        out
+    }
+
+    /// [`AtomUniverse::atom_name`], appended to `out`.
+    fn write_atom_name(&self, id: AtomId, out: &mut String) {
         let atom = self.atom(id);
-        format!(
-            "{} ≍ {}",
-            self.schema
-                .qualified_name(atom.a)
-                .expect("atom attrs in range"),
-            self.schema
-                .qualified_name(atom.b)
-                .expect("atom attrs in range"),
-        )
+        self.schema
+            .write_qualified_name(atom.a, out)
+            .expect("atom attrs in range");
+        out.push_str(" ≍ ");
+        self.schema
+            .write_qualified_name(atom.b, out)
+            .expect("atom attrs in range");
     }
 
     /// Render an atom set as a conjunction.
@@ -206,10 +211,14 @@ impl AtomUniverse {
         if set.is_empty() {
             return "TRUE".to_string();
         }
-        set.iter()
-            .map(|i| self.atom_name(AtomId(i as u32)))
-            .collect::<Vec<_>>()
-            .join(" ∧ ")
+        let mut out = String::new();
+        for (k, i) in set.iter().enumerate() {
+            if k > 0 {
+                out.push_str(" ∧ ");
+            }
+            self.write_atom_name(AtomId(i as u32), &mut out);
+        }
+        out
     }
 
     /// Convert an atom set into an executable [`JoinSpec`].

@@ -117,6 +117,11 @@ impl AtomSet {
         self.blocks[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Remove every atom, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.blocks.fill(0);
+    }
+
     /// Remove atom `i`.
     pub fn remove(&mut self, i: usize) {
         assert!(
@@ -744,6 +749,11 @@ mod tests {
                     assert_tail_zero(&r, "remove");
                 }
                 prop_assert!(r.is_empty());
+                // clear.
+                let mut c = AtomSet::full(cap);
+                c.clear();
+                assert_tail_zero(&c, "clear");
+                prop_assert_eq!(c, AtomSet::empty(cap));
                 // Binary set ops, allocating and in-place.
                 assert_tail_zero(&a.intersection(&b), "intersection");
                 assert_tail_zero(&a.union(&b), "union");

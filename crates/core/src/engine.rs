@@ -38,7 +38,7 @@ use crate::label::Label;
 use crate::predicate::JoinPredicate;
 use crate::stats::{InteractionRecord, ProgressStats};
 use crate::version_space::{TupleClass, VersionSpace};
-use jim_relation::{Product, ProductId};
+use jim_relation::{Product, ProductId, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -299,6 +299,80 @@ impl CandidateIndex {
     }
 }
 
+/// Where a product id's signature falls among the signature groups.
+enum Slot<'s> {
+    /// An existing group, by index.
+    Known(usize),
+    /// No group has this signature yet (borrowed from the sweep; clone it
+    /// to open the group).
+    New(&'s AtomSet),
+}
+
+/// The per-id signature sweep behind construction ([`Engine::from_ids`]),
+/// [`Engine::absorb_ids`] and id lookups. It computes exactly
+/// `universe.signature(&product.tuple(id)?)`, errors included, without
+/// building the tuple: the id decodes into one reused row-index buffer,
+/// the component rows' values are borrowed into one reused buffer in
+/// tuple order, each atom compares two of them with `Value`'s own `==`
+/// (so `Null == Null`, floats by `total_cmp`) into one reused
+/// [`AtomSet`], and the group map is probed by reference. Nothing is
+/// allocated per tuple; a signature is cloned only to open a new group.
+struct SignatureSweep<'a> {
+    universe: &'a AtomUniverse,
+    product: &'a Product,
+    rows: Vec<usize>,
+    values: Vec<&'a Value>,
+    sig: AtomSet,
+    /// The signature and group of the last id found in an existing group.
+    /// Neighbouring ids often share a group (in rank order only the last
+    /// relation's row changes), and comparing two sets is much cheaper
+    /// than hashing one.
+    last_sig: AtomSet,
+    last_group: Option<usize>,
+}
+
+impl<'a> SignatureSweep<'a> {
+    fn new(universe: &'a AtomUniverse, product: &'a Product) -> Self {
+        debug_assert_eq!(product.schema(), universe.schema());
+        SignatureSweep {
+            universe,
+            product,
+            rows: Vec::new(),
+            values: Vec::new(),
+            sig: universe.empty_set(),
+            last_sig: universe.empty_set(),
+            last_group: None,
+        }
+    }
+
+    /// Compute `Θ(t)` for the tuple behind `id` and find its group.
+    fn slot(&mut self, by_sig: &HashMap<AtomSet, usize>, id: ProductId) -> Result<Slot<'_>> {
+        let product = self.product;
+        product.decode_into(id, &mut self.rows)?;
+        self.values.clear();
+        for (&row, relation) in self.rows.iter().zip(product.relations()) {
+            self.values.extend(relation.rows()[row].values());
+        }
+        self.sig.clear();
+        for (i, atom) in self.universe.atoms().iter().enumerate() {
+            if self.values[atom.a.index()] == self.values[atom.b.index()] {
+                self.sig.insert(i);
+            }
+        }
+        if let Some(g) = self.last_group.filter(|_| self.last_sig == self.sig) {
+            return Ok(Slot::Known(g));
+        }
+        match by_sig.get(&self.sig) {
+            Some(&g) => {
+                std::mem::swap(&mut self.sig, &mut self.last_sig);
+                self.last_group = Some(g);
+                Ok(Slot::Known(g))
+            }
+            None => Ok(Slot::New(&self.sig)),
+        }
+    }
+}
+
 /// The interactive join-inference engine.
 #[derive(Debug, Clone)]
 pub struct Engine {
@@ -336,16 +410,15 @@ impl Engine {
 
         let mut groups: Vec<Group> = Vec::new();
         let mut by_sig: HashMap<AtomSet, usize> = HashMap::new();
+        let mut sweep = SignatureSweep::new(&universe, &product);
         for &id in ids {
-            let tuple = product.tuple(id)?;
-            let sig = universe.signature(&tuple);
-            match by_sig.get(&sig) {
-                Some(&g) => groups[g].members.push(id),
-                None => {
-                    let class = vs.classify(&sig);
+            match sweep.slot(&by_sig, id)? {
+                Slot::Known(g) => groups[g].members.push(id),
+                Slot::New(sig) => {
+                    let class = vs.classify(sig);
                     by_sig.insert(sig.clone(), groups.len());
                     groups.push(Group {
-                        sig,
+                        sig: sig.clone(),
                         members: GroupMembers::Explicit(vec![id]),
                         class,
                         labeled: 0,
@@ -879,15 +952,14 @@ impl Engine {
             .iter()
             .flat_map(|g| g.members.witnesses().iter().copied())
             .collect();
+        let mut sweep = SignatureSweep::new(&self.universe, &self.product);
         let mut added = 0u64;
         for &id in ids {
             if known.contains(&id) {
                 continue;
             }
-            let tuple = self.product.tuple(id)?;
-            let sig = self.universe.signature(&tuple);
-            match self.by_sig.get(&sig) {
-                Some(&g) => {
+            match sweep.slot(&self.by_sig, id)? {
+                Slot::Known(g) => {
                     self.groups[g].members.push(id);
                     if self.groups[g].class == TupleClass::Informative {
                         // The group's restricted signature is a live index
@@ -899,16 +971,16 @@ impl Engine {
                         self.index.informative_tuples += 1;
                     }
                 }
-                None => {
-                    let class = self.vs.classify(&sig);
+                Slot::New(sig) => {
+                    let class = self.vs.classify(sig);
                     let g = self.groups.len();
                     self.by_sig.insert(sig.clone(), g);
                     if class == TupleClass::Informative {
-                        let restricted = self.vs.restrict(&sig);
+                        let restricted = self.vs.restrict(sig);
                         self.index.add_group(g, restricted, 1, id);
                     }
                     self.groups.push(Group {
-                        sig,
+                        sig: sig.clone(),
                         members: GroupMembers::Explicit(vec![id]),
                         class,
                         labeled: 0,
@@ -954,12 +1026,10 @@ impl Engine {
     }
 
     fn group_of(&self, id: ProductId) -> Result<usize> {
-        let tuple = self.product.tuple(id)?;
-        let sig = self.universe.signature(&tuple);
-        self.by_sig
-            .get(&sig)
-            .copied()
-            .ok_or(InferenceError::UnknownTuple { tuple: id })
+        match SignatureSweep::new(&self.universe, &self.product).slot(&self.by_sig, id)? {
+            Slot::Known(g) => Ok(g),
+            Slot::New(_) => Err(InferenceError::UnknownTuple { tuple: id }),
+        }
     }
 
     fn refresh_counters(&mut self) {
@@ -1542,6 +1612,155 @@ mod tests {
             Engine::from_factorized(p, &opts),
             Err(InferenceError::FactorizationTooLarge { limit: 1, .. })
         ));
+    }
+
+    /// An id past the product keeps the substrate's out-of-range error on
+    /// every path that takes ids.
+    #[test]
+    fn out_of_range_id_keeps_its_error() {
+        let (f, h) = (flights(), hotels());
+        let p = Product::new(vec![&f, &h]).unwrap();
+        let expected = InferenceError::from(p.tuple(ProductId(12)).unwrap_err());
+        assert!(expected
+            .to_string()
+            .contains("product id 12 out of range (12 tuples)"));
+        let opts = EngineOptions::default();
+        let mut e = Engine::new(p.clone(), &opts).unwrap();
+        assert_eq!(e.classify(ProductId(12)).unwrap_err(), expected);
+        assert_eq!(
+            e.label(ProductId(12), Label::Positive).unwrap_err(),
+            expected
+        );
+        assert_eq!(e.absorb_ids(&[ProductId(12)]).unwrap_err(), expected);
+        assert_eq!(
+            Engine::from_ids(p, &[t(1), ProductId(12)], &opts).unwrap_err(),
+            expected
+        );
+    }
+
+    /// The signature sweep against its oracle: materialize each tuple and
+    /// compute [`AtomUniverse::signature`] on it, the per-id path the
+    /// sweep replaced. Groups must agree on order, signature, class and
+    /// member list.
+    mod sweep_oracle {
+        use super::super::*;
+        use jim_relation::{DataType, Relation, RelationSchema, Tuple, Value};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        /// `(signature, class, members)` per group, in group order.
+        type Groups = Vec<(AtomSet, TupleClass, Vec<ProductId>)>;
+
+        fn groups_of(e: &Engine) -> Groups {
+            e.groups
+                .iter()
+                .map(|g| (g.sig.clone(), g.class, g.members.witnesses().to_vec()))
+                .collect()
+        }
+
+        /// The groups the per-id oracle sweep forms over `ids`, in
+        /// first-seen order, classified under `e`'s labels so far.
+        fn oracle(e: &Engine, ids: &[ProductId]) -> Groups {
+            let mut out: Groups = Vec::new();
+            let mut slot: HashMap<AtomSet, usize> = HashMap::new();
+            for &id in ids {
+                let sig = e.universe.signature(&e.product.tuple(id).unwrap());
+                match slot.get(&sig) {
+                    Some(&g) => out[g].2.push(id),
+                    None => {
+                        slot.insert(sig.clone(), out.len());
+                        let class = e.vs.classify(&sig);
+                        out.push((sig, class, vec![id]));
+                    }
+                }
+            }
+            out
+        }
+
+        /// Small value pools per type, so equalities are common: nulls,
+        /// repeated text, and floats that only `total_cmp` tells apart.
+        fn value(rng: &mut StdRng, dtype: DataType) -> Value {
+            match (dtype, rng.gen_range(0..5usize)) {
+                (_, 0) => Value::Null,
+                (DataType::Int, k) => Value::Int(k as i64 % 3),
+                (DataType::Float, k) => Value::Float([0.0, -0.0, f64::NAN, 1.5][k - 1]),
+                (_, k) => Value::text(["", "a", "b", "a"][k - 1]),
+            }
+        }
+
+        /// Two or three random relations over int, float and text columns,
+        /// in either atom scope; `None` when no pair of columns is
+        /// type-compatible.
+        fn instance(seed: u64) -> Option<(Product, EngineOptions)> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let types = [DataType::Int, DataType::Float, DataType::Text];
+            let relations: Vec<Relation> = (0..rng.gen_range(2..=3usize))
+                .map(|r| {
+                    let cols: Vec<DataType> = (0..rng.gen_range(1..=3usize))
+                        .map(|_| types[rng.gen_range(0..3usize)])
+                        .collect();
+                    let names: Vec<String> = (0..cols.len()).map(|c| format!("c{c}")).collect();
+                    let attrs: Vec<(&str, DataType)> = names
+                        .iter()
+                        .zip(&cols)
+                        .map(|(n, &d)| (n.as_str(), d))
+                        .collect();
+                    let rows = (0..rng.gen_range(1..=5usize))
+                        .map(|_| Tuple::new(cols.iter().map(|&d| value(&mut rng, d)).collect()))
+                        .collect();
+                    Relation::new(RelationSchema::of(format!("r{r}"), &attrs).unwrap(), rows)
+                        .unwrap()
+                })
+                .collect();
+            let options = EngineOptions {
+                scope: if rng.gen_bool(0.5) {
+                    AtomScope::CrossRelation
+                } else {
+                    AtomScope::AllPairs
+                },
+                ..Default::default()
+            };
+            let product = Product::new(relations).unwrap();
+            AtomUniverse::new(product.schema().clone(), options.scope).ok()?;
+            Some((product, options))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn sweep_groups_match_per_tuple_signatures(seed in any::<u64>()) {
+                let Some((product, options)) = instance(seed) else { return Ok(()) };
+                let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+                let all: Vec<ProductId> = (0..product.size()).map(ProductId).collect();
+
+                // `Engine::new`: every id, in rank order.
+                let full = Engine::new(product.clone(), &options).unwrap();
+                prop_assert_eq!(groups_of(&full), oracle(&full, &all));
+
+                // `from_ids` over a shuffled subset.
+                let mut ids = all.clone();
+                ids.shuffle(&mut rng);
+                ids.truncate(rng.gen_range(0..=ids.len()));
+                let mut e = Engine::from_ids(product, &ids, &options).unwrap();
+                prop_assert_eq!(groups_of(&e), oracle(&e, &ids));
+
+                // `absorb_ids` after a label: the whole product shuffled, so
+                // known ids are skipped and new ones classified under it.
+                if let Some(c) = e.candidates().candidates().first().cloned() {
+                    e.label(c.representative, Label::from_bool(rng.gen_bool(0.5))).unwrap();
+                }
+                let mut rest = all;
+                rest.shuffle(&mut rng);
+                e.absorb_ids(&rest).unwrap();
+                let mut seen: HashSet<ProductId> = ids.iter().copied().collect();
+                ids.extend(rest.into_iter().filter(|&id| seen.insert(id)));
+                prop_assert_eq!(groups_of(&e), oracle(&e, &ids));
+            }
+        }
     }
 
     /// The generation counter moves on every mutation and only then.

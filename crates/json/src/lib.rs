@@ -7,6 +7,16 @@
 //! serialization are built on this instead. Objects preserve insertion
 //! order (deterministic wire output, friendly diffs in tests).
 //!
+//! ## Cost
+//!
+//! [`Json::parse`] takes time linear in the length of its input, whatever
+//! the input: it looks at each byte a bounded number of times and never
+//! re-validates UTF-8 (a `&str` is valid already). A string literal is
+//! copied one run at a time, each run ending at the next quote, backslash
+//! or control byte, so a multi-megabyte CSV text inside a wire request
+//! costs a few microseconds per kilobyte. Nesting is capped, and malformed
+//! input of any shape is a [`JsonError`] with a byte offset, never a panic.
+//!
 //! ## Example
 //!
 //! ```
@@ -65,6 +75,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -268,6 +279,7 @@ fn write_escaped(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -396,6 +408,21 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote, backslash or control
+            // byte as one slice. All three are ASCII, so the run ends on a
+            // character boundary of the (already valid) input, and each
+            // byte is looked at once.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            let text = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            out.push_str(text);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -442,17 +469,7 @@ impl Parser<'_> {
                         other => return Err(self.err(format!("bad escape `\\{}`", other as char))),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -492,11 +509,16 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        match text.parse::<f64>() {
+        // The scan above consumed ASCII bytes only, so the slice is on
+        // character boundaries; `get` keeps that a checked claim.
+        let digits = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("bad number"))?;
+        match digits.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Json::Number(n)),
-            Ok(_) => Err(self.err(format!("number `{text}` overflows f64"))),
-            Err(_) => Err(self.err(format!("bad number `{text}`"))),
+            Ok(_) => Err(self.err(format!("number `{digits}` overflows f64"))),
+            Err(_) => Err(self.err(format!("bad number `{digits}`"))),
         }
     }
 }
@@ -567,6 +589,57 @@ mod tests {
         assert!(Json::parse("\"a\nb\"").is_err());
     }
 
+    /// A raw control byte inside a string literal is refused at its own
+    /// offset, after runs of one- and multi-byte characters alike.
+    #[test]
+    fn raw_control_byte_reports_its_offset() {
+        for (text, offset) in [
+            ("{\"k\":\"ab\u{1}cd\"}", 8),
+            ("\"\u{0}\"", 1),
+            ("\"é€😀\u{1f}\"", 10),
+            ("[\"ok\",\"x\\n\t\"]", 10),
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text:?}: {err}");
+            assert_eq!(err.message, "unescaped control character in string");
+        }
+    }
+
+    /// Truncated literals keep their old errors and offsets.
+    #[test]
+    fn unterminated_strings_report_the_end_of_input() {
+        let err = Json::parse("\"abc€").unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (7, "unterminated string")
+        );
+        let err = Json::parse("\"abc\\").unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (5, "unterminated escape")
+        );
+    }
+
+    /// A 4 MiB literal mixing plain runs, multi-byte characters and
+    /// escapes decodes intact. (Decoding used to re-validate the rest of
+    /// the input per character, which took minutes at this size.)
+    #[test]
+    fn four_mib_string_literal_decodes() {
+        let chunk = "plain ascii, é, €, 😀 and \\\"escapes\\\" \\n ";
+        let mut text = String::from("\"");
+        while text.len() < 4 << 20 {
+            text.push_str(chunk);
+        }
+        text.push('"');
+        let decoded = Json::parse(&text).unwrap();
+        let s = decoded.as_str().unwrap();
+        let expected_chunk = "plain ascii, é, €, 😀 and \"escapes\" \n ";
+        assert_eq!(s.len() % expected_chunk.len(), 0);
+        assert!(s.len() > 3 << 20);
+        assert_eq!(s, expected_chunk.repeat(s.len() / expected_chunk.len()));
+        assert_eq!(Json::parse(&decoded.render()).unwrap(), decoded);
+    }
+
     #[test]
     fn object_helpers() {
         let v = Json::object([("x", Json::from(1u64)), ("y", Json::from("z"))]);
@@ -603,6 +676,66 @@ mod tests {
         // valid JSON.
         assert_eq!(Json::Number(f64::NAN).render(), "null");
         assert_eq!(Json::Number(f64::INFINITY).render(), "null");
+    }
+
+    mod strings {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// Characters the decoder treats specially or copies across
+        /// boundaries: quotes, backslashes, the escapable and bare control
+        /// characters, and one- to four-byte UTF-8.
+        const ALPHABET: [char; 18] = [
+            'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}',
+            '\u{7f}', 'é', '€', '\u{2028}', '😀',
+        ];
+
+        /// A string drawn from [`ALPHABET`], with any code point mixed in
+        /// wherever a pick falls past its end.
+        fn string_of(picks: Vec<(usize, u32)>) -> String {
+            picks
+                .into_iter()
+                .map(|(i, code)| match ALPHABET.get(i) {
+                    Some(&c) => c,
+                    None => char::from_u32(code % 0x11_0000).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `parse(render(s)) == s`, as a bare value, an array element
+            /// and an object key and value.
+            #[test]
+            fn rendered_strings_parse_back(
+                picks in proptest::collection::vec((0usize..24, any::<u32>()), 0..64),
+            ) {
+                let s = string_of(picks);
+                let bare = Json::from(s.as_str());
+                prop_assert_eq!(Json::parse(&bare.render()).unwrap(), bare);
+                let nested = Json::Array(vec![
+                    Json::from(s.as_str()),
+                    Json::Object(vec![(s.clone(), Json::from(s.as_str()))]),
+                ]);
+                prop_assert_eq!(Json::parse(&nested.render()).unwrap(), nested);
+            }
+
+            /// Every prefix of a rendered document is either a document
+            /// itself or a typed error inside the input, never a panic.
+            #[test]
+            fn truncated_documents_are_typed_errors(
+                picks in proptest::collection::vec((0usize..24, any::<u32>()), 1..24),
+            ) {
+                let s = string_of(picks);
+                let text = Json::Object(vec![(s.clone(), Json::from(s))]).render();
+                for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                    if let Err(err) = Json::parse(&text[..cut]) {
+                        prop_assert!(err.offset <= cut, "{err} past {cut}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

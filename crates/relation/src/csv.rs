@@ -97,14 +97,17 @@ pub fn read_relation(name: impl Into<String>, text: &str) -> Result<Relation> {
     let mut types = vec![DataType::Text; header.len()];
     for (col, ty) in types.iter_mut().enumerate() {
         let mut current: Option<DataType> = None;
-        for rec in &body {
+        for (i, rec) in body.iter().enumerate() {
             let raw = rec.get(col).map(String::as_str).unwrap_or("");
             if raw.trim().is_empty() {
                 continue;
             }
             let observed = Value::infer(raw)
                 .data_type()
-                .expect("non-empty field infers to a typed value");
+                .ok_or_else(|| RelationError::Csv {
+                    line: i + 2,
+                    message: format!("field `{raw}` infers to no type"),
+                })?;
             current = Some(match current {
                 None => observed,
                 Some(c) => widen(c, observed),

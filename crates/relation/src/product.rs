@@ -130,19 +130,28 @@ impl Product {
 
     /// Decode a product id into per-relation row indices.
     pub fn decode(&self, id: ProductId) -> Result<Vec<usize>> {
+        let mut idx = Vec::with_capacity(self.relations.len());
+        self.decode_into(id, &mut idx)?;
+        Ok(idx)
+    }
+
+    /// [`Product::decode`] into a caller-owned buffer (resized to one slot
+    /// per relation), so a sweep over many ids reuses one allocation.
+    pub fn decode_into(&self, id: ProductId, idx: &mut Vec<usize>) -> Result<()> {
         if id.0 >= self.size {
             return Err(RelationError::InvalidJoin {
                 message: format!("product id {} out of range ({} tuples)", id.0, self.size),
             });
         }
+        idx.clear();
+        idx.resize(self.relations.len(), 0);
         let mut rest = id.0;
-        let mut idx = vec![0usize; self.relations.len()];
         for (slot, rel) in idx.iter_mut().zip(&self.relations).rev() {
             let n = rel.len() as u64;
             *slot = (rest % n) as usize;
             rest /= n;
         }
-        Ok(idx)
+        Ok(())
     }
 
     /// Encode per-relation row indices into a product id.
@@ -296,6 +305,20 @@ mod tests {
             let idx = p.decode(id).unwrap();
             assert_eq!(p.encode(&idx).unwrap(), id);
         }
+    }
+
+    #[test]
+    fn decode_into_reuses_the_buffer() {
+        let a = rel("a", "x", &[1, 2, 3]);
+        let b = rel("b", "y", &[10, 20]);
+        let p = Product::new(vec![&a, &b]).unwrap();
+        let mut idx = vec![7; 5];
+        for (id, _) in p.iter() {
+            p.decode_into(id, &mut idx).unwrap();
+            assert_eq!(idx, p.decode(id).unwrap());
+        }
+        let err = p.decode_into(ProductId(6), &mut idx).unwrap_err();
+        assert_eq!(Err(err), p.decode(ProductId(6)));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::error::{RelationError, Result};
 use crate::value::DataType;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 /// A named, typed attribute of a relation.
@@ -237,34 +237,30 @@ impl JoinSchema {
     /// Uses `rel.attr` when the relation occurs once, `rel#k.attr` for the
     /// k-th occurrence in a self-join.
     pub fn qualified_name(&self, attr: GlobalAttr) -> Result<String> {
-        let (rel, local) = self.locate(attr)?;
-        let schema = &self.relations[rel];
-        let occurrences = self
-            .relations
-            .iter()
-            .filter(|r| r.name() == schema.name())
-            .count();
-        let attr_name = &schema.attributes()[local].name;
-        if occurrences > 1 {
-            let occurrence_idx = self.relations[..rel]
-                .iter()
-                .filter(|r| r.name() == schema.name())
-                .count();
-            Ok(format!(
-                "{}#{}.{}",
-                schema.name(),
-                occurrence_idx + 1,
-                attr_name
-            ))
-        } else {
-            Ok(format!("{}.{}", schema.name(), attr_name))
-        }
+        let mut out = String::new();
+        self.write_qualified_name(attr, &mut out)?;
+        Ok(out)
     }
 
-    /// SQL alias for a relation occurrence (`r1`, `r2`, …); stable and short,
-    /// used by the SQL renderer.
-    pub fn sql_alias(&self, rel: usize) -> String {
-        format!("r{}", rel + 1)
+    /// [`JoinSchema::qualified_name`], appended to `out`.
+    pub fn write_qualified_name(&self, attr: GlobalAttr, out: &mut String) -> Result<()> {
+        let (rel, local) = self.locate(attr)?;
+        let schema = &self.relations[rel];
+        let same_name = |r: &&RelationSchema| r.name() == schema.name();
+        out.push_str(schema.name());
+        if self.relations.iter().filter(same_name).count() > 1 {
+            let occurrence = self.relations[..rel].iter().filter(same_name).count() + 1;
+            let _ = write!(out, "#{occurrence}");
+        }
+        out.push('.');
+        out.push_str(&schema.attributes()[local].name);
+        Ok(())
+    }
+
+    /// Append the SQL alias of a relation occurrence (`r1`, `r2`, …) to
+    /// `out`; stable and short, used by the SQL renderer.
+    pub(crate) fn write_sql_alias(&self, rel: usize, out: &mut String) {
+        let _ = write!(out, "r{}", rel + 1);
     }
 
     /// Iterate over all global attributes.
@@ -364,6 +360,22 @@ mod tests {
             selfjoin.qualified_name(GlobalAttr(3)).unwrap(),
             "flights#2.From"
         );
+
+        let mixed = JoinSchema::new(vec![flights(), hotels(), flights()]).unwrap();
+        let names: Vec<String> = mixed
+            .attrs()
+            .map(|a| mixed.qualified_name(a).unwrap())
+            .collect();
+        assert_eq!(
+            names.join(" "),
+            "flights#1.From flights#1.To flights#1.Airline hotels.City hotels.Discount \
+             flights#2.From flights#2.To flights#2.Airline"
+        );
+        let mut out = String::from("x ");
+        mixed.write_qualified_name(GlobalAttr(6), &mut out).unwrap();
+        mixed.write_sql_alias(2, &mut out);
+        assert_eq!(out, "x flights#2.Tor3");
+        assert!(mixed.write_qualified_name(GlobalAttr(8), &mut out).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub fn to_select(schema: &JoinSchema, spec: &JoinSpec) -> Result<String> {
         }
         sql.push_str(rel.name());
         sql.push_str(" AS ");
-        sql.push_str(&schema.sql_alias(i));
+        schema.write_sql_alias(i, &mut sql);
     }
     if !spec.is_always() {
         sql.push_str("\nWHERE ");
@@ -30,15 +30,13 @@ pub fn to_select(schema: &JoinSchema, spec: &JoinSpec) -> Result<String> {
             }
             let (ra, la) = schema.locate(a)?;
             let (rb, lb) = schema.locate(b)?;
-            let an = &schema.relations()[ra].attributes()[la].name;
-            let bn = &schema.relations()[rb].attributes()[lb].name;
-            sql.push_str(&format!(
-                "{}.{} = {}.{}",
-                schema.sql_alias(ra),
-                an,
-                schema.sql_alias(rb),
-                bn
-            ));
+            schema.write_sql_alias(ra, &mut sql);
+            sql.push('.');
+            sql.push_str(&schema.relations()[ra].attributes()[la].name);
+            sql.push_str(" = ");
+            schema.write_sql_alias(rb, &mut sql);
+            sql.push('.');
+            sql.push_str(&schema.relations()[rb].attributes()[lb].name);
         }
     }
     sql.push(';');

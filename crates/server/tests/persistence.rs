@@ -393,3 +393,86 @@ fn kill_and_restart(transport: Transport) {
     client.send(&format!(r#"{{"op":"CloseSession","session":{session}}}"#));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An instance whose inline CSV is over 2 MiB opens, answers, is evicted
+/// to its journal by the store cap and resumes, on both transports. The
+/// request line, the journal header read back on resume, and the resume
+/// itself all decode a multi-megabyte JSON string.
+#[test]
+fn multi_mib_inline_instance_opens_evicts_and_resumes_over_tcp() {
+    for transport in transports() {
+        multi_mib_round_trip(transport);
+    }
+}
+
+fn multi_mib_round_trip(transport: Transport) {
+    let dir = tmpdir(&format!("multi-mib-{transport}"));
+    // One resident session: opening a second evicts the first.
+    let store = SessionStore::with_journal(
+        StoreConfig {
+            max_sessions: 1,
+            ttl: Duration::from_secs(600),
+            ..Default::default()
+        },
+        JournalStore::open(&dir).expect("journal dir"),
+    );
+    let server = TestServer::start(transport, Arc::new(Handler::new(Arc::new(store))));
+    let mut client = Client::connect(server.addr);
+
+    // Long notes with CSV-doubled quotes, a backslash and multi-byte
+    // characters, so both the CSV and its JSON encoding carry escapes.
+    let note = format!(r#""""non-stop"" \ über 5€ {}""#, "x".repeat(900));
+    let mut flights = String::from("From,To,Notes\n");
+    let mut rows = 0usize;
+    while flights.len() < 2 << 20 {
+        let to = ["Paris", "Lille", "NYC"][rows % 3];
+        flights.push_str(&format!("F{rows},{to},{note}\n"));
+        rows += 1;
+    }
+    let relation = |name: &str, csv: &str| {
+        Json::object([("name", Json::from(name)), ("csv", Json::from(csv))])
+    };
+    let source = Json::object([(
+        "relations",
+        Json::Array(vec![
+            relation("flights", &flights),
+            relation("hotels", "City,Stars\nParis,3\nLille,4\nNYC,5\n"),
+        ]),
+    )]);
+    let line = format!(
+        r#"{{"op":"CreateSession","source":{},"strategy":"local-general"}}"#,
+        source.render()
+    );
+    assert!(line.len() > 2 << 20);
+    let r = client.send(&line);
+    let session = r.get("session").unwrap().as_u64().unwrap();
+    let tuples = Some(3 * rows as u64);
+    assert_eq!(r.get("tuples").unwrap().as_u64(), tuples, "{r}");
+    assert_eq!(r.get("persisted").unwrap().as_bool(), Some(true));
+
+    // Answer one question truthfully for To ≍ City.
+    let q = client.send(&format!(r#"{{"op":"NextQuestion","session":{session}}}"#));
+    let values = q.get("values").unwrap().as_array().unwrap();
+    let sign = if values[1] == values[3] { '+' } else { '-' };
+    client.send(&format!(
+        r#"{{"op":"Answer","session":{session},"label":"{sign}"}}"#
+    ));
+
+    // A second session pushes the first out of memory; its journal stays.
+    let other = client.send(r#"{"op":"CreateSession","source":{"scenario":"flights"}}"#);
+    assert_eq!(
+        other.get("evicted").unwrap().as_u64(),
+        Some(session),
+        "{other}"
+    );
+
+    // Resume reads the 2 MiB header back and replays the one label.
+    let r = client.send(&format!(r#"{{"op":"ResumeSession","session":{session}}}"#));
+    assert_eq!(r.get("tuples").unwrap().as_u64(), tuples, "{r}");
+    assert_eq!(r.get("interactions").unwrap().as_u64(), Some(1), "{r}");
+    assert_eq!(r.get("resolved").unwrap().as_bool(), Some(false));
+    let q = client.send(&format!(r#"{{"op":"NextQuestion","session":{session}}}"#));
+    assert!(q.get("tuple").is_some(), "the resumed session asks on: {q}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
