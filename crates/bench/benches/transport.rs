@@ -25,7 +25,10 @@
 //!   nothing). Run on an N-core machine to see the 1→N rps climb.
 //!
 //! Both transports serve the identical handler and store, so any
-//! difference is pure transport overhead.
+//! difference is pure transport overhead. Client and server share the
+//! process, so pin it to one CPU (`taskset -c 0 cargo bench -p jim-bench
+//! --bench transport`) to time round trips without cross-CPU wakeups,
+//! whose latency swings with the host's load.
 
 #![forbid(unsafe_code)]
 
@@ -39,6 +42,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const IDLE_CONNS: usize = 256;
+
+/// Timed round trips per one-connection arm (seconds per arm), after
+/// `WARMUP_ROUND_TRIPS` untimed ones: long enough to average over the
+/// host's speed bursts, which over a few hundred round trips can time
+/// `ListSessions` at twice `Stats` on the same connection.
+const ROUND_TRIPS: usize = 100_000;
+const WARMUP_ROUND_TRIPS: usize = 2_000;
 
 /// Reactor-sweep shape: enough connections to spread across 4 reactors
 /// and enough pipelining to keep every worker pool saturated.
@@ -116,6 +126,13 @@ impl Conn {
         assert!(response.contains("\"ok\":true"), "{response}");
         response.len()
     }
+
+    /// [`Conn::round_trip`] `WARMUP_ROUND_TRIPS` times, untimed.
+    fn warm_up(&mut self, line: &str) {
+        for _ in 0..WARMUP_ROUND_TRIPS {
+            self.round_trip(line);
+        }
+    }
 }
 
 fn transports() -> Vec<Transport> {
@@ -140,7 +157,7 @@ fn memory_kib() -> Option<(u64, u64)> {
 
 fn bench_round_trip(c: &mut Criterion) {
     let mut group = c.benchmark_group("transport");
-    group.sample_size(300);
+    group.sample_size(ROUND_TRIPS);
     for transport in transports() {
         let server = BenchServer::start(transport);
         let mut conn = Conn::open(server.addr);
@@ -148,19 +165,22 @@ fn bench_round_trip(c: &mut Criterion) {
             r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
         );
         assert!(r > 0);
-        group.bench_function(format!("round_trip/{transport}"), |b| {
-            b.iter(|| conn.round_trip(r#"{"op":"ListSessions"}"#))
-        });
-        group.bench_function(format!("stats_round_trip/{transport}"), |b| {
-            b.iter(|| conn.round_trip(r#"{"op":"Stats","session":1}"#))
-        });
+        for (arm, line) in [
+            ("round_trip", r#"{"op":"ListSessions"}"#),
+            ("stats_round_trip", r#"{"op":"Stats","session":1}"#),
+        ] {
+            conn.warm_up(line);
+            group.bench_function(format!("{arm}/{transport}"), |b| {
+                b.iter(|| conn.round_trip(line))
+            });
+        }
     }
     group.finish();
 }
 
 fn bench_idle_connections(c: &mut Criterion) {
     let mut group = c.benchmark_group("transport_idle");
-    group.sample_size(300);
+    group.sample_size(ROUND_TRIPS);
     for transport in transports() {
         let server = BenchServer::start(transport);
         let mut conn = Conn::open(server.addr);
@@ -182,6 +202,7 @@ fn bench_idle_connections(c: &mut Criterion) {
                 vsz1.saturating_sub(vsz0) / IDLE_CONNS as u64,
             );
         }
+        conn.warm_up(r#"{"op":"ListSessions"}"#);
         group.bench_function(
             format!("round_trip_with_{IDLE_CONNS}_idle/{transport}"),
             |b| b.iter(|| conn.round_trip(r#"{"op":"ListSessions"}"#)),

@@ -19,13 +19,15 @@
 //! worker pool, fed round-robin by an accept thread, so ten thousand
 //! idle sessions don't cost ten thousand stacks; `threads` (the default
 //! elsewhere, where `jim-aio` has no backend) is the portable
-//! thread-per-connection fallback. The wire behavior is identical on
-//! both, including the guardrails: `--max-connections` sheds over-cap
+//! thread-per-connection fallback. Both drive the same connection core
+//! behind the same admission gate, so the wire behavior is identical,
+//! including the guardrails: `--max-connections` sheds over-cap
 //! connects with a typed `overloaded` error, `--idle-timeout` reaps
 //! peers that complete no request line in SECS seconds (0 disables),
-//! `--max-inflight` caps pipelined requests per connection (epoll), and
-//! `--max-per-ip` sheds a single address's connections past N with the
-//! same `overloaded` error (0 disables, the default).
+//! `--max-inflight` caps pipelined requests per connection (epoll;
+//! threads answers one at a time), and `--max-per-ip` sheds a single
+//! address's connections past N with the same `overloaded` error (0
+//! disables, the default).
 //!
 //! `--metrics-interval SECS` logs a one-line metrics summary (requests,
 //! errors, latency quantiles, live connections, resident sessions) every

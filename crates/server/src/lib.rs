@@ -30,7 +30,10 @@
 //!   transport and an epoll-driven event-loop transport (linux, via the
 //!   in-repo `jim-aio` readiness shim — see [`reactor`]'s module docs),
 //!   selected by `jim-serve --transport`, plus the TTL sweeper thread.
-//!   Both observe a graceful [`serve::Shutdown`] signal.
+//!   Both drive one sans-IO connection core (`conn`: framing, the line
+//!   cap, blank lines, the idle clock, in-order responses, the close
+//!   decision) behind one admission gate, so the wire behavior is the
+//!   same on both; both observe a graceful [`serve::Shutdown`] signal.
 //! * [`metrics`] — the server-wide observability aggregate over
 //!   `jim-metrics`: per-op request/error counters and latency
 //!   histograms, transport gauges and store/journal counters, exposed
@@ -60,6 +63,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub(crate) mod conn;
 pub mod handler;
 pub mod journal;
 pub mod metrics;
@@ -75,5 +79,5 @@ pub use handler::{Handler, ServerLimits};
 pub use journal::{JournalStore, StoredSession};
 pub use metrics::{Op, OpMetrics, ReactorMetrics, ServerMetrics};
 pub use protocol::{Request, ServerError, Source};
-pub use serve::{serve, serve_with, spawn_sweeper, Shutdown, Transport, TransportLimits};
+pub use serve::{serve_with, spawn_sweeper, Shutdown, Transport, TransportLimits};
 pub use store::{QuestionCache, Session, SessionStore, StoreConfig, SweepReport};

@@ -14,15 +14,16 @@
 //! ```
 //!
 //! The thread that calls [`serve_epoll`] becomes the **accept loop**: it
-//! owns the listener, enforces the global max-connections admission cap,
-//! and hands each accepted socket to one of N **reactor threads**
+//! owns the listener, admits through the shared `Admission` gate (the
+//! global cap and the per-address quota), and hands each admitted
+//! socket to one of N **reactor threads**
 //! (`TransportLimits::reactors`) round-robin, via a per-reactor inbox
 //! and eventfd [`Waker`]. Each reactor owns its own `jim-aio`
 //! [`Poller`], its own worker pool and its own completion queue, so the
 //! accept/framing path scales across cores with no shared epoll set and
 //! no cross-reactor locks on the hot path.
 //!
-//! **Why an accept thread, not `SO_REUSEPORT`?** `serve()` takes a
+//! **Why an accept thread, not `SO_REUSEPORT`?** `serve_with()` takes a
 //! *pre-bound* listener (tests, benches and `jim-load` all bind
 //! `127.0.0.1:0` and read the OS-assigned port back), and `SO_REUSEPORT`
 //! only balances across sockets that all set the option *before* `bind`
@@ -35,50 +36,47 @@
 //! `accept` + an eventfd write per connection — is noise next to
 //! per-connection framing work.
 //!
-//! ## Guardrails (see [`TransportLimits`])
+//! ## What a reactor does, and what it leaves to `Conn`
 //!
-//! * **Admission**: past `max_connections` the accept thread writes one
-//!   typed `Overloaded` line (machine `code":"overloaded"`) and closes —
-//!   load is shed, never queued.
-//! * **Idle/read timeout**: the reactor's `poller.wait` timeout doubles
-//!   as a timer tick; a connection that completes no request line for
-//!   `idle_timeout` is answered with `IdleTimeout` and reaped. The clock
-//!   resets on *complete lines* only, so a slowloris dripping bytes
-//!   mid-line is reaped on schedule.
-//! * **In-flight cap**: up to `max_inflight` pipelined lines per
-//!   connection run concurrently at the worker pool; responses are
-//!   reordered back into **request order** before flushing (`seq`
-//!   numbers, a per-connection pending map). Past the cap, read interest
-//!   is dropped and the peer is backpressured at the socket.
+//! Every per-connection decision — framing, the line cap, blank lines,
+//! the idle clock, the `max_inflight` window with request-order flush,
+//! and when to close — belongs to the sans-IO `Conn` that the threads
+//! transport drives too. A reactor keeps only what is about sockets and
+//! threads:
 //!
-//! Other invariants carried over from the single-reactor design:
+//! * readiness: read while the `Conn` wants bytes, write while it has
+//!   output, and arm poller interest to match, so a connection past its
+//!   window or behind on its writes is backpressured at the socket;
+//! * the worker pool, which runs the lines the `Conn` dispatches, and
+//!   the completion queue plus eventfd [`Waker`] that bring responses
+//!   back (`seq` numbers let the `Conn` put them in request order);
+//! * the timer tick: `poller.wait`'s timeout doubles as the idle
+//!   reaper's clock;
+//! * [`Shutdown`]: stop accepting, stop reading, let in-flight responses
+//!   finish and flush, then return (with a hard deadline so a peer that
+//!   never drains its socket cannot pin the process).
+//!
+//! Two invariants are the reactor's own:
 //!
 //! * connection tokens are **never reused** within a reactor, so a
 //!   completion for a dead connection cannot be misdelivered;
-//! * a partial line never exceeds [`MAX_LINE_BYTES`]: past the cap the
-//!   peer gets the same answered-then-dropped treatment as on the
-//!   threads transport;
-//! * [`Shutdown`]: stop accepting, stop reading, let in-flight responses
-//!   finish and flush, then return (with a hard deadline so a peer that
-//!   never drains its socket cannot pin the process);
 //! * the global `live_connections` / `worker_queue_depth` gauges are
 //!   **aggregates**: every reactor moves them symmetrically (increment
 //!   on admit/dispatch, decrement on close/pop — never `set`), so they
-//!   stay correct with N reactors and across transport restarts.
+//!   stay correct with N reactors and across transport restarts. An
+//!   admitted connection's `Ticket` returns its admission slot and
+//!   gauge when dropped, wherever the connection ends.
 
+use crate::conn::{Admission, Conn, Ticket, READ_CHUNK};
 use crate::handler::Handler;
-use crate::metrics::{ReactorMetrics, ServerMetrics};
-use crate::serve::{
-    idle_timeout_response, oversize_response, respond_to, shed_connection, IpPermit, PerIpQuota,
-    Shutdown, TransportLimits, DRAIN_DEADLINE, MAX_LINE_BYTES,
-};
+use crate::metrics::ReactorMetrics;
+use crate::serve::{respond_to, Shutdown, TransportLimits, DRAIN_DEADLINE};
 use crate::sync::{CondvarExt, LockExt};
 use jim_aio::{Events, Interest, Poller, Waker};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,9 +86,6 @@ const WAKER_TOKEN: u64 = 1;
 /// reused**, so a completion for a connection that died mid-request
 /// cannot be delivered to a newcomer that recycled its slot.
 const FIRST_CONN_TOKEN: u64 = 2;
-
-/// Socket read granularity.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Per-reactor worker-pool bounds: enough to hide one slow request
 /// behind others, few enough that the "bounded thread count" promise
@@ -106,8 +101,9 @@ fn workers_per_reactor(reactors: usize) -> usize {
 }
 
 /// One complete request line travelling to a reactor's worker pool.
-/// `seq` is its position in the connection's request order — the reactor
-/// uses it to put concurrent completions back in order.
+/// `seq` is its position in the connection's request order — the
+/// connection's `Conn` uses it to put concurrent completions back in
+/// order.
 struct Job {
     token: u64,
     seq: u64,
@@ -158,191 +154,60 @@ impl JobQueue {
 /// The workers→reactor channel: finished responses, plus the waker that
 /// pops the reactor out of `epoll_wait` to collect them.
 struct Completions {
-    ready: Mutex<Vec<(u64, u64, Option<String>)>>,
+    ready: Mutex<Vec<(u64, u64, String)>>,
     waker: Waker,
 }
 
 impl Completions {
-    fn push(&self, token: u64, seq: u64, response: Option<String>) {
+    fn push(&self, token: u64, seq: u64, response: String) {
         self.ready.lock_unpoisoned().push((token, seq, response));
         let _ = self.waker.wake();
     }
 
-    fn take(&self) -> Vec<(u64, u64, Option<String>)> {
+    fn take(&self) -> Vec<(u64, u64, String)> {
         std::mem::take(&mut *self.ready.lock_unpoisoned())
     }
 }
 
-/// What [`Conn::extract_line`] found in the accumulation buffer.
-enum Extract {
-    /// A complete, non-blank line (trailing `\n` included).
-    Line(Vec<u8>),
-    /// The cap was exceeded with no line to show for it.
-    Oversize,
-    /// Nothing complete yet.
-    Partial,
-}
-
-/// Per-connection state owned by one reactor.
-struct Conn {
-    stream: TcpStream,
-    /// Request bytes accumulated, newline not yet seen past `scanned`.
-    inbuf: Vec<u8>,
-    /// How far `inbuf` has been scanned for `\n` (so repeated fills of a
-    /// large line stay linear, not quadratic).
-    scanned: usize,
-    /// Response bytes not yet written, from `outpos`.
-    outbuf: Vec<u8>,
-    outpos: usize,
-    /// Lines of this connection at the worker pool right now.
-    inflight: usize,
-    /// Request-order sequence number of the next dispatched line.
-    next_seq: u64,
-    /// Sequence number whose response flushes next: completions arriving
-    /// out of order park in `done` until their turn.
-    next_flush: u64,
-    /// Completed responses not yet promoted to `outbuf` (`None` = the
-    /// blank-line no-response case).
-    done: BTreeMap<u64, Option<String>>,
-    /// No more reads: peer EOF, read error, or cap exceeded.
-    read_closed: bool,
-    /// Close once `outbuf` drains (and nothing is in flight).
-    close_after_flush: bool,
-    /// The connection is beyond saving (write error / reset): close now,
-    /// flushed or not.
-    dead: bool,
-    /// Interest currently registered with the poller.
-    armed: Interest,
-    /// When the last *complete* request line arrived (or the connection
-    /// was accepted). Raw bytes do not move this — that is the whole
-    /// slowloris defense.
-    last_line: Instant,
-    /// This connection's claim on its address's per-IP quota (`None`
-    /// when the knob is off); dropped with the connection.
-    _permit: Option<IpPermit>,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, permit: Option<IpPermit>) -> Conn {
-        Conn {
-            stream,
-            inbuf: Vec::new(),
-            scanned: 0,
-            outbuf: Vec::new(),
-            outpos: 0,
-            inflight: 0,
-            next_seq: 0,
-            next_flush: 0,
-            done: BTreeMap::new(),
-            read_closed: false,
-            close_after_flush: false,
-            dead: false,
-            armed: Interest::READ,
-            last_line: Instant::now(),
-            _permit: permit,
-        }
-    }
-
-    /// Everything dispatched has completed and been promoted.
-    fn settled(&self) -> bool {
-        self.inflight == 0 && self.done.is_empty()
-    }
-
-    /// Pull whatever the socket has, bounded by the line cap (plus one
-    /// chunk of slack): a peer pumping an endless newline-less stream
-    /// stops growing this buffer the moment it passes the cap.
-    fn fill(&mut self, scratch: &mut [u8]) {
-        if self.read_closed {
-            return;
-        }
-        while (self.inbuf.len() as u64) <= MAX_LINE_BYTES {
-            match self.stream.read(scratch) {
-                Ok(0) => {
-                    self.read_closed = true;
-                    return;
-                }
-                Ok(n) => self.inbuf.extend_from_slice(&scratch[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Reset underneath us; responses can't be delivered.
-                    self.read_closed = true;
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Take the next complete line off the buffer (blank lines skipped,
-    /// matching the threads transport).
-    fn extract_line(&mut self) -> Extract {
-        loop {
-            match self.inbuf[self.scanned..].iter().position(|&b| b == b'\n') {
-                Some(found) => {
-                    let end = self.scanned + found;
-                    let line: Vec<u8> = self.inbuf.drain(..=end).collect();
-                    self.scanned = 0;
-                    // One 16 MiB CreateSession must not pin 16 MiB of
-                    // buffer for the rest of a mostly-idle connection.
-                    if self.inbuf.capacity() > READ_CHUNK && self.inbuf.len() < READ_CHUNK {
-                        self.inbuf.shrink_to(READ_CHUNK);
-                    }
-                    if line.len() as u64 > MAX_LINE_BYTES {
-                        return Extract::Oversize;
-                    }
-                    if line.iter().all(u8::is_ascii_whitespace) {
-                        continue;
-                    }
-                    return Extract::Line(line);
-                }
-                None => {
-                    self.scanned = self.inbuf.len();
-                    if self.inbuf.len() as u64 > MAX_LINE_BYTES {
-                        return Extract::Oversize;
-                    }
-                    return Extract::Partial;
-                }
-            }
-        }
-    }
-
-    /// Write as much of `outbuf` as the socket accepts right now.
-    fn flush(&mut self) {
-        while !self.dead && self.outpos < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.outpos..]) {
-                Ok(0) => self.dead = true,
-                Ok(n) => self.outpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => self.dead = true,
-            }
-        }
-        if self.outpos >= self.outbuf.len() {
-            self.outbuf.clear();
-            self.outpos = 0;
-            // Same as `inbuf`: a one-off multi-MiB response (Transcript
-            // of a long session) must not stay allocated while idle.
-            if self.outbuf.capacity() > READ_CHUNK {
-                self.outbuf.shrink_to(READ_CHUNK);
-            }
-        }
-    }
-
-    fn queue_response(&mut self, line: &str) {
-        self.outbuf.reserve(line.len() + 1);
-        self.outbuf.extend_from_slice(line.as_bytes());
-        self.outbuf.push(b'\n');
-    }
-
-    fn flushed(&self) -> bool {
-        self.outbuf.is_empty()
-    }
-}
-
 /// A socket the accept thread admitted, travelling to its reactor with
-/// the per-IP permit it holds (if the quota is on).
-type Admitted = (TcpStream, Option<IpPermit>);
+/// its admission ticket.
+type Admitted = (TcpStream, Ticket);
+
+/// One connection as its reactor holds it: the socket, the `Conn`
+/// deciding what happens on it, and the interest armed for it.
+struct Socket {
+    stream: TcpStream,
+    conn: Conn,
+    armed: Interest,
+    _ticket: Ticket,
+}
+
+impl Socket {
+    /// Read while the connection wants bytes and the socket has them.
+    fn fill(&mut self, scratch: &mut [u8]) {
+        while self.conn.wants_read() {
+            match self.stream.read(scratch) {
+                Ok(n) => self.conn.receive(&scratch[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => self.conn.fail(), // reset underneath us
+            }
+        }
+    }
+
+    /// Write as much output as the socket takes right now.
+    fn flush(&mut self) {
+        while self.conn.wants_write() {
+            match self.stream.write(self.conn.output()) {
+                Ok(0) => self.conn.fail(),
+                Ok(n) => self.conn.written(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => self.conn.fail(),
+            }
+        }
+    }
+}
 
 /// The accept thread's handle on one reactor.
 struct ReactorHandle {
@@ -365,13 +230,10 @@ pub(crate) fn serve_epoll(
     handler: Arc<Handler>,
     shutdown: Shutdown,
     limits: TransportLimits,
+    admission: Arc<Admission>,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let metrics = Arc::clone(handler.store().metrics());
-    // Admitted-and-not-yet-closed connections, across every reactor.
-    // The accept thread is the only admitter, so `load >= cap → shed`
-    // cannot over-admit.
-    let admitted = Arc::new(AtomicUsize::new(0));
 
     let mut reactors: Vec<ReactorHandle> = Vec::with_capacity(limits.reactors);
     for index in 0..limits.reactors {
@@ -390,7 +252,6 @@ pub(crate) fn serve_epoll(
             let limits = limits.clone();
             let waker = waker.clone();
             let inbox = Arc::clone(&inbox);
-            let admitted = Arc::clone(&admitted);
             let rmetrics = Arc::clone(&rmetrics);
             let spawned = std::thread::Builder::new()
                 .name(format!("jim-reactor-{index}"))
@@ -402,7 +263,6 @@ pub(crate) fn serve_epoll(
                         limits,
                         waker,
                         inbox,
-                        admitted,
                         rmetrics,
                     })
                 });
@@ -429,16 +289,7 @@ pub(crate) fn serve_epoll(
         });
     }
 
-    let per_ip = PerIpQuota::from_limits(&limits);
-    let accept_result = accept_loop(
-        &listener,
-        &shutdown,
-        &limits,
-        per_ip.as_ref(),
-        &admitted,
-        &metrics,
-        &reactors,
-    );
+    let accept_result = accept_loop(&listener, &shutdown, &admission, &reactors);
     if accept_result.is_err() {
         // The accept path is fatally broken; the server is coming down.
         // Triggering shutdown makes the reactors (and the sweeper) drain
@@ -465,14 +316,11 @@ pub(crate) fn serve_epoll(
     result
 }
 
-/// Accept until shutdown: admission check, then round-robin handoff.
+/// Accept until shutdown: admission, then round-robin handoff.
 fn accept_loop(
     listener: &TcpListener,
     shutdown: &Shutdown,
-    limits: &TransportLimits,
-    per_ip: Option<&Arc<PerIpQuota>>,
-    admitted: &AtomicUsize,
-    metrics: &ServerMetrics,
+    admission: &Arc<Admission>,
     reactors: &[ReactorHandle],
 ) -> io::Result<()> {
     let poller = Poller::new()?;
@@ -511,32 +359,11 @@ fn accept_loop(
                     let _ = stream.set_nodelay(true);
                     let target = &reactors[next];
                     next = (next + 1) % reactors.len();
-                    if admitted.load(Ordering::SeqCst) >= limits.max_connections {
-                        metrics.sheds.inc();
+                    let Some(ticket) = admission.admit(&stream) else {
                         target.metrics.sheds.inc();
-                        shed_connection(stream);
                         continue;
-                    }
-                    // Per-address quota: shed a greedy peer with the same
-                    // typed answer as the global cap. An unattributable
-                    // socket (peer_addr fails — already dead) sheds too.
-                    let permit = match per_ip {
-                        None => None,
-                        Some(quota) => {
-                            match stream.peer_addr().ok().and_then(|a| quota.admit(a.ip())) {
-                                Some(permit) => Some(permit),
-                                None => {
-                                    metrics.sheds.inc();
-                                    target.metrics.sheds.inc();
-                                    shed_connection(stream);
-                                    continue;
-                                }
-                            }
-                        }
                     };
-                    admitted.fetch_add(1, Ordering::SeqCst);
-                    metrics.live_connections.add(1);
-                    target.inbox.lock_unpoisoned().push((stream, permit));
+                    target.inbox.lock_unpoisoned().push((stream, ticket));
                     let _ = target.waker.wake();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -564,13 +391,11 @@ struct ReactorCtx {
     limits: TransportLimits,
     waker: Waker,
     inbox: Arc<Mutex<Vec<Admitted>>>,
-    admitted: Arc<AtomicUsize>,
     rmetrics: Arc<ReactorMetrics>,
 }
 
 /// One reactor: poller + conns + worker pool, until shutdown drains it.
 fn run_reactor(ctx: ReactorCtx) -> io::Result<()> {
-    let metrics = Arc::clone(ctx.handler.store().metrics());
     let poller = Poller::new()?;
     poller.add(ctx.waker.as_raw_fd(), WAKER_TOKEN, Interest::READ)?;
 
@@ -616,19 +441,11 @@ fn run_reactor(ctx: ReactorCtx) -> io::Result<()> {
         }
     }
 
-    let result = reactor_loop(&ctx, &poller, &jobs, &completions, &metrics);
+    let result = reactor_loop(&ctx, &poller, &jobs, &completions);
 
     jobs.close();
     for worker in workers {
         let _ = worker.join();
-    }
-    // Symmetric teardown (never `set(0)` — other reactors are still
-    // counting): whatever this reactor still holds is released here
-    // (dropping the tuple also returns its per-IP slot).
-    for admitted in std::mem::take(&mut *ctx.inbox.lock_unpoisoned()) {
-        drop(admitted);
-        ctx.admitted.fetch_sub(1, Ordering::SeqCst);
-        metrics.live_connections.add(-1);
     }
     result
 }
@@ -638,9 +455,8 @@ fn reactor_loop(
     poller: &Poller,
     jobs: &JobQueue,
     completions: &Completions,
-    metrics: &ServerMetrics,
 ) -> io::Result<()> {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut conns: HashMap<u64, Socket> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events = Events::with_capacity(1024);
     let mut scratch = vec![0u8; READ_CHUNK];
@@ -657,8 +473,8 @@ fn reactor_loop(
     loop {
         if let Some(since) = draining {
             if conns.is_empty() || since.elapsed() > DRAIN_DEADLINE {
-                for (_, conn) in conns.drain() {
-                    close_conn(conn, poller, metrics, ctx);
+                for (_, sock) in conns.drain() {
+                    close(sock, poller, ctx);
                 }
                 return Ok(());
             }
@@ -674,89 +490,75 @@ fn reactor_loop(
             match event.token {
                 WAKER_TOKEN => ctx.waker.drain(),
                 token => {
-                    let Some(conn) = conns.get_mut(&token) else {
+                    let Some(sock) = conns.get_mut(&token) else {
                         continue;
                     };
                     if event.readable || event.hangup {
-                        conn.fill(&mut scratch);
+                        sock.fill(&mut scratch);
                     }
                     touched.push(token);
                 }
             }
         }
 
-        // Sockets the accept thread handed over since the last pass.
-        for (stream, permit) in std::mem::take(&mut *ctx.inbox.lock_unpoisoned()) {
+        // Sockets the accept thread handed over since the last pass;
+        // one dropped here (too late, or unregistrable) returns its
+        // ticket as it goes.
+        for (stream, ticket) in std::mem::take(&mut *ctx.inbox.lock_unpoisoned()) {
             if draining.is_some() {
-                // Too late to serve it; release its admission slot (the
-                // permit drops with the stream).
-                drop(stream);
-                ctx.admitted.fetch_sub(1, Ordering::SeqCst);
-                metrics.live_connections.add(-1);
                 continue;
             }
             let token = next_token;
             next_token += 1;
             match poller.add(stream.as_raw_fd(), token, Interest::READ) {
                 Ok(()) => {
-                    conns.insert(token, Conn::new(stream, permit));
+                    let conn = Conn::new(
+                        ctx.limits.max_inflight,
+                        ctx.limits.idle_timeout,
+                        Arc::clone(ctx.handler.store().metrics()),
+                    );
+                    conns.insert(
+                        token,
+                        Socket {
+                            stream,
+                            conn,
+                            armed: Interest::READ,
+                            _ticket: ticket,
+                        },
+                    );
                     ctx.rmetrics.live_connections.add(1);
                     touched.push(token);
                 }
-                Err(e) => {
-                    eprintln!("jim-serve: cannot register connection: {e}");
-                    ctx.admitted.fetch_sub(1, Ordering::SeqCst);
-                    metrics.live_connections.add(-1);
-                }
+                Err(e) => eprintln!("jim-serve: cannot register connection: {e}"),
             }
         }
 
         for (token, seq, response) in completions.take() {
             // A completion for a token that already closed is dropped
             // here — tokens are never reused, so it can't be misdelivered.
-            if let Some(conn) = conns.get_mut(&token) {
-                conn.inflight -= 1;
-                conn.done.insert(seq, response);
+            if let Some(sock) = conns.get_mut(&token) {
+                sock.conn.complete(seq, response);
                 touched.push(token);
             }
         }
 
         if draining.is_none() && ctx.shutdown.is_triggered() {
             draining = Some(Instant::now());
-            for (&token, conn) in conns.iter_mut() {
-                // Stop reading everywhere; whatever is in flight still
-                // finishes, flushes and then closes.
-                conn.read_closed = true;
-                conn.close_after_flush = true;
+            for (&token, sock) in conns.iter_mut() {
+                sock.conn.shutdown();
                 touched.push(token);
             }
         }
 
-        // The timer tick: reap connections idle past the deadline. A
-        // conn with work in flight is never idle; one whose peer stopped
-        // draining responses gets dropped without the courtesy line.
-        if let (None, Some(idle)) = (draining, ctx.limits.idle_timeout) {
-            let t = tick.unwrap_or(Duration::MAX);
+        // The timer tick: let every connection's idle clock reap it.
+        if let (None, Some(t)) = (draining, tick) {
             if last_sweep.elapsed() >= t {
                 last_sweep = Instant::now();
-                for (&token, conn) in conns.iter_mut() {
-                    if conn.inflight > 0
-                        || conn.close_after_flush
-                        || conn.dead
-                        || conn.last_line.elapsed() < idle
-                    {
-                        continue;
+                for (&token, sock) in conns.iter_mut() {
+                    if sock.conn.tick(last_sweep) {
+                        ctx.rmetrics.idle_timeouts.inc();
+                        touched.push(token);
                     }
-                    metrics.idle_timeouts.inc();
-                    ctx.rmetrics.idle_timeouts.inc();
-                    if conn.flushed() && conn.done.is_empty() {
-                        conn.queue_response(&idle_timeout_response());
-                        conn.read_closed = true;
-                        conn.close_after_flush = true;
-                    } else {
-                        conn.dead = true;
-                    }
-                    touched.push(token);
                 }
             }
         }
@@ -764,108 +566,63 @@ fn reactor_loop(
         touched.sort_unstable();
         touched.dedup();
         for &token in &touched {
-            if let Some(conn) = advance(token, &mut conns, poller, jobs, metrics, ctx) {
-                close_conn(conn, poller, metrics, ctx);
+            let Some(sock) = conns.get_mut(&token) else {
+                continue;
+            };
+            if !advance(token, sock, poller, jobs, ctx) {
+                if let Some(sock) = conns.remove(&token) {
+                    close(sock, poller, ctx);
+                }
             }
         }
     }
 }
 
-/// Release one closed connection: poller registration, the aggregate
-/// and per-reactor gauges, and its global admission slot — the exact
-/// mirror of what admission + registration took, so the counters stay
-/// correct with any number of reactors (nobody ever `set`s them).
-fn close_conn(conn: Conn, poller: &Poller, metrics: &ServerMetrics, ctx: &ReactorCtx) {
-    let _ = poller.delete(conn.stream.as_raw_fd());
-    metrics.live_connections.add(-1);
+/// Release one closed connection's poller registration and per-reactor
+/// gauge; its ticket returns the admission slot as it drops.
+fn close(sock: Socket, poller: &Poller, ctx: &ReactorCtx) {
+    let _ = poller.delete(sock.stream.as_raw_fd());
     ctx.rmetrics.live_connections.add(-1);
-    ctx.admitted.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Drive one connection's state machine as far as it can go right now:
-/// promote completed responses into request order, flush, dispatch
-/// buffered lines up to the in-flight cap, then re-arm poller interest.
-/// Returns the connection if it must close.
+/// Drive one connection as far as it can go right now: dispatch the
+/// lines its window allows, write its output, then re-arm poller
+/// interest to what it wants next. Returns `false` once it must close.
 fn advance(
     token: u64,
-    conns: &mut HashMap<u64, Conn>,
+    sock: &mut Socket,
     poller: &Poller,
     jobs: &JobQueue,
-    metrics: &ServerMetrics,
     ctx: &ReactorCtx,
-) -> Option<Conn> {
-    let conn = conns.get_mut(&token)?;
-    let mut close = loop {
-        // Responses leave in request order: promote every completion
-        // whose turn has come, park the rest in `done`.
-        while let Some(response) = conn.done.remove(&conn.next_flush) {
-            conn.next_flush += 1;
-            if let Some(line) = response {
-                conn.queue_response(&line);
-            }
+) -> bool {
+    let metrics = ctx.handler.store().metrics();
+    loop {
+        while let Some((seq, line)) = sock.conn.next_line() {
+            metrics.worker_queue_depth.add(1);
+            ctx.rmetrics.worker_queue_depth.add(1);
+            ctx.rmetrics.dispatched.inc();
+            jobs.push(Job { token, seq, line });
         }
-        conn.flush();
-        if conn.dead {
-            break true;
+        if !sock.conn.wants_write() {
+            break;
         }
-        if conn.close_after_flush && conn.settled() && conn.flushed() {
-            break true;
+        sock.flush();
+        if sock.conn.wants_write() {
+            break; // the socket is full: wait for EPOLLOUT
         }
-        // Dispatch more pipelined lines only when under the in-flight
-        // cap and fully flushed (the flush requirement bounds `outbuf`:
-        // a peer that won't read its responses stops being served).
-        if conn.close_after_flush || !conn.flushed() || conn.inflight >= ctx.limits.max_inflight {
-            break false;
-        }
-        match conn.extract_line() {
-            Extract::Line(line) => {
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                conn.inflight += 1;
-                conn.last_line = Instant::now();
-                metrics.worker_queue_depth.add(1);
-                ctx.rmetrics.worker_queue_depth.add(1);
-                ctx.rmetrics.dispatched.inc();
-                jobs.push(Job { token, seq, line });
-                // Loop: there may be more buffered lines under the cap.
-            }
-            Extract::Oversize => {
-                // Same contract as the threads transport: answer the
-                // error, then drop the connection once it flushes. The
-                // answer takes a `seq` slot so it stays in order behind
-                // any responses still in flight.
-                metrics.oversized.inc();
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                conn.done.insert(seq, Some(oversize_response()));
-                conn.read_closed = true;
-                conn.close_after_flush = true;
-                // Loop: promote + flush what we can immediately.
-            }
-            Extract::Partial => {
-                // EOF with no complete line pending: drop the partial.
-                break conn.read_closed && conn.settled() && conn.flushed();
-            }
-        }
+    }
+    if sock.conn.finished() {
+        return false;
+    }
+    let want = Interest {
+        read: sock.conn.wants_read(),
+        write: sock.conn.wants_write(),
     };
-    if !close {
-        // Backpressure: read only when flushed and under the cap.
-        let want = Interest {
-            read: !conn.read_closed
-                && !conn.close_after_flush
-                && conn.flushed()
-                && conn.inflight < ctx.limits.max_inflight,
-            write: !conn.flushed(),
-        };
-        if want != conn.armed {
-            match poller.modify(conn.stream.as_raw_fd(), token, want) {
-                Ok(()) => conn.armed = want,
-                Err(_) => close = true,
-            }
+    if want != sock.armed {
+        if poller.modify(sock.stream.as_raw_fd(), token, want).is_err() {
+            return false;
         }
+        sock.armed = want;
     }
-    if close {
-        return conns.remove(&token);
-    }
-    None
+    true
 }

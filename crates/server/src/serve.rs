@@ -1,37 +1,41 @@
 //! The TCP front ends: JSON lines over two interchangeable transports.
 //!
-//! The `Handler`/`protocol` split is transport-agnostic by design — a
-//! transport's whole job is *framing* (accumulate bytes to `\n`, enforce
-//! the line cap, decode strictly) and *scheduling* (who blocks where).
-//! Two implementations share that framing code:
+//! The `Handler`/`protocol` split is transport-agnostic by design, and
+//! so is everything per connection: framing (lines to `\n` under the
+//! 16 MiB cap), blank lines, the idle clock, in-order responses and the
+//! close decision all live in the sans-IO `Conn`, and admission (the
+//! connection cap and per-address quota) in its `Admission` gate. A
+//! transport's own job is only *scheduling*: who blocks where, and who
+//! calls `read` and `write`.
 //!
-//! * [`Transport::Threads`] — one thread per connection, blocking I/O.
-//!   Simple and portable; costs a stack per mostly-idle session, which is
-//!   exactly what the interactive workload produces (one question/answer
-//!   line per human turn).
-//! * [`Transport::Epoll`] — a non-blocking event loop (linux only): one
-//!   reactor thread multiplexes every connection through a `jim-aio`
-//!   epoll [`jim_aio::Poller`], and a small worker pool runs
-//!   [`Handler::handle_line`] so a slow `CreateSession` or journal replay
-//!   never stalls the reactor. Thousands of idle connections cost a few
-//!   hundred bytes of buffer each instead of a thread stack — see
-//!   [`crate::reactor`].
+//! * [`Transport::Threads`] — one thread per connection, blocking I/O
+//!   with a [`SHUTDOWN_POLL`] timeout on both directions, driving its
+//!   `Conn` with a window of one line. Simple and portable; costs a stack
+//!   per mostly-idle session, which is exactly what the interactive
+//!   workload produces (one question/answer line per human turn).
+//! * [`Transport::Epoll`] — a non-blocking event loop (linux only): N
+//!   reactor threads multiplex every connection through `jim-aio` epoll
+//!   pollers, and per-reactor worker pools run [`Handler::handle_line`]
+//!   so a slow `CreateSession` or journal replay never stalls a reactor.
+//!   Thousands of idle connections cost a few hundred bytes of buffer
+//!   each instead of a thread stack — see [`crate::reactor`].
 //!
 //! Both observe a shared [`Shutdown`] signal: trigger it and the accept
-//! loop stops, in-flight responses drain, and [`serve`] returns (the TTL
-//! sweeper spawned by [`spawn_sweeper`] observes the same signal). Both
-//! decode request lines **strictly**: a line that is not valid UTF-8 is
-//! refused with a typed protocol error instead of being lossily mangled
-//! into replacement characters and stored as corrupted relation data.
+//! loop stops, in-flight responses drain (for at most [`DRAIN_DEADLINE`]),
+//! and [`serve_with`] returns (the TTL sweeper spawned by
+//! [`spawn_sweeper`] observes the same signal). Both decode request lines
+//! **strictly**: a line that is not valid UTF-8 is refused with a typed
+//! protocol error instead of being lossily mangled into replacement
+//! characters and stored as corrupted relation data.
 
+use crate::conn::{Admission, Conn, READ_CHUNK};
 use crate::handler::Handler;
 use crate::protocol::ServerError;
 use crate::store::SessionStore;
 use crate::sync::{CondvarExt, LockExt};
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{IpAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -40,14 +44,14 @@ use std::time::{Duration, Instant};
 /// newline must not grow server memory without bound.
 pub const MAX_LINE_BYTES: u64 = 16 << 20;
 
-/// How often blocked accept/read loops in the threads transport wake to
-/// observe the shutdown signal.
+/// How often the threads transport's blocked accept, read and write
+/// calls wake to observe the shutdown signal and the idle clock.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 /// How long a shutting-down transport waits for in-flight responses to
 /// finish and flush before giving up on them (a peer that never reads
 /// its socket must not pin the process).
-pub(crate) const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Default global admission cap (see [`TransportLimits::max_connections`]).
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
@@ -60,12 +64,12 @@ pub const DEFAULT_MAX_INFLIGHT: usize = 4;
 
 /// The production-traffic guardrails both transports honor.
 ///
-/// One struct, one semantics, two enforcement points: the epoll
-/// transport checks admission in its accept loop and drives timeouts off
-/// the reactor's `poller.wait` tick; the threads transport checks
-/// admission in the same place and drives timeouts off its existing
-/// 50 ms read-timeout tick. Either way a client sees the identical wire
-/// behavior: connection 257 of a 256-cap server gets a typed
+/// One struct, one semantics, one enforcement point: both accept loops
+/// admit through the same `Admission` gate, and both transports run the
+/// same `Conn` idle clock, ticked by the reactor's `poller.wait` timeout
+/// or by the threads transport's [`SHUTDOWN_POLL`] read and write
+/// timeouts. Either way a client sees the identical wire behavior:
+/// connection 257 of a 256-cap server gets a typed
 /// [`ServerError::Overloaded`] line and a close (never a silent queue),
 /// and a peer that goes quiet — or drips bytes without ever finishing a
 /// line — is answered with [`ServerError::IdleTimeout`] and reaped.
@@ -83,7 +87,7 @@ pub struct TransportLimits {
     pub idle_timeout: Option<Duration>,
     /// Pipelined requests one connection may have in flight at the
     /// worker pool before the reactor stops reading it (epoll only; the
-    /// threads transport is strictly request/response per thread).
+    /// threads transport answers one line at a time, a window of 1).
     pub max_inflight: usize,
     /// Concurrent connections one peer address may hold (`None` = off,
     /// the default). Past it, that peer's next connect is shed with the
@@ -115,62 +119,6 @@ impl TransportLimits {
     }
 }
 
-/// The per-address admission table (see [`TransportLimits::max_per_ip`]).
-/// One shared instance per server; both transports consult it at accept,
-/// and every admitted connection holds an [`IpPermit`] whose drop gives
-/// the slot back however the connection ends.
-pub(crate) struct PerIpQuota {
-    cap: usize,
-    counts: Mutex<HashMap<IpAddr, usize>>,
-}
-
-impl PerIpQuota {
-    /// The quota the limits ask for, or `None` when the knob is off.
-    pub(crate) fn from_limits(limits: &TransportLimits) -> Option<Arc<PerIpQuota>> {
-        limits.max_per_ip.map(|cap| {
-            Arc::new(PerIpQuota {
-                cap,
-                counts: Mutex::new(HashMap::new()),
-            })
-        })
-    }
-
-    /// Claim a slot for `ip`: a permit while the address is under its
-    /// cap, else `None` (the caller sheds the connection).
-    pub(crate) fn admit(self: &Arc<Self>, ip: IpAddr) -> Option<IpPermit> {
-        let mut counts = self.counts.lock_unpoisoned();
-        let count = counts.entry(ip).or_insert(0);
-        if *count >= self.cap {
-            return None;
-        }
-        *count += 1;
-        Some(IpPermit {
-            quota: Arc::clone(self),
-            ip,
-        })
-    }
-}
-
-/// One admitted connection's claim on its address's quota. Dropping it
-/// releases the slot and forgets drained addresses, so the table stays
-/// proportional to *active* peers, not every address ever seen.
-pub(crate) struct IpPermit {
-    quota: Arc<PerIpQuota>,
-    ip: IpAddr,
-}
-
-impl Drop for IpPermit {
-    fn drop(&mut self) {
-        let mut counts = self.quota.counts.lock_unpoisoned();
-        if let Some(count) = counts.get_mut(&self.ip) {
-            *count -= 1;
-            if *count == 0 {
-                counts.remove(&self.ip);
-            }
-        }
-    }
-}
-
 /// The reactor-count default: `JIM_REACTORS` if set to a positive
 /// integer, else `min(cores, 4)` — enough to spread accept/framing load
 /// across cores without spawning a pool of mostly-idle epoll waiters on
@@ -188,7 +136,7 @@ pub fn default_reactors() -> usize {
         .clamp(1, 4)
 }
 
-/// Which TCP front end [`serve`] runs.
+/// Which TCP front end [`serve_with`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// One blocking thread per connection (portable fallback).
@@ -237,7 +185,7 @@ impl std::fmt::Display for Transport {
 ///
 /// [`Shutdown::trigger`] is idempotent and returns immediately; the
 /// server then stops accepting, finishes and flushes any response already
-/// being computed, closes its connections and returns from [`serve`]
+/// being computed, closes its connections and returns from [`serve_with`]
 /// (the sweeper thread exits the same way). Requests that are merely
 /// half-received are dropped — only *in-flight responses* are drained.
 #[derive(Clone, Default)]
@@ -329,20 +277,9 @@ impl Shutdown {
     }
 }
 
-/// Serve the listener with the chosen transport until `shutdown` is
-/// triggered (or a fatal listener/reactor error), under the default
-/// [`TransportLimits`] (which honor `JIM_REACTORS`). [`Transport::Epoll`]
-/// off linux returns [`io::ErrorKind::Unsupported`].
-pub fn serve(
-    listener: TcpListener,
-    handler: Arc<Handler>,
-    transport: Transport,
-    shutdown: Shutdown,
-) -> io::Result<()> {
-    serve_with(listener, handler, transport, shutdown, Default::default())
-}
-
-/// [`serve`] with explicit [`TransportLimits`].
+/// Serve the listener with the chosen transport under `limits` until
+/// `shutdown` is triggered (or a fatal listener/reactor error).
+/// [`Transport::Epoll`] off linux returns [`io::ErrorKind::Unsupported`].
 pub fn serve_with(
     listener: TcpListener,
     handler: Arc<Handler>,
@@ -351,16 +288,17 @@ pub fn serve_with(
     limits: TransportLimits,
 ) -> io::Result<()> {
     let limits = limits.normalized();
+    let admission = Admission::new(&limits, Arc::clone(handler.store().metrics()));
     match transport {
-        Transport::Threads => serve_threads(listener, handler, shutdown, limits),
+        Transport::Threads => serve_threads(listener, handler, shutdown, limits, admission),
         Transport::Epoll => {
             #[cfg(target_os = "linux")]
             {
-                crate::reactor::serve_epoll(listener, handler, shutdown, limits)
+                crate::reactor::serve_epoll(listener, handler, shutdown, limits, admission)
             }
             #[cfg(not(target_os = "linux"))]
             {
-                let _ = (listener, handler, shutdown, limits);
+                let _ = (listener, handler, shutdown, limits, admission);
                 Err(io::Error::new(
                     io::ErrorKind::Unsupported,
                     "the epoll transport is linux-only; use --transport threads",
@@ -370,106 +308,43 @@ pub fn serve_with(
     }
 }
 
-/// Refuse a connection at the admission cap: best-effort write of the
-/// typed [`ServerError::Overloaded`] line, then close. Shared by both
-/// transports' accept paths so an over-cap client always sees the same
-/// thing — an answer and a hangup, never a hang.
-pub(crate) fn shed_connection(mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let mut line = overloaded_response();
-    line.push('\n');
-    // The socket is fresh, so the line fits its send buffer whether the
-    // stream is blocking or not; if the peer is already gone, the shed
-    // stands regardless.
-    let _ = stream.write_all(line.as_bytes());
-}
-
-/// Decrements the live-connection count (and its metrics gauge) however
-/// the connection thread exits (clean EOF, I/O error or panic in the
-/// handler).
-struct ConnGuard {
-    active: Arc<std::sync::atomic::AtomicUsize>,
-    gauge: Arc<jim_metrics::Gauge>,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.active.fetch_sub(1, Ordering::SeqCst);
-        self.gauge.add(-1);
-    }
-}
-
 /// The thread-per-connection transport: accept until shutdown, one
-/// blocking thread per connection, then drain — connection threads
-/// observe the signal within one [`SHUTDOWN_POLL`] (finishing any
-/// response they are mid-way through first), and `serve` waits for them
-/// up to [`DRAIN_DEADLINE`] so returning really means drained. The
-/// [`TransportLimits`] admission cap is enforced at accept; the idle
-/// timeout rides the per-read [`SHUTDOWN_POLL`] tick inside
-/// [`serve_connection`].
+/// blocking thread per admitted connection, then drain — connection
+/// threads observe the signal within one [`SHUTDOWN_POLL`] and give up
+/// on unwritten responses [`DRAIN_DEADLINE`] later, and `serve_with`
+/// waits for them that long, so returning really means drained.
 fn serve_threads(
     listener: TcpListener,
     handler: Arc<Handler>,
     shutdown: Shutdown,
     limits: TransportLimits,
+    admission: Arc<Admission>,
 ) -> io::Result<()> {
     // Non-blocking accept so the loop can observe the shutdown signal;
     // connections themselves stay blocking.
     listener.set_nonblocking(true)?;
-    let metrics = Arc::clone(handler.store().metrics());
-    let active = Arc::new(AtomicUsize::new(0));
-    let per_ip = PerIpQuota::from_limits(&limits);
-    let limits = Arc::new(limits);
     while !shutdown.is_triggered() {
         match listener.accept() {
             Ok((stream, _)) => {
                 // BSD-derived platforms make accepted sockets inherit the
                 // listener's O_NONBLOCK; connection threads rely on
-                // blocking reads with a timeout, so force blocking mode
+                // blocking I/O with a timeout, so force blocking mode
                 // (a no-op on linux).
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
-                // Admission: `active` counts only admitted connections
-                // and this loop is the only admitter, so the cap is
-                // exact — no queueing, the peer gets a typed answer now.
-                if active.load(Ordering::SeqCst) >= limits.max_connections {
-                    metrics.sheds.inc();
-                    shed_connection(stream);
-                    continue;
-                }
-                // Per-address quota: a greedy peer is shed the same way
-                // an over-cap one is. An unattributable socket (peer_addr
-                // fails — it is already dead) is shed too.
-                let permit = match &per_ip {
-                    None => None,
-                    Some(quota) => {
-                        match stream.peer_addr().ok().and_then(|a| quota.admit(a.ip())) {
-                            Some(permit) => Some(permit),
-                            None => {
-                                metrics.sheds.inc();
-                                shed_connection(stream);
-                                continue;
-                            }
-                        }
-                    }
-                };
                 // One write per response line; Nagle would stall the
                 // question/answer ping-pong a delayed-ACK (~40ms) per turn.
                 let _ = stream.set_nodelay(true);
+                let Some(ticket) = admission.admit(&stream) else {
+                    continue;
+                };
                 let handler = Arc::clone(&handler);
                 let shutdown = shutdown.clone();
-                let limits = Arc::clone(&limits);
-                active.fetch_add(1, Ordering::SeqCst);
-                metrics.live_connections.add(1);
-                let guard = ConnGuard {
-                    active: Arc::clone(&active),
-                    gauge: Arc::clone(&metrics.live_connections),
-                };
+                let idle_timeout = limits.idle_timeout;
                 std::thread::spawn(move || {
-                    let _guard = guard;
-                    let _permit = permit; // released when the thread exits
-                    if let Err(e) = serve_connection(stream, &handler, &shutdown, &limits) {
+                    let _ticket = ticket; // released when the thread exits
+                    if let Err(e) = serve_connection(stream, &handler, &shutdown, idle_timeout) {
                         // Disconnects are routine; log and move on.
                         eprintln!("jim-serve: connection ended: {e}");
                     }
@@ -491,147 +366,85 @@ fn serve_threads(
         }
     }
     drop(listener); // stop the port answering before the drain wait
-    let deadline = Instant::now() + DRAIN_DEADLINE;
-    while active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+    let deadline = Instant::now() + SHUTDOWN_POLL + DRAIN_DEADLINE;
+    while admission.live() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     Ok(())
 }
 
-/// Decode one complete request line (newline included or not) and
-/// produce the response line, or `None` for a blank line. This is the
-/// single decoding path both transports share: non-UTF-8 bytes are
-/// **refused** with a typed protocol error — never lossily replaced, so
-/// a `CreateSession` carrying mangled inline CSV can never be stored as
-/// corrupted relation data.
-pub(crate) fn respond_to(handler: &Handler, raw: &[u8]) -> Option<String> {
+/// Decode one complete, non-blank request line and produce its response
+/// line. This is the single decoding path both transports share:
+/// non-UTF-8 bytes are **refused** with a typed protocol error — never
+/// lossily replaced, so a `CreateSession` carrying mangled inline CSV can
+/// never be stored as corrupted relation data.
+pub(crate) fn respond_to(handler: &Handler, raw: &[u8]) -> String {
     let metrics = handler.store().metrics();
-    let Ok(line) = std::str::from_utf8(raw) else {
-        // Dispatched-then-refused: the line reached the decode path (it
-        // counts toward transport traffic) but was never parsed as a
-        // request (it counts as a decode refusal, like malformed JSON).
-        metrics.dispatched.inc();
-        metrics.decode_refused.inc();
-        return Some(invalid_utf8_response());
-    };
-    let line = line.trim();
-    if line.is_empty() {
-        return None;
-    }
     metrics.dispatched.inc();
-    Some(handler.handle_line(line))
+    match std::str::from_utf8(raw) {
+        Ok(line) => handler.handle_line(line.trim()),
+        Err(_) => {
+            // The line reached the decode path (it counts toward
+            // transport traffic) but was never parsed as a request (it
+            // counts as a decode refusal, like malformed JSON).
+            metrics.decode_refused.inc();
+            ServerError::InvalidUtf8.response().render()
+        }
+    }
 }
 
-/// The typed rejection for a request line with invalid UTF-8.
-pub(crate) fn invalid_utf8_response() -> String {
-    ServerError::InvalidUtf8.response().render()
-}
-
-/// The typed rejection for a request line over [`MAX_LINE_BYTES`].
-pub(crate) fn oversize_response() -> String {
-    ServerError::Oversize.response().render()
-}
-
-/// The typed rejection written (best effort) before reaping an idle peer.
-pub(crate) fn idle_timeout_response() -> String {
-    ServerError::IdleTimeout.response().render()
-}
-
-/// The typed rejection for a connection shed at the admission cap.
-pub(crate) fn overloaded_response() -> String {
-    ServerError::Overloaded.response().render()
-}
-
-/// Pump one connection: read request lines, write response lines.
-/// Returns when the peer closes the stream, `shutdown` triggers between
-/// requests, or the idle timeout reaps it; drops the connection after
-/// answering if a line exceeds [`MAX_LINE_BYTES`].
+/// Pump one connection through its `Conn`, one line at a time, until
+/// the `Conn` closes it, the socket fails, or [`DRAIN_DEADLINE`] passes
+/// after `shutdown` triggers with responses still unwritten.
 ///
-/// Reads are raw `read` calls with a [`SHUTDOWN_POLL`] timeout into an
-/// explicit accumulation buffer (not `read_until`): the idle deadline is
-/// checked once per read tick, so a slowloris peer dripping one byte per
-/// tick is reaped on schedule — a buffered line reader would happily sit
-/// inside one `read_until` call for as long as bytes keep trickling in.
-/// The deadline clock resets only on **complete** lines.
-pub fn serve_connection(
-    stream: TcpStream,
+/// Reads and writes are raw calls with a [`SHUTDOWN_POLL`] timeout, so the
+/// idle clock and the shutdown signal are checked at least once per poll
+/// whatever the peer does: a slowloris dripping bytes mid-line, a chatty
+/// peer that never lets a read time out, and a peer that never reads its
+/// responses are all reached on schedule.
+fn serve_connection(
+    mut stream: TcpStream,
     handler: &Handler,
     shutdown: &Shutdown,
-    limits: &TransportLimits,
+    idle_timeout: Option<Duration>,
 ) -> io::Result<()> {
-    // A read timeout lets an idle (or mid-line) connection observe the
-    // shutdown signal and its own idle deadline without a byte arriving.
     stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut scanned = 0usize; // newline-scan high-water mark in `buf`
-    let mut chunk = vec![0u8; 64 << 10];
-    let mut last_line = Instant::now();
-    loop {
-        // Answer every complete line already buffered.
-        while let Some(found) = buf[scanned..].iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=scanned + found).collect();
-            scanned = 0;
-            last_line = Instant::now();
-            if line.len() as u64 > MAX_LINE_BYTES {
-                handler.store().metrics().oversized.inc();
-                let mut response = oversize_response();
-                response.push('\n');
-                writer.write_all(response.as_bytes())?;
-                return Ok(()); // drop the connection rather than resync
-            }
-            if let Some(mut response) = respond_to(handler, &line) {
-                // One write per response: two segments would trip the
-                // peer's delayed ACK even with nodelay set here.
-                response.push('\n');
-                writer.write_all(response.as_bytes())?;
-                writer.flush()?;
-            }
+    stream.set_write_timeout(Some(SHUTDOWN_POLL))?;
+    let mut conn = Conn::new(1, idle_timeout, Arc::clone(handler.store().metrics()));
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let mut give_up: Option<Instant> = None;
+    while !conn.finished() {
+        while let Some((seq, line)) = conn.next_line() {
+            conn.complete(seq, respond_to(handler, &line));
         }
-        scanned = buf.len();
-        // A one-off huge line must not pin its buffer for the rest of a
-        // mostly-idle connection.
-        if buf.capacity() > (64 << 10) && buf.len() < (64 << 10) {
-            buf.shrink_to(64 << 10);
-        }
-        // The cap is cumulative across partial reads of one line.
-        if buf.len() as u64 > MAX_LINE_BYTES {
-            handler.store().metrics().oversized.inc();
-            let mut response = oversize_response();
-            response.push('\n');
-            writer.write_all(response.as_bytes())?;
-            writer.flush()?;
-            return Ok(());
-        }
-        // One idle check per tick, whether the tick ended in a timeout,
-        // a drip of bytes, or a slow trickle mid-line.
-        if let Some(idle) = limits.idle_timeout {
-            if last_line.elapsed() >= idle {
-                handler.store().metrics().idle_timeouts.inc();
-                let mut response = idle_timeout_response();
-                response.push('\n');
-                let _ = writer.write_all(response.as_bytes()); // best effort
-                return Ok(());
-            }
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => return Ok(()), // peer closed; drop any partial line
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+        let io = if conn.wants_write() {
+            stream.write(conn.output()).map(|n| conn.written(n))
+        } else if conn.wants_read() {
+            stream.read(&mut chunk).map(|n| conn.receive(&chunk[..n]))
+        } else {
+            break; // nothing left that this thread could supply
+        };
+        match io {
+            Ok(()) => {}
             Err(e)
                 if matches!(
                     e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.is_triggered() {
-                    return Ok(()); // a half-received request is not in flight
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) => {}
             Err(e) => return Err(e),
         }
+        let now = Instant::now();
+        conn.tick(now);
+        if shutdown.is_triggered() {
+            conn.shutdown();
+            if now >= *give_up.get_or_insert(now + DRAIN_DEADLINE) {
+                break;
+            }
+        }
     }
+    Ok(())
 }
 
 /// Start the TTL sweeper thread, evicting expired sessions every
@@ -735,11 +548,9 @@ mod tests {
             StoreConfig::default(),
         )));
         // Invalid bytes: a typed refusal, not a lossy U+FFFD mangle.
-        let r = respond_to(&handler, &[b'{', 0xFF, 0xC3, b'}']).expect("error response");
+        let r = respond_to(&handler, &[b'{', 0xFF, 0xC3, b'}']);
         assert!(r.contains("\"ok\":false") && r.contains("UTF-8"), "{r}");
-        // Blank lines are skipped, valid lines dispatched.
-        assert!(respond_to(&handler, b"   \r\n").is_none());
-        let r = respond_to(&handler, b"{\"op\":\"ListSessions\"}\n").expect("dispatched");
+        let r = respond_to(&handler, b"{\"op\":\"ListSessions\"}\r");
         assert!(r.contains("\"ok\":true"), "{r}");
     }
 

@@ -614,3 +614,159 @@ fn four_reactors_share_connections_and_gauges_aggregate() {
     assert_eq!(t.get("sheds").unwrap().as_u64(), Some(0));
     assert_eq!(t.get("idle_timeouts").unwrap().as_u64(), Some(0));
 }
+
+#[test]
+fn whitespace_only_lines_are_blank_on_both_transports() {
+    for transport in transports() {
+        let server = start_with_limits(
+            transport,
+            TransportLimits {
+                reactors: 2,
+                ..Default::default()
+            },
+        );
+        let mut client = Client::connect(server.addr);
+        // A vertical tab and a no-break space: whitespace to `str::trim`,
+        // though not to `u8::is_ascii_whitespace`. Neither is a request,
+        // so the first response must be the Metrics one.
+        client
+            .writer
+            .write_all("\x0B\n\u{A0}\n".as_bytes())
+            .expect("write blank lines");
+        let m = client.send(r#"{"op":"Metrics"}"#);
+        let t = m.get("transport").expect("transport section");
+        assert_eq!(t.get("dispatched").and_then(Json::as_u64), Some(1), "{t}");
+        let reactors = t
+            .get("reactors")
+            .and_then(Json::as_array)
+            .expect("reactors array");
+        if !reactors.is_empty() {
+            let per_reactor: u64 = reactors
+                .iter()
+                .map(|r| r.get("dispatched").and_then(Json::as_u64).unwrap())
+                .sum();
+            assert_eq!(
+                per_reactor, 1,
+                "per-reactor counts must sum to the global: {t}"
+            );
+        }
+        // Nothing stray trails the Metrics response.
+        let list = client.send(r#"{"op":"ListSessions"}"#);
+        assert!(list.get("sessions").is_some(), "{list}");
+    }
+}
+
+#[test]
+fn chatty_peer_does_not_hold_up_shutdown() {
+    use jim_server::serve::DRAIN_DEADLINE;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    for transport in transports() {
+        let server = start(transport);
+        let mut client = Client::connect(server.addr);
+        let mut writer = client.writer.try_clone().expect("clone stream");
+        let stop = Arc::new(AtomicBool::new(false));
+        let chatter = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    if writer.write_all(b"{\"op\":\"ListSessions\"}\n").is_err() {
+                        break; // the server closed the connection
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            })
+        };
+        for _ in 0..5 {
+            let r = client.read_response();
+            assert!(r.get("sessions").is_some(), "{r}");
+        }
+
+        let started = Instant::now();
+        server.shutdown().expect("serve returned cleanly");
+        let took = started.elapsed();
+        // At most one response was answered but unread when the trigger
+        // fired, and at most one more was in flight; then EOF.
+        let mut after = 0;
+        let mut line = String::new();
+        while after <= 2 && client.reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+            line.clear();
+            after += 1;
+        }
+        stop.store(true, Ordering::SeqCst);
+        chatter.join().expect("chatter thread");
+        assert!(
+            took < DRAIN_DEADLINE / 5,
+            "{transport}: serve took {took:?} to return under a chatty peer"
+        );
+        assert!(
+            after <= 2,
+            "{transport}: {after} responses arrived after the last one read before shutdown"
+        );
+    }
+}
+
+#[test]
+fn peer_that_never_reads_is_closed_by_shutdown() {
+    use jim_server::serve::DRAIN_DEADLINE;
+    use std::io::Read;
+    const REQUESTS: usize = 250_000;
+    for transport in transports() {
+        // Whether the idle reaper catches this peer first is timing
+        // dependent on both transports (the kernel keeps widening the
+        // peer's receive window, so a response can trickle out and
+        // restart the clock); the promise checked here is shutdown's.
+        let server = start_with_limits(
+            transport,
+            TransportLimits {
+                idle_timeout: Some(Duration::from_millis(300)),
+                ..Default::default()
+            },
+        );
+        let client = Client::connect(server.addr);
+        let mut writer = client.writer.try_clone().expect("clone stream");
+        let flood = std::thread::spawn(move || {
+            // Blocks once the server stops reading; fails once it closes.
+            let _ = writer.write_all("{\"op\":\"Metrics\"}\n".repeat(REQUESTS).as_bytes());
+        });
+        std::thread::sleep(Duration::from_millis(500));
+
+        let started = Instant::now();
+        server.shutdown().expect("serve returned cleanly");
+        let took = started.elapsed();
+        assert!(
+            took < DRAIN_DEADLINE + Duration::from_secs(2),
+            "{transport}: serve took {took:?} to return"
+        );
+
+        // The socket is closed: what was already buffered drains, then
+        // EOF (or a reset, since our requests went unread) — the server
+        // does not go on answering once we start reading.
+        let mut stream = client.reader.into_inner();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("set timeout");
+        let reading = Instant::now();
+        let mut sink = vec![0u8; 1 << 16];
+        let closed = loop {
+            match stream.read(&mut sink) {
+                Ok(0) => break true,
+                Ok(_) if reading.elapsed() > Duration::from_secs(5) => break false,
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    break false
+                }
+                Err(_) => break true,
+            }
+        };
+        assert!(
+            closed,
+            "{transport}: the connection was still open after shutdown"
+        );
+        flood.join().expect("flood thread");
+    }
+}
