@@ -28,7 +28,7 @@ fn fixture() -> (Engine, JoinPredicate) {
 
 /// Same, with a chosen per-relation arity: the cross-relation universe
 /// has `arity²` atoms (16 → 256 atoms, 32 → 1024), the widths where the
-/// version-space sweeps run multi-word `jim-simd` kernels per pair.
+/// version-space sweeps run multi-word bitset loops per pair.
 fn fixture_with(arity: usize, rows: usize) -> (Engine, JoinPredicate) {
     let db = generate(&RandomDbConfig::uniform(2, arity, rows, 3, 42));
     let wb = Workbench::new(db, &["r1", "r2"]);
@@ -115,7 +115,7 @@ fn bench_clone_baseline(c: &mut Criterion) {
 
 /// Batched propagation on wide atom universes (256 / 1024 atoms): the
 /// subsumption sweep after a negative-only batch is exactly the packed
-/// `subsumed_mask` kernel path.
+/// `subsumed_mask` path.
 fn bench_batch_wide_universe(c: &mut Criterion) {
     let mut group = c.benchmark_group("answer_batch_wide");
     group.sample_size(10);

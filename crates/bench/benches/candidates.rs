@@ -24,8 +24,8 @@ fn fixture(rows: usize) -> Engine {
 
 /// Same, with a chosen per-relation arity: the cross-relation universe
 /// has `arity²` atoms, so arity 16 → 256 atoms (4 bitset words) and
-/// arity 32 → 1024 atoms (16 words) — the widths where the `jim-simd`
-/// batch kernels, not the per-group bookkeeping, dominate the sweeps.
+/// arity 32 → 1024 atoms (16 words) — the widths where the multi-word
+/// bitset loops, not the per-group bookkeeping, dominate the sweeps.
 fn fixture_with(arity: usize, rows: usize) -> Engine {
     let db = generate(&RandomDbConfig::uniform(2, arity, rows, 3, 42));
     let wb = Workbench::new(db, &["r1", "r2"]);
@@ -157,7 +157,7 @@ fn bench_label_step(c: &mut Criterion) {
 
 /// The per-question step and label absorption on wide atom universes
 /// (256 and 1024 atoms), where every subset test spans 4 / 16 words and
-/// the antichain sweeps run through the `jim-simd` batch kernels.
+/// the antichain sweeps run over packed multi-word rows.
 fn bench_wide_universe(c: &mut Criterion) {
     let mut group = c.benchmark_group("wide_universe");
     group.sample_size(10);

@@ -20,7 +20,7 @@
 //! instance and the per-question step cost is reported — inference over
 //! counted groups must stay interactive at 10¹² tuples.
 //!
-//! Like the simd bench this needs the measured numbers (to emit
+//! This bench needs the measured numbers (to emit
 //! `BENCH_factorized.json` at the workspace root; `--out <path>`
 //! overrides, `--no-write` skips), so it carries its own `Instant`-based
 //! harness and prints the shim's `bench …: … ns/iter` lines.

@@ -3,9 +3,9 @@
 //! Everything JIM computes — signatures `Θ(t)`, the upper bound `U`, negative
 //! antichains, predicates — is a subset of one fixed, small atom universe, so
 //! a packed `u64` bitset with subset/intersection kernels is the workhorse
-//! data structure. The word-level loops live in `jim-simd` (runtime-dispatched
-//! AVX2 / portable / scalar backends, selectable via `JIM_SIMD`); this module
-//! owns the bit-level semantics on top of them:
+//! data structure. The word-level loops live in `jim-simd` as plain
+//! `#[inline]` Rust (every benchmark instance's sets fit in one word); this
+//! module owns the bit-level semantics on top of them:
 //!
 //! * the **tail invariant** — bits at positions `>= nbits` in the last block
 //!   are always zero, so popcount, equality and hashing are exact; every
@@ -18,8 +18,8 @@
 //!
 //! For the antichain sweeps that dominate label propagation,
 //! [`PackedAtomSets`] lays equal-capacity sets out contiguously (row-major)
-//! so `jim-simd`'s batch entry points can run a whole sweep behind a single
-//! backend dispatch instead of re-dispatching per pair.
+//! so a whole sweep runs over linear loads instead of chasing one heap
+//! allocation per set.
 
 use std::fmt;
 
@@ -270,8 +270,8 @@ impl<'a> IntoIterator for &'a AtomSet {
 }
 
 /// A contiguous, row-major packing of equal-capacity [`AtomSet`]s — the
-/// layout the `jim-simd` batch kernels sweep with **one** backend dispatch
-/// and linear loads, instead of chasing one heap allocation per set.
+/// layout the batch sweeps read with linear loads, instead of chasing one
+/// heap allocation per set.
 ///
 /// The candidate index packs its restricted signatures and the fresh
 /// negative antichain into two of these per subsumption sweep; the version
@@ -336,7 +336,7 @@ impl PackedAtomSets {
     }
 
     /// True iff `x ⊆ r` for some packed row `r` — the negative-antichain
-    /// membership test, one kernel dispatch for the whole sweep.
+    /// membership test, one pass over the rows.
     pub fn contains_superset_of(&self, x: &AtomSet) -> bool {
         debug_assert_eq!(x.nbits, self.nbits, "query from a different universe");
         jim_simd::subset_any(&x.blocks, &self.words)
@@ -344,7 +344,7 @@ impl PackedAtomSets {
 
     /// For every row, whether it is `⊆` some row of `negs` (the candidate
     /// subsumption sweep). `out` is overwritten with one flag per row,
-    /// in packing order. One kernel dispatch for the whole sweep.
+    /// in packing order.
     pub fn subsumed_mask(&self, negs: &PackedAtomSets, out: &mut Vec<bool>) {
         debug_assert_eq!(self.nbits, negs.nbits, "packings from different universes");
         jim_simd::subsumed_mask(&self.words, &negs.words, self.width, out);
@@ -679,20 +679,23 @@ mod tests {
         }
     }
 
-    // ------------------------------- tail invariant (property tests)
+    // ------------------- tail invariant and set model (property tests)
 
     /// Every mutator — and every operation that builds a new set — must
-    /// keep the bits beyond `nbits` zero, at capacities around every word
-    /// boundary. The checks read the raw blocks, which only this module
-    /// can see, so the properties live here rather than in the
-    /// workspace-level proptest suite.
+    /// keep the bits beyond `nbits` zero, and every operation must agree
+    /// with a `BTreeSet<usize>` model, at capacities around every word
+    /// boundary and at multi-word widths. The tail checks read the raw
+    /// blocks, which only this module can see, so the properties live here
+    /// rather than in the workspace-level proptest suite.
     mod tail_invariant {
         use super::super::*;
+        use proptest::collection::vec;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
 
-        /// The capacities the satellite task pins: empty, sub-word, at and
-        /// around one- and two-word boundaries.
-        const CAPS: [usize; 7] = [0, 1, 63, 64, 65, 127, 128];
+        /// Empty, sub-word, at and around the one- and two-word
+        /// boundaries, then 4 and 16 words.
+        const CAPS: [usize; 9] = [0, 1, 63, 64, 65, 127, 128, 256, 1024];
 
         fn assert_tail_zero(s: &AtomSet, context: &str) {
             let nbits = s.nbits as usize;
@@ -723,14 +726,27 @@ mod tests {
             s
         }
 
+        /// The model of `build(cap, picks)`.
+        fn model(cap: usize, picks: &[usize]) -> BTreeSet<usize> {
+            if cap == 0 {
+                return BTreeSet::new();
+            }
+            picks.iter().map(|&p| p % cap).collect()
+        }
+
+        /// The set holding exactly the model's atoms.
+        fn of(cap: usize, m: &BTreeSet<usize>) -> AtomSet {
+            AtomSet::from_indices(cap, m.iter().copied())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             #[test]
             fn every_mutator_keeps_tail_bits_zero(
-                cap_ix in 0usize..7,
-                picks_a in proptest::collection::vec(0usize..1 << 16, 0..24),
-                picks_b in proptest::collection::vec(0usize..1 << 16, 0..24),
+                cap_ix in 0usize..CAPS.len(),
+                picks_a in vec(0usize..1 << 16, 0..24),
+                picks_b in vec(0usize..1 << 16, 0..24),
             ) {
                 let cap = CAPS[cap_ix];
                 // Constructors.
@@ -770,6 +786,93 @@ mod tests {
                     a.union(&b).len() + a.intersection_len(&b),
                     a.len() + b.len()
                 );
+            }
+
+            #[test]
+            fn set_ops_match_btreeset_model(
+                cap_ix in 0usize..CAPS.len(),
+                picks_a in vec(0usize..1 << 16, 0..48),
+                picks_b in vec(0usize..1 << 16, 0..48),
+                keep in any::<u64>(),
+            ) {
+                let cap = CAPS[cap_ix];
+                // `c` keeps a random part of `a`'s picks, so `c ⊆ a` and the
+                // subset tests see both verdicts at every width.
+                let picks_c: Vec<usize> = picks_a
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| keep >> (i % 64) & 1 == 1)
+                    .map(|(_, &p)| p)
+                    .collect();
+                let sets = [
+                    (build(cap, &picks_a), model(cap, &picks_a)),
+                    (build(cap, &picks_b), model(cap, &picks_b)),
+                    (build(cap, &picks_c), model(cap, &picks_c)),
+                    (AtomSet::empty(cap), BTreeSet::new()),
+                    (AtomSet::full(cap), (0..cap).collect()),
+                ];
+                for (x, mx) in &sets {
+                    prop_assert_eq!(x.len(), mx.len());
+                    prop_assert_eq!(x.is_empty(), mx.is_empty());
+                    prop_assert_eq!(&x.iter().collect::<BTreeSet<_>>(), mx);
+                    for (y, my) in &sets {
+                        prop_assert_eq!(x.is_subset(y), mx.is_subset(my));
+                        prop_assert_eq!(x.intersects(y), !mx.is_disjoint(my));
+                        prop_assert_eq!(x.intersection_len(y), mx.intersection(my).count());
+                        let meet = of(cap, &mx.intersection(my).copied().collect());
+                        prop_assert_eq!(&x.intersection(y), &meet);
+                        let mut out = AtomSet::full(cap);
+                        x.intersection_into(y, &mut out);
+                        prop_assert_eq!(&out, &meet);
+                        let mut w = x.clone();
+                        w.intersect_with(y);
+                        prop_assert_eq!(&w, &meet);
+                        prop_assert_eq!(x.union(y), of(cap, &mx.union(my).copied().collect()));
+                        prop_assert_eq!(
+                            x.difference(y),
+                            of(cap, &mx.difference(my).copied().collect())
+                        );
+                    }
+                }
+            }
+
+            #[test]
+            fn packed_sweeps_match_pairwise_subset(
+                cap_ix in 0usize..CAPS.len(),
+                row_picks in vec(vec(0usize..1 << 16, 0..12), 0..10),
+                neg_picks in vec(vec(0usize..1 << 16, 0..16), 0..6),
+            ) {
+                let cap = CAPS[cap_ix];
+                let rows: Vec<AtomSet> = row_picks.iter().map(|p| build(cap, p)).collect();
+                // Every other negative is a superset of some row, so the
+                // sweeps see hits as well as misses.
+                let negs: Vec<AtomSet> = neg_picks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| {
+                        let n = build(cap, p);
+                        match rows.get(i) {
+                            Some(r) if i % 2 == 0 => n.union(r),
+                            _ => n,
+                        }
+                    })
+                    .collect();
+                let mut packed_rows = PackedAtomSets::new(cap);
+                packed_rows.extend(rows.iter());
+                let mut packed_negs = PackedAtomSets::with_capacity(cap, negs.len());
+                packed_negs.extend(negs.iter());
+                prop_assert_eq!(packed_rows.len(), rows.len());
+                prop_assert_eq!(packed_negs.len(), negs.len());
+                let want: Vec<bool> = rows
+                    .iter()
+                    .map(|r| negs.iter().any(|n| r.is_subset(n)))
+                    .collect();
+                let mut mask = vec![true; 7]; // stale contents must be replaced
+                packed_rows.subsumed_mask(&packed_negs, &mut mask);
+                prop_assert_eq!(&mask, &want);
+                for (r, &w) in rows.iter().zip(&want) {
+                    prop_assert_eq!(packed_negs.contains_superset_of(r), w);
+                }
             }
         }
     }

@@ -888,9 +888,8 @@ impl Engine {
     /// their slot indices are fixed up), so nothing is re-hashed or
     /// re-cloned.
     fn drop_subsumed_candidates(&mut self, new_negs: &[AtomSet]) {
-        // Pack both sides row-major so the whole antichain sweep is one
-        // batch kernel dispatch over contiguous rows — no per-pair
-        // dispatch, no per-candidate pointer chase.
+        // Pack both sides row-major so the whole antichain sweep runs over
+        // contiguous rows — no per-candidate pointer chase.
         let nbits = self.universe.len();
         let mut rows = PackedAtomSets::with_capacity(nbits, self.index.candidates.len());
         rows.extend(self.index.candidates.iter().map(|c| &c.restricted_sig));

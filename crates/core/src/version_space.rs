@@ -55,10 +55,9 @@ pub struct VersionSpace {
     /// another.
     negatives: Vec<AtomSet>,
     /// Row-major mirror of `negatives`, rebuilt on every mutation, so the
-    /// hot `∃n: x ⊆ n` sweep runs as one `jim-simd` batch dispatch with
-    /// contiguous loads instead of chasing one heap box per antichain
-    /// element. `negatives` stays the source of truth (strategies, the
-    /// explainer and the transcript all iterate it).
+    /// hot `∃n: x ⊆ n` sweep runs over contiguous loads instead of chasing
+    /// one heap box per antichain element. `negatives` stays the source of
+    /// truth (strategies, the explainer and the transcript all iterate it).
     packed_negatives: PackedAtomSets,
     positives_seen: usize,
     negatives_seen: usize,
@@ -86,8 +85,8 @@ impl VersionSpace {
     }
 
     /// `∃n ∈ N: x ⊆ n` — the antichain membership sweep behind
-    /// classification, consistency and lookahead simulation, as one batch
-    /// kernel dispatch over the packed mirror.
+    /// classification, consistency and lookahead simulation, as one pass
+    /// over the packed mirror.
     pub fn any_negative_contains(&self, x: &AtomSet) -> bool {
         self.packed_negatives.contains_superset_of(x)
     }

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! # jim-lint — workspace invariants as machine-checked rules
 //!
-//! The ROADMAP's standing constraints (unsafe confined to two crates,
+//! The ROADMAP's standing constraints (unsafe confined to one crate,
 //! a lock-per-reactor design with no shared hot-path lock, a declared
 //! atomic-ordering vocabulary) were enforced only by reviewer memory.
 //! This crate turns them into a static-analysis pass that CI runs on
@@ -12,7 +12,7 @@
 //!
 //! | rule      | invariant |
 //! |-----------|-----------|
-//! | `unsafe`  | `unsafe` only under `crates/aio/` and `crates/simd/src/avx2.rs` |
+//! | `unsafe`  | `unsafe` only under `crates/aio/` |
 //! | `locks`   | the cross-function lock-acquisition graph is acyclic (no AB/BA deadlock shapes) |
 //! | `atomics` | every `Ordering::` use matches the per-field convention in `crates/lint/atomics.toml` |
 //! | `panics`  | no `unwrap`/`expect`/`panic!`/`todo!` in non-test server/aio code beyond the committed baseline |

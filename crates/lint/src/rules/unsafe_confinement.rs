@@ -1,6 +1,6 @@
 //! Rule `unsafe`: the `unsafe` keyword may appear only under the
-//! allowlisted paths (`crates/aio/`, `crates/simd/src/avx2.rs`, and
-//! this crate's own fixtures aside). Everything else in the workspace
+//! allowlisted paths — `crates/aio/`, the epoll FFI (this crate's own
+//! fixtures aside). Everything else in the workspace
 //! — including tests, benches, and examples — must be safe Rust; the
 //! satellite `#![forbid(unsafe_code)]` attributes make rustc enforce
 //! the same thing per crate, and this rule closes the gap for files

@@ -599,14 +599,7 @@ impl Report {
                         },
                     ),
                     ("max_inflight", Json::from(self.config.limits.max_inflight)),
-                    // Which jim-simd backend the in-process server's
-                    // engine sweeps ran on, and the last revision that
-                    // touched the kernel crate — so regressions in a
-                    // BENCH_load.json diff can be attributed to (or ruled
-                    // out of) a kernel change at a glance.
-                    ("simd_backend", Json::from(jim_simd::active_name())),
-                    ("simd_rev", Json::from(crate_rev("crates/simd"))),
-                    // Same provenance stamp for the lint rules: a
+                    // The last revision that touched the lint rules: a
                     // BENCH_load.json produced under a different rule
                     // set (e.g. before a panic-path refactor the lint
                     // forced) is attributable to it.
@@ -655,8 +648,7 @@ fn git_rev() -> String {
 
 /// The last commit that touched a crate's directory — a per-subsystem
 /// provenance stamp, distinct from the workspace `git_rev`. Used for
-/// the SIMD kernels (`crates/simd`) and the lint rule set
-/// (`crates/lint`).
+/// the lint rule set (`crates/lint`).
 fn crate_rev(path: &str) -> String {
     std::process::Command::new("git")
         .args(["log", "-n1", "--format=%H", "--", path])

@@ -211,7 +211,7 @@ fn main() -> std::io::Result<()> {
         "jim-serve: listening on {} via the {} transport ({} reactors, max {} connections, \
          idle timeout {}, {} in-flight/conn, per-ip cap {}; max {} sessions, {} shards, \
          ttl {:?}, factorize past {} tuples, answer batches up to {} labels, sessions {}, \
-         simd {}, lint rules @ {})",
+         lint rules @ {})",
         listener.local_addr()?,
         transport,
         transport_limits.reactors,
@@ -234,7 +234,6 @@ fn main() -> std::io::Result<()> {
             Some(dir) => format!("durable in {dir}"),
             None => "in memory only".to_string(),
         },
-        jim_simd::active_name(),
         lint_rev()
     );
     serve_with(listener, handler, transport, shutdown, transport_limits)

@@ -326,11 +326,6 @@ impl ServerMetrics {
                 "uptime_secs",
                 Json::from(self.started.elapsed().as_secs_f64()),
             ),
-            // Which jim-simd kernel backend the engine's bitset sweeps
-            // run on ("avx2", "generic" or "off") — fixed at first
-            // dispatch, surfaced so a fleet's metrics reveal hosts that
-            // silently fell back to the portable path.
-            ("simd_backend", Json::from(jim_simd::active_name())),
             ("ops", Json::Object(ops)),
             (
                 "transport",
@@ -480,12 +475,6 @@ mod tests {
         assert!(json.get("transport").unwrap().get("dispatched").is_some());
         assert!(json.get("store").unwrap().get("evicted_total").is_some());
         assert!(json.get("uptime_secs").is_some());
-        // The snapshot names the kernel backend the engine dispatches to.
-        let backend = json.get("simd_backend").unwrap().as_str().unwrap();
-        assert!(
-            ["off", "generic", "avx2"].contains(&backend),
-            "unexpected backend {backend:?}"
-        );
     }
 
     #[test]

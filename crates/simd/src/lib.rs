@@ -1,482 +1,170 @@
-//! # `jim-simd` — runtime-dispatched kernels for the bitset hot loops
+//! # `jim-simd` — the word loops under `jim-core`'s bitsets
 //!
 //! Every step of JIM's inference — signature computation `Θ(t)`, the
 //! upper bound `U`, negative-antichain subsumption sweeps, the
 //! informative-group partition — reduces to subset / AND-NOT / popcount
-//! operations over packed `u64` bitsets. This crate provides those
-//! kernels once, behind a runtime backend dispatch, so `jim-core` keeps
-//! its `#![forbid(unsafe_code)]` while the hot loops get vectorized:
+//! operations over packed `u64` bitsets. These are those loops, once,
+//! as plain `#[inline]` word-at-a-time Rust that LLVM inlines into the
+//! caller and autovectorizes where the width allows.
 //!
-//! ```text
-//!           ┌───────────────────────────────┐
-//!           │  dispatch (once per process,  │
-//!           │  or once per *sweep* for the  │
-//!           │  batch entry points)          │
-//!           └──────┬──────────┬─────────┬───┘
-//!        JIM_SIMD=off    =generic    =avx2 / auto-detected
-//!               │            │           │
-//!         scalar.rs    generic.rs    avx2.rs
-//!        (reference   (portable 4-  (vpandn+vptest,
-//!         word loop)   wide u64)     hardware popcnt)
-//! ```
+//! The loops are plain on purpose. Every instance in the benchmark of
+//! record has 4–16 atoms, so each set is one word and a subset test is
+//! one AND-NOT; a per-call runtime dispatch into vector backends costs
+//! more than the test it dispatches.
 //!
-//! * **Backends.** [`Backend::Off`] is the plain word-at-a-time scalar
-//!   loop (the reference semantics), [`Backend::Generic`] a portable
-//!   4-wide-unrolled `u64` path, [`Backend::Avx2`] the x86_64 vector
-//!   path compiled with `#[target_feature(enable = "avx2,popcnt")]` and
-//!   guarded by `is_x86_feature_detected!` — never selected on a CPU
-//!   that lacks it.
-//! * **Selection.** Resolved once per process: an explicit [`force`]
-//!   call wins, then the `JIM_SIMD=off|generic|avx2` environment
-//!   variable, then the best detected backend ([`Backend::Avx2`] where
-//!   available, else [`Backend::Generic`]). [`active`] reports the
-//!   choice; servers log it so deployments can confirm AVX2 is live.
-//! * **Batch entry points.** [`subset_any`] and [`subsumed_mask`] take
-//!   row-major packed buffers and run the whole sweep inside one
-//!   backend selection — one dispatch per sweep, not per pair — which
-//!   is what `jim-core`'s candidate index calls for its antichain
-//!   subsumption sweeps.
-//!
-//! The per-backend kernels are also exposed as methods on [`Backend`]
-//! (e.g. [`Backend::popcount`]) so the equivalence property tests can
-//! pin `generic` and `avx2` against the scalar reference directly,
-//! whatever backend is active.
-//!
-//! Like `jim-aio`, this is a deliberately confined `unsafe` surface:
-//! every `unsafe` token lives in `avx2.rs` (raw-pointer vector loads
-//! plus the safe entry points that discharge the `target_feature`
-//! obligation); this file and everything above it are safe Rust, and
-//! `jim-lint`'s `unsafe` rule holds the line.
+//! Slices passed together must have equal length. The crate stays
+//! separate from `jim-core` only because the benchmark client depends on
+//! it by path.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
-#[cfg(target_arch = "x86_64")]
-mod avx2;
-mod generic;
-mod scalar;
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// A kernel backend. Ordered worst-to-best so resolution can pick `max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Backend {
-    /// Plain word-at-a-time scalar loops — the reference semantics
-    /// (`JIM_SIMD=off`).
-    Off,
-    /// Portable `u64`-chunked loops, 4-wide unrolled; runs everywhere.
-    Generic,
-    /// 256-bit AVX2 + hardware popcnt; x86_64 with runtime detection.
-    Avx2,
-}
-
-impl Backend {
-    /// Every backend, worst-to-best.
-    pub const ALL: [Backend; 3] = [Backend::Off, Backend::Generic, Backend::Avx2];
-
-    /// The name used by `JIM_SIMD` and reported in logs/metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Off => "off",
-            Backend::Generic => "generic",
-            Backend::Avx2 => "avx2",
-        }
-    }
-
-    /// Parse a `JIM_SIMD` value (case-insensitive).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "scalar" => Some(Backend::Off),
-            "generic" => Some(Backend::Generic),
-            "avx2" => Some(Backend::Avx2),
-            _ => None,
-        }
-    }
-
-    /// True iff this backend can run on the current CPU.
-    pub fn available(self) -> bool {
-        match self {
-            Backend::Off | Backend::Generic => true,
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => avx2::available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => false,
-        }
-    }
-
-    /// Number of set bits across the slice.
-    pub fn popcount(self, a: &[u64]) -> u64 {
-        match self.checked() {
-            Backend::Off => scalar::popcount(a),
-            Backend::Generic => generic::popcount(a),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::popcount(a),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `a ⊆ b` word-wise (`a & !b == 0`). Slices must be equal length.
-    pub fn subset(self, a: &[u64], b: &[u64]) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        match self.checked() {
-            Backend::Off => scalar::subset(a, b),
-            Backend::Generic => generic::subset(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::subset(a, b),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// True iff the slices share at least one set bit.
-    pub fn intersects(self, a: &[u64], b: &[u64]) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        match self.checked() {
-            Backend::Off => scalar::intersects(a, b),
-            Backend::Generic => generic::intersects(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::intersects(a, b),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `|a ∩ b|`.
-    pub fn intersection_count(self, a: &[u64], b: &[u64]) -> u64 {
-        debug_assert_eq!(a.len(), b.len());
-        match self.checked() {
-            Backend::Off => scalar::intersection_count(a, b),
-            Backend::Generic => generic::intersection_count(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::intersection_count(a, b),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `out = a & b`. All three slices must be equal length.
-    pub fn and_into(self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        debug_assert!(a.len() == b.len() && b.len() == out.len());
-        match self.checked() {
-            Backend::Off => scalar::and_into(a, b, out),
-            Backend::Generic => generic::and_into(a, b, out),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::and_into(a, b, out),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `a &= b` in place. Slices must be equal length.
-    pub fn and_assign(self, a: &mut [u64], b: &[u64]) {
-        debug_assert_eq!(a.len(), b.len());
-        match self.checked() {
-            Backend::Off => scalar::and_assign(a, b),
-            Backend::Generic => generic::and_assign(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::and_assign(a, b),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `out = a | b`. All three slices must be equal length.
-    pub fn or_into(self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        debug_assert!(a.len() == b.len() && b.len() == out.len());
-        match self.checked() {
-            Backend::Off => scalar::or_into(a, b, out),
-            Backend::Generic => generic::or_into(a, b, out),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::or_into(a, b, out),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `out = a & !b`. All three slices must be equal length.
-    pub fn and_not_into(self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        debug_assert!(a.len() == b.len() && b.len() == out.len());
-        match self.checked() {
-            Backend::Off => scalar::and_not_into(a, b, out),
-            Backend::Generic => generic::and_not_into(a, b, out),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::and_not_into(a, b, out),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// Batch: `x ⊆ r` for some row `r` of `rows`, a row-major packed
-    /// buffer of width `x.len()` words per row (`rows.len()` must be a
-    /// multiple of it). One backend selection for the whole sweep. A
-    /// zero-width `x` encodes no rows, so the answer is `false`.
-    pub fn subset_any(self, x: &[u64], rows: &[u64]) -> bool {
-        debug_assert!(x.is_empty() || rows.len().is_multiple_of(x.len()));
-        match self.checked() {
-            Backend::Off => scalar::subset_any(x, rows),
-            Backend::Generic => generic::subset_any(x, rows),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::subset_any(x, rows),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// Batch: for each row of `rows`, whether it is `⊆` some row of
-    /// `negs`. Both buffers are row-major, `width` words per row; `out`
-    /// is overwritten with one flag per row of `rows`. One backend
-    /// selection for the whole sweep — the shape of the candidate
-    /// index's antichain subsumption sweep.
-    pub fn subsumed_mask(self, rows: &[u64], negs: &[u64], width: usize, out: &mut Vec<bool>) {
-        debug_assert!(
-            width == 0 || (rows.len().is_multiple_of(width) && negs.len().is_multiple_of(width))
-        );
-        match self.checked() {
-            Backend::Off => scalar::subsumed_mask(rows, negs, width, out),
-            Backend::Generic => generic::subsumed_mask(rows, negs, width, out),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::subsumed_mask(rows, negs, width, out),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// Demote an unavailable backend to the best available one, so the
-    /// AVX2 entry points (whose kernels assume the features exist) are
-    /// reachable only behind a passed feature check even if a caller
-    /// conjures `Backend::Avx2` on the wrong CPU.
-    #[inline]
-    fn checked(self) -> Backend {
-        if self == Backend::Avx2 && !self.available() {
-            return Backend::Generic;
-        }
-        self
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            Backend::Off => 1,
-            Backend::Generic => 2,
-            Backend::Avx2 => 3,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Backend> {
-        match code {
-            1 => Some(Backend::Off),
-            2 => Some(Backend::Generic),
-            3 => Some(Backend::Avx2),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The resolved backend: 0 = not yet resolved, else `Backend::code`.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// The backend every dispatching kernel uses. Resolved on first call —
-/// [`force`] override, then `JIM_SIMD=off|generic|avx2`, then the best
-/// the CPU supports — and cached for the life of the process.
-pub fn active() -> Backend {
-    match Backend::from_code(ACTIVE.load(Ordering::Relaxed)) {
-        Some(b) => b,
-        None => {
-            let b = resolve();
-            ACTIVE.store(b.code(), Ordering::Relaxed);
-            b
-        }
-    }
-}
-
-/// The active backend's name — what `jim-serve` logs at startup and the
-/// `Metrics` wire op reports.
-pub fn active_name() -> &'static str {
-    active().name()
-}
-
-/// Force the dispatch to a specific backend (`Some`) or back to fresh
-/// env/CPU resolution (`None`). Panics if the requested backend is not
-/// available on this CPU — forcing must never make the AVX2 kernels
-/// reachable without their feature check.
-pub fn force(backend: Option<Backend>) {
-    match backend {
-        Some(b) => {
-            assert!(
-                b.available(),
-                "jim-simd: backend {b} is not available on this CPU"
-            );
-            ACTIVE.store(b.code(), Ordering::Relaxed);
-        }
-        None => ACTIVE.store(0, Ordering::Relaxed),
-    }
-}
-
-/// Env + CPU resolution (no caching; [`active`] caches).
-fn resolve() -> Backend {
-    if let Ok(v) = std::env::var("JIM_SIMD") {
-        match Backend::parse(&v) {
-            Some(b) if b.available() => return b,
-            Some(b) => eprintln!(
-                "jim-simd: JIM_SIMD={} requested but not available on this CPU; \
-                 falling back to auto-detection",
-                b.name()
-            ),
-            None => eprintln!(
-                "jim-simd: unrecognized JIM_SIMD={v:?} (expected off|generic|avx2); \
-                 falling back to auto-detection"
-            ),
-        }
-    }
-    if Backend::Avx2.available() {
-        Backend::Avx2
-    } else {
-        Backend::Generic
-    }
-}
-
-/// Number of set bits across the slice, on the [`active`] backend.
+/// Number of set bits across the slice.
+#[inline]
 pub fn popcount(a: &[u64]) -> u64 {
-    active().popcount(a)
+    a.iter().map(|&w| w.count_ones() as u64).sum()
 }
 
-/// `a ⊆ b` word-wise, on the [`active`] backend.
+/// `a ⊆ b`, i.e. `a & !b == 0` word-wise.
+#[inline]
 pub fn subset(a: &[u64], b: &[u64]) -> bool {
-    active().subset(a, b)
+    a.iter().zip(b.iter()).all(|(&x, &y)| x & !y == 0)
 }
 
-/// True iff the slices share a set bit, on the [`active`] backend.
+/// True iff the slices share at least one set bit.
+#[inline]
 pub fn intersects(a: &[u64], b: &[u64]) -> bool {
-    active().intersects(a, b)
+    a.iter().zip(b.iter()).any(|(&x, &y)| x & y != 0)
 }
 
-/// `|a ∩ b|`, on the [`active`] backend.
+/// `|a ∩ b|`.
+#[inline]
 pub fn intersection_count(a: &[u64], b: &[u64]) -> u64 {
-    active().intersection_count(a, b)
+    a.iter()
+        .zip(b.iter())
+        .map(|(&x, &y)| (x & y).count_ones() as u64)
+        .sum()
 }
 
-/// `out = a & b`, on the [`active`] backend.
+/// `out = a & b`.
+#[inline]
 pub fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    active().and_into(a, b, out)
+    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
+        *o = x & y;
+    }
 }
 
-/// `a &= b` in place, on the [`active`] backend.
+/// `a &= b` in place.
+#[inline]
 pub fn and_assign(a: &mut [u64], b: &[u64]) {
-    active().and_assign(a, b)
+    for (x, &y) in a.iter_mut().zip(b.iter()) {
+        *x &= y;
+    }
 }
 
-/// `out = a | b`, on the [`active`] backend.
+/// `out = a | b`.
+#[inline]
 pub fn or_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    active().or_into(a, b, out)
+    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
+        *o = x | y;
+    }
 }
 
-/// `out = a & !b`, on the [`active`] backend.
+/// `out = a & !b`.
+#[inline]
 pub fn and_not_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    active().and_not_into(a, b, out)
+    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
+        *o = x & !y;
+    }
 }
 
-/// Batch subset-of-any sweep (see [`Backend::subset_any`]), one dispatch.
+/// `x ⊆ r` for some row `r` of `rows`, a row-major packed buffer of width
+/// `x.len()` words per row. A zero-width `x` encodes no rows at all, so
+/// the answer is `false`.
+#[inline]
 pub fn subset_any(x: &[u64], rows: &[u64]) -> bool {
-    active().subset_any(x, rows)
+    let w = x.len();
+    if w == 0 {
+        return false;
+    }
+    // Index arithmetic, not per-row `chunks_exact`: re-deriving the chunk
+    // count costs a 64-bit division per call, which dwarfs the subset
+    // test itself at antichain widths.
+    let n = rows.len() / w;
+    (0..n).any(|j| subset(x, &rows[j * w..j * w + w]))
 }
 
-/// Batch subsumption sweep (see [`Backend::subsumed_mask`]), one dispatch.
+/// For each row of `rows`, whether it is `⊆` some row of `negs`; both are
+/// row-major with the given `width`. `out` is overwritten with one flag
+/// per row of `rows`.
+#[inline]
 pub fn subsumed_mask(rows: &[u64], negs: &[u64], width: usize, out: &mut Vec<bool>) {
-    active().subsumed_mask(rows, negs, width, out)
+    out.clear();
+    if width == 0 {
+        return;
+    }
+    // Hoist the row counts: one division each, not one per row.
+    let nnegs = negs.len() / width;
+    if nnegs == 1 {
+        // The common sweep — one fresh negative per label batch. Slicing
+        // it once lets the row loop run without per-row index math.
+        let neg = &negs[..width];
+        out.extend(rows.chunks_exact(width).map(|row| subset(row, neg)));
+        return;
+    }
+    out.extend(
+        rows.chunks_exact(width)
+            .map(|row| (0..nnegs).any(|j| subset(row, &negs[j * width..j * width + width]))),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The loops against bit-by-bit brute force, across word boundaries.
     #[test]
-    fn names_and_parse_round_trip() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-        }
-        assert_eq!(Backend::parse("AVX2"), Some(Backend::Avx2));
-        assert_eq!(Backend::parse("scalar"), Some(Backend::Off));
-        assert_eq!(Backend::parse("neon"), None);
-        assert_eq!(Backend::Avx2.to_string(), "avx2");
-    }
-
-    #[test]
-    fn off_and_generic_always_available() {
-        assert!(Backend::Off.available());
-        assert!(Backend::Generic.available());
-    }
-
-    #[test]
-    fn code_round_trips() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::from_code(b.code()), Some(b));
-        }
-        assert_eq!(Backend::from_code(0), None);
-    }
-
-    /// One test exercises the force/active pair end to end (a single fn
-    /// so parallel tests never race on the global dispatch state; the
-    /// kernel-correctness tests use per-backend methods instead).
-    #[test]
-    fn force_controls_dispatch() {
-        force(Some(Backend::Off));
-        assert_eq!(active(), Backend::Off);
-        assert_eq!(active_name(), "off");
-        assert_eq!(popcount(&[0b1011, u64::MAX]), 3 + 64);
-        force(Some(Backend::Generic));
-        assert_eq!(active(), Backend::Generic);
-        assert!(subset(&[0b0011], &[0b0111]));
-        assert!(!subset(&[0b1000], &[0b0111]));
-        force(None);
-        // Re-resolution lands on something runnable.
-        assert!(active().available());
-        force(None);
+    fn scalar_reference_matches_brute_force() {
+        let a = [0b1011u64, u64::MAX, 0, 1 << 63];
+        let b = [0b0011u64, u64::MAX, 7, 1 << 63];
+        let brute_pop = |s: &[u64]| -> u64 {
+            s.iter()
+                .map(|w| (0..64).filter(|i| w >> i & 1 == 1).count() as u64)
+                .sum()
+        };
+        let and: Vec<u64> = a.iter().zip(b.iter()).map(|(&x, &y)| x & y).collect();
+        assert_eq!(popcount(&a), brute_pop(&a));
+        assert_eq!(intersection_count(&a, &b), brute_pop(&and));
+        assert!(!subset(&a, &b)); // bit 3 of word 0 strays
+        assert!(subset(&b[..2], &a[..2]));
+        assert!(intersects(&a, &b));
+        assert!(!intersects(&[0, 0], &[u64::MAX, u64::MAX]));
+        let mut out = [0u64; 4];
+        and_into(&a, &b, &mut out);
+        assert_eq!(out[..], and[..]);
+        let mut assigned = a;
+        and_assign(&mut assigned, &b);
+        assert_eq!(assigned[..], and[..]);
+        or_into(&a, &b, &mut out);
+        assert_eq!(out, [0b1011, u64::MAX, 7, 1 << 63]);
+        and_not_into(&a, &b, &mut out);
+        assert_eq!(out, [0b1000, 0, 0, 0]);
     }
 
     #[test]
     fn zero_width_batch_semantics() {
-        for b in Backend::ALL.into_iter().filter(|b| b.available()) {
-            assert!(!b.subset_any(&[], &[]));
-            let mut out = vec![true; 3];
-            b.subsumed_mask(&[], &[], 0, &mut out);
-            assert!(out.is_empty(), "{b}: width-0 mask must clear out");
-        }
+        assert!(!subset_any(&[], &[]));
+        let mut out = vec![true; 3];
+        subsumed_mask(&[], &[], 0, &mut out);
+        assert!(out.is_empty(), "width-0 mask must clear out");
     }
 
     #[test]
     fn empty_set_is_subset_of_any_row() {
         // Zero *words* is degenerate, but an all-zero row of real width
         // is the empty set and must be ⊆ everything.
-        for b in Backend::ALL.into_iter().filter(|b| b.available()) {
-            assert!(b.subset_any(&[0, 0], &[0, 0]), "{b}");
-            assert!(b.subset_any(&[0, 0], &[1 << 63, 0]), "{b}");
-            assert!(!b.subset_any(&[1, 0], &[]), "{b}: no rows");
-        }
+        assert!(subset_any(&[0, 0], &[0, 0]));
+        assert!(subset_any(&[0, 0], &[1 << 63, 0]));
+        assert!(!subset_any(&[1, 0], &[]), "no rows");
     }
 }
