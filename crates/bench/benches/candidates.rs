@@ -61,7 +61,7 @@ fn rebuild_choose(engine: &Engine) -> Option<ProductId> {
         }
         (pos.min(neg), pos + neg)
     };
-    // Same argmax + tie-break as `strategy::ranked`.
+    // Same argmax + tie-break as `strategy::rank`.
     let mut best: Option<((u64, u64), &Candidate)> = None;
     for c in &candidates {
         let s = score(c);

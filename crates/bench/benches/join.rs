@@ -32,12 +32,6 @@ fn bench_join_evaluators(c: &mut Criterion) {
                 .expect("valid spec")
         })
     });
-    group.bench_function("sort_merge", |b| {
-        b.iter(|| {
-            fk.eval_sort_merge(std::hint::black_box(&product))
-                .expect("valid spec")
-        })
-    });
     group.finish();
 }
 

@@ -12,7 +12,7 @@
 //! from the full group table on every query, which made each question
 //! O(groups × simulations) for the lookahead family. The engine now keeps
 //! an **incrementally maintained candidate index**, updated in place by
-//! [`Engine::label`] (and its propagation) and [`Engine::absorb_ids`]:
+//! [`Engine::label`] and its propagation:
 //!
 //! * a **negative** label leaves `U` untouched, so restricted signatures
 //!   are stable — candidates subsumed by the new negative are dropped
@@ -96,9 +96,8 @@ impl GroupMembers {
     }
 
     /// The canonical representative: the first member id. Construction
-    /// feeds ids in ascending rank order in every mode, so at build time
-    /// this is the group minimum (later absorbs may append smaller ids —
-    /// the representative deliberately stays stable).
+    /// feeds ids in ascending rank order in every mode, so this is the
+    /// group minimum.
     fn rep(&self) -> ProductId {
         match self {
             GroupMembers::Explicit(ids) => ids[0],
@@ -118,9 +117,9 @@ impl GroupMembers {
     fn push(&mut self, id: ProductId) {
         match self {
             GroupMembers::Explicit(ids) => ids.push(id),
-            // `absorb_ids` early-returns on factorized engines, the only
-            // place counted groups exist.
-            GroupMembers::Counted { .. } => unreachable!("counted groups never absorb ids"),
+            // Counted groups are built whole by `from_factorized` and never
+            // grow.
+            GroupMembers::Counted { .. } => unreachable!("counted groups never take ids"),
         }
     }
 }
@@ -200,7 +199,7 @@ pub struct Candidate {
 /// A borrowed, allocation-free view of the engine's maintained candidate
 /// index — what strategies rank instead of materializing their own list.
 /// The `generation` identifies the engine state the slice reflects; any
-/// label or absorb invalidates it (the borrow checker enforces that
+/// label invalidates it (the borrow checker enforces that
 /// locally, the counter lets owned caches detect it across requests).
 #[derive(Debug, Clone, Copy)]
 pub struct CandidateView<'a> {
@@ -258,7 +257,7 @@ struct CandidateIndex {
     candidates: Vec<Candidate>,
     members: Vec<Vec<usize>>,
     by_restricted: HashMap<AtomSet, usize>,
-    /// Bumped on every engine mutation (label, absorb).
+    /// Bumped on every engine mutation (every label batch).
     generation: u64,
     /// Total tuples across informative groups (= `stats.informative`).
     informative_tuples: u64,
@@ -308,8 +307,8 @@ enum Slot<'s> {
     New(&'s AtomSet),
 }
 
-/// The per-id signature sweep behind construction ([`Engine::from_ids`]),
-/// [`Engine::absorb_ids`] and id lookups. It computes exactly
+/// The per-id signature sweep behind construction ([`Engine::from_ids`])
+/// and id lookups. It computes exactly
 /// `universe.signature(&product.tuple(id)?)`, errors included, without
 /// building the tuple: the id decodes into one reused row-index buffer,
 /// the component rows' values are borrowed into one reused buffer in
@@ -583,7 +582,7 @@ impl Engine {
     }
 
     /// The generation counter of the candidate index: bumped on every
-    /// mutation (label, absorb), untouched by queries. Owned caches keyed
+    /// mutation (every label batch), untouched by queries. Owned caches keyed
     /// on it (the server's per-session question cache) stay valid exactly
     /// while the engine state they were computed from does.
     pub fn generation(&self) -> u64 {
@@ -934,68 +933,6 @@ impl Engine {
         });
     }
 
-    /// Absorb additional candidate tuples mid-session — freshly arrived
-    /// data, or a widened sample of a huge product. Each new tuple is
-    /// classified under the labels given *so far*: tuples whose label is
-    /// already entailed arrive grayed out and are never asked about.
-    /// Ids already known are skipped. Returns the number of tuples added.
-    ///
-    /// A factorized engine already covers the **entire** product, so every
-    /// id is known by construction and the call is a no-op returning 0.
-    pub fn absorb_ids(&mut self, ids: &[ProductId]) -> Result<u64> {
-        if self.factorized {
-            return Ok(0);
-        }
-        let known: std::collections::HashSet<ProductId> = self
-            .groups
-            .iter()
-            .flat_map(|g| g.members.witnesses().iter().copied())
-            .collect();
-        let mut sweep = SignatureSweep::new(&self.universe, &self.product);
-        let mut added = 0u64;
-        for &id in ids {
-            if known.contains(&id) {
-                continue;
-            }
-            match sweep.slot(&self.by_sig, id)? {
-                Slot::Known(g) => {
-                    self.groups[g].members.push(id);
-                    if self.groups[g].class == TupleClass::Informative {
-                        // The group's restricted signature is a live index
-                        // key; its candidate gains one tuple (the group's
-                        // minimum is unchanged by an append).
-                        let restricted = self.vs.restrict(&self.groups[g].sig);
-                        let slot = self.index.by_restricted[&restricted];
-                        self.index.candidates[slot].count += 1;
-                        self.index.informative_tuples += 1;
-                    }
-                }
-                Slot::New(sig) => {
-                    let class = self.vs.classify(sig);
-                    let g = self.groups.len();
-                    self.by_sig.insert(sig.clone(), g);
-                    if class == TupleClass::Informative {
-                        let restricted = self.vs.restrict(sig);
-                        self.index.add_group(g, restricted, 1, id);
-                    }
-                    self.groups.push(Group {
-                        sig: sig.clone(),
-                        members: GroupMembers::Explicit(vec![id]),
-                        class,
-                        labeled: 0,
-                    });
-                }
-            }
-            added += 1;
-        }
-        self.stats.total_tuples += added;
-        if added > 0 {
-            self.index.generation += 1;
-        }
-        self.refresh_counters();
-        Ok(added)
-    }
-
     /// Tuple ids currently *visible* to a free-form user: everything not
     /// yet explicitly labeled, and — when `gray_out` — not entailed either.
     /// (Interaction modes 1 and 2 of Figure 3.) A factorized engine shows
@@ -1307,60 +1244,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_ids_classifies_under_current_labels() {
-        let (f, h) = (flights(), hotels());
-        let p = Product::new(vec![&f, &h]).unwrap();
-        // Start from a 4-tuple sample; label (3)+ ((3) is rank 2).
-        let ids = [t(3), t(1), t(8), t(12)];
-        let mut e = Engine::from_ids(p, &ids, &EngineOptions::default()).unwrap();
-        e.label(t(3), Label::Positive).unwrap();
-        assert_eq!(e.stats().total_tuples, 4);
-
-        // Absorb the rest of the product; (4) shares (3)'s signature and
-        // must arrive certain-positive (never asked).
-        let rest: Vec<ProductId> = (0..12).map(ProductId).collect();
-        let added = e.absorb_ids(&rest).unwrap();
-        assert_eq!(added, 8);
-        assert_eq!(e.stats().total_tuples, 12);
-        assert_eq!(e.classify(t(4)).unwrap(), TupleClass::CertainPositive);
-        assert!(!e.is_informative(t(4)).unwrap());
-        // Duplicates are skipped idempotently.
-        assert_eq!(e.absorb_ids(&rest).unwrap(), 0);
-        assert_eq!(e.stats().total_tuples, 12);
-    }
-
-    #[test]
-    fn absorb_then_converge_equals_full_engine_result() {
-        let (f, h) = (flights(), hotels());
-        let u_goal;
-        // Converge on a sampled-then-absorbed engine.
-        let mut e = {
-            let p = Product::new(vec![&f, &h]).unwrap();
-            let mut e = Engine::from_ids(p, &[t(3), t(8)], &EngineOptions::default()).unwrap();
-            u_goal = {
-                let u = e.universe().clone();
-                let tc = u.id_by_names((0, "To"), (1, "City")).unwrap();
-                let ad = u.id_by_names((0, "Airline"), (1, "Discount")).unwrap();
-                JoinPredicate::of(u, [tc, ad])
-            };
-            e.absorb_ids(&(0..12).map(ProductId).collect::<Vec<_>>())
-                .unwrap();
-            e
-        };
-        // Answer every informative tuple truthfully.
-        while let Some(c) = e.candidates().candidates().first().cloned() {
-            let tuple = e.product().tuple(c.representative).unwrap();
-            e.label(c.representative, Label::from_bool(u_goal.selects(&tuple)))
-                .unwrap();
-        }
-        assert!(e.is_resolved());
-        assert!(e
-            .result()
-            .instance_equivalent(&u_goal, e.product())
-            .unwrap());
-    }
-
-    #[test]
     fn informative_groups_merge_after_upper_shrinks() {
         let (f, h) = (flights(), hotels());
         let mut e = engine(&f, &h);
@@ -1376,7 +1259,7 @@ mod tests {
     }
 
     /// The maintained index always equals a from-scratch reclassification,
-    /// through positives, negatives and mid-session absorbs.
+    /// through positives and negatives.
     #[test]
     fn index_matches_recompute_through_a_session() {
         fn sorted(mut v: Vec<Candidate>) -> Vec<Candidate> {
@@ -1391,12 +1274,6 @@ mod tests {
             sorted(e.recompute_candidates())
         );
         e.label(t(12), Label::Negative).unwrap();
-        assert_eq!(
-            sorted(e.candidates().candidates().to_vec()),
-            sorted(e.recompute_candidates())
-        );
-        e.absorb_ids(&(0..12).map(ProductId).collect::<Vec<_>>())
-            .unwrap();
         assert_eq!(
             sorted(e.candidates().candidates().to_vec()),
             sorted(e.recompute_candidates())
@@ -1584,20 +1461,6 @@ mod tests {
         assert_eq!(fe.entailed_positive_ids(), vec![t(3), t(4)]);
     }
 
-    /// A factorized engine already covers the whole product: absorbing ids
-    /// is a no-op and does not disturb caches.
-    #[test]
-    fn factorized_absorb_is_a_noop() {
-        let (f, h) = (flights(), hotels());
-        let p = Product::new(vec![&f, &h]).unwrap();
-        let mut fe = Engine::from_factorized(p, &EngineOptions::default()).unwrap();
-        let g0 = fe.generation();
-        let all: Vec<ProductId> = (0..12).map(ProductId).collect();
-        assert_eq!(fe.absorb_ids(&all).unwrap(), 0);
-        assert_eq!(fe.stats().total_tuples, 12);
-        assert_eq!(fe.generation(), g0);
-    }
-
     /// An exhausted sweep budget surfaces as the typed fallback signal.
     #[test]
     fn factorized_sweep_budget_is_typed() {
@@ -1630,7 +1493,6 @@ mod tests {
             e.label(ProductId(12), Label::Positive).unwrap_err(),
             expected
         );
-        assert_eq!(e.absorb_ids(&[ProductId(12)]).unwrap_err(), expected);
         assert_eq!(
             Engine::from_ids(p, &[t(1), ProductId(12)], &opts).unwrap_err(),
             expected
@@ -1648,7 +1510,6 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
-        use std::collections::HashSet;
 
         /// `(signature, class, members)` per group, in group order.
         type Groups = Vec<(AtomSet, TupleClass, Vec<ProductId>)>;
@@ -1741,22 +1602,10 @@ mod tests {
                 prop_assert_eq!(groups_of(&full), oracle(&full, &all));
 
                 // `from_ids` over a shuffled subset.
-                let mut ids = all.clone();
+                let mut ids = all;
                 ids.shuffle(&mut rng);
                 ids.truncate(rng.gen_range(0..=ids.len()));
-                let mut e = Engine::from_ids(product, &ids, &options).unwrap();
-                prop_assert_eq!(groups_of(&e), oracle(&e, &ids));
-
-                // `absorb_ids` after a label: the whole product shuffled, so
-                // known ids are skipped and new ones classified under it.
-                if let Some(c) = e.candidates().candidates().first().cloned() {
-                    e.label(c.representative, Label::from_bool(rng.gen_bool(0.5))).unwrap();
-                }
-                let mut rest = all;
-                rest.shuffle(&mut rng);
-                e.absorb_ids(&rest).unwrap();
-                let mut seen: HashSet<ProductId> = ids.iter().copied().collect();
-                ids.extend(rest.into_iter().filter(|&id| seen.insert(id)));
+                let e = Engine::from_ids(product, &ids, &options).unwrap();
                 prop_assert_eq!(groups_of(&e), oracle(&e, &ids));
             }
         }
@@ -1773,10 +1622,6 @@ mod tests {
         let _ = e.recompute_candidates();
         assert_eq!(e.generation(), g0);
         e.label(t(12), Label::Positive).unwrap();
-        assert_eq!(e.generation(), g0 + 1);
-        // Absorbing only duplicates is a no-op and keeps caches valid.
-        let all: Vec<ProductId> = (0..12).map(ProductId).collect();
-        e.absorb_ids(&all).unwrap();
         assert_eq!(e.generation(), g0 + 1);
     }
 }

@@ -13,7 +13,7 @@
 //! where that lands.
 
 use crate::engine::{CandidateView, Engine};
-use crate::strategy::{ranked, Strategy};
+use crate::strategy::{rank, Strategy};
 use jim_relation::stats::JoinStats;
 use jim_relation::ProductId;
 
@@ -21,9 +21,8 @@ use jim_relation::ProductId;
 #[derive(Debug, Clone, Default)]
 pub struct DataAware {
     /// Per-atom selectivity in `[0, 1]`, computed lazily from the engine's
-    /// product on first use (the instance is immutable during a session —
-    /// [`Engine::absorb_ids`] mid-session invalidates nothing structurally,
-    /// it only makes these numbers slightly stale, so we keep them).
+    /// product on first use. The instance is immutable during a session,
+    /// so the numbers never go stale.
     selectivity: Option<Vec<f64>>,
 }
 
@@ -69,10 +68,6 @@ impl Strategy for DataAware {
         "data-aware"
     }
 
-    fn choose(&mut self, engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
-        self.top_k(engine, candidates, 1).first().copied()
-    }
-
     fn top_k(
         &mut self,
         engine: &Engine,
@@ -83,16 +78,12 @@ impl Strategy for DataAware {
         // Score: 1 − (selectivity of the rarest atom satisfied). A tuple
         // satisfying a near-key atom scores close to 1; the empty
         // signature (satisfies nothing interesting) scores 0.
-        ranked(candidates.candidates(), |c| {
+        rank(candidates.candidates(), k, |c| {
             c.restricted_sig
                 .iter()
                 .map(|i| 1.0 - sel[i])
                 .fold(0.0f64, f64::max)
         })
-        .into_iter()
-        .take(k)
-        .map(|c| c.representative)
-        .collect()
     }
 }
 

@@ -3,7 +3,7 @@
 //! signature lattice, without simulating answers.
 
 use crate::engine::{CandidateView, Engine};
-use crate::strategy::{argmax_by_score, ranked, Strategy};
+use crate::strategy::{rank, Strategy};
 use jim_relation::ProductId;
 
 /// Most **general** informative signature first (fewest atoms). A positive
@@ -17,25 +17,15 @@ impl Strategy for LocalGeneral {
         "local-general"
     }
 
-    fn choose(&mut self, _engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
-        argmax_by_score(candidates.candidates(), |c| {
-            -(c.restricted_sig.len() as i64)
-        })
-    }
-
     fn top_k(
         &mut self,
         _engine: &Engine,
         candidates: &CandidateView<'_>,
         k: usize,
     ) -> Vec<ProductId> {
-        ranked(candidates.candidates(), |c| {
+        rank(candidates.candidates(), k, |c| {
             -(c.restricted_sig.len() as i64)
         })
-        .into_iter()
-        .take(k)
-        .map(|c| c.representative)
-        .collect()
     }
 }
 
@@ -51,21 +41,15 @@ impl Strategy for LocalSpecific {
         "local-specific"
     }
 
-    fn choose(&mut self, _engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
-        argmax_by_score(candidates.candidates(), |c| c.restricted_sig.len() as i64)
-    }
-
     fn top_k(
         &mut self,
         _engine: &Engine,
         candidates: &CandidateView<'_>,
         k: usize,
     ) -> Vec<ProductId> {
-        ranked(candidates.candidates(), |c| c.restricted_sig.len() as i64)
-            .into_iter()
-            .take(k)
-            .map(|c| c.representative)
-            .collect()
+        rank(candidates.candidates(), k, |c| {
+            c.restricted_sig.len() as i64
+        })
     }
 }
 
@@ -80,21 +64,13 @@ impl Strategy for LocalFrequency {
         "local-frequency"
     }
 
-    fn choose(&mut self, _engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
-        argmax_by_score(candidates.candidates(), |c| c.count)
-    }
-
     fn top_k(
         &mut self,
         _engine: &Engine,
         candidates: &CandidateView<'_>,
         k: usize,
     ) -> Vec<ProductId> {
-        ranked(candidates.candidates(), |c| c.count)
-            .into_iter()
-            .take(k)
-            .map(|c| c.representative)
-            .collect()
+        rank(candidates.candidates(), k, |c| c.count)
     }
 }
 

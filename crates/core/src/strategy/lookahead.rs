@@ -7,7 +7,7 @@
 //! by the split it induces on the version-space mass.
 
 use crate::engine::{CandidateView, Engine};
-use crate::strategy::{ranked, Strategy};
+use crate::strategy::{rank, Strategy};
 use jim_relation::ProductId;
 
 /// Maximize the **worst-case** prune count: `max_t min(prune⁺(t),
@@ -20,10 +20,6 @@ impl Strategy for LookaheadMinPrune {
         "lookahead-minprune"
     }
 
-    fn choose(&mut self, engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
-        self.top_k(engine, candidates, 1).first().copied()
-    }
-
     fn top_k(
         &mut self,
         engine: &Engine,
@@ -31,14 +27,10 @@ impl Strategy for LookaheadMinPrune {
         k: usize,
     ) -> Vec<ProductId> {
         let mut scratch = engine.sim_scratch();
-        ranked(candidates.candidates(), |c| {
+        rank(candidates.candidates(), k, |c| {
             let (pos, neg) = engine.simulate_in(&c.restricted_sig, &mut scratch);
             (pos.min(neg), pos + neg)
         })
-        .into_iter()
-        .take(k)
-        .map(|c| c.representative)
-        .collect()
     }
 }
 
@@ -52,10 +44,6 @@ impl Strategy for LookaheadExpected {
         "lookahead-expected"
     }
 
-    fn choose(&mut self, engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
-        self.top_k(engine, candidates, 1).first().copied()
-    }
-
     fn top_k(
         &mut self,
         engine: &Engine,
@@ -63,14 +51,10 @@ impl Strategy for LookaheadExpected {
         k: usize,
     ) -> Vec<ProductId> {
         let mut scratch = engine.sim_scratch();
-        ranked(candidates.candidates(), |c| {
+        rank(candidates.candidates(), k, |c| {
             let (pos, neg) = engine.simulate_in(&c.restricted_sig, &mut scratch);
             pos + neg
         })
-        .into_iter()
-        .take(k)
-        .map(|c| c.representative)
-        .collect()
     }
 }
 
@@ -125,10 +109,6 @@ impl Strategy for LookaheadEntropy {
         "lookahead-entropy"
     }
 
-    fn choose(&mut self, engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
-        self.top_k(engine, candidates, 1).first().copied()
-    }
-
     fn top_k(
         &mut self,
         engine: &Engine,
@@ -137,23 +117,19 @@ impl Strategy for LookaheadEntropy {
     ) -> Vec<ProductId> {
         let vs = engine.version_space();
         let mut scratch = engine.sim_scratch();
-        ranked(candidates.candidates(), |c| {
+        rank(candidates.candidates(), k, |c| {
             match vs.selecting_probability(&c.restricted_sig) {
                 Some(p) => self.entropy(p),
                 None => {
-                    // Counting blew its budget: fall back to a prune score,
-                    // squashed into (0, 1) so entropy scores still dominate
-                    // ln 2 ≥ ... no — keep comparable by scaling to [0, ln2).
+                    // Counting blew its budget: score the worst-case prune
+                    // count w instead, squashed into [0, ln 2) as
+                    // ln 2 · w / (w + 1).
                     let (pos, neg) = engine.simulate_in(&c.restricted_sig, &mut scratch);
                     let worst = pos.min(neg) as f64;
                     std::f64::consts::LN_2 * worst / (worst + 1.0)
                 }
             }
         })
-        .into_iter()
-        .take(k)
-        .map(|c| c.representative)
-        .collect()
     }
 }
 

@@ -9,96 +9,23 @@
 //! and minimize the informative tuples that survive. This is the natural
 //! "one more step" extension and ablation A4 measures what it buys.
 
-use crate::bitset::{maximal_antichain, AtomSet};
 use crate::engine::{CandidateView, Engine};
-use crate::strategy::{LocalSpecific, LookaheadMinPrune, Strategy};
+use crate::label::Label;
+use crate::strategy::{rank, LocalSpecific, LookaheadMinPrune, SimState, Strategy};
 use jim_relation::ProductId;
+use std::cmp::Reverse;
 
-/// A lightweight simulation state: the candidate signatures with their
-/// populations under `(upper, negatives)`.
-#[derive(Debug, Clone)]
-struct SimState {
-    upper: AtomSet,
-    negs: Vec<AtomSet>,
-    /// Informative restricted signatures with tuple counts.
-    sigs: Vec<(AtomSet, u64)>,
-}
-
-impl SimState {
-    fn from_view(engine: &Engine, candidates: &CandidateView<'_>) -> SimState {
-        let vs = engine.version_space();
-        SimState {
-            upper: vs.upper().clone(),
-            negs: vs.negatives().to_vec(),
-            sigs: candidates
-                .iter()
-                .map(|c| (c.restricted_sig.clone(), c.count))
-                .collect(),
-        }
-    }
-
-    fn informative(upper: &AtomSet, negs: &[AtomSet], sig: &AtomSet) -> bool {
-        sig != upper && !negs.iter().any(|n| sig.is_subset(n))
-    }
-
-    fn remaining(&self) -> u64 {
-        self.sigs.iter().map(|(_, c)| c).sum()
-    }
-
-    fn after(&self, s: &AtomSet, positive: bool) -> SimState {
-        if positive {
-            let upper = s.clone();
-            let negs =
-                maximal_antichain(self.negs.iter().map(|n| n.intersection(&upper)).collect());
-            let mut merged: Vec<(AtomSet, u64)> = Vec::with_capacity(self.sigs.len());
-            for (r, c) in &self.sigs {
-                let r = r.intersection(&upper);
-                if !SimState::informative(&upper, &negs, &r) {
-                    continue;
-                }
-                match merged.iter_mut().find(|(m, _)| *m == r) {
-                    Some((_, mc)) => *mc += c,
-                    None => merged.push((r, *c)),
-                }
-            }
-            SimState {
-                upper,
-                negs,
-                sigs: merged,
-            }
-        } else {
-            let mut with_s = self.negs.clone();
-            with_s.push(s.clone());
-            let negs = maximal_antichain(with_s);
-            let sigs = self
-                .sigs
-                .iter()
-                .filter(|(r, _)| SimState::informative(&self.upper, &negs, r))
-                .cloned()
-                .collect();
-            SimState {
-                upper: self.upper.clone(),
-                negs,
-                sigs,
-            }
-        }
-    }
-
-    /// Best worst-case remaining count after asking one more question.
-    fn best_one_step(&self) -> u64 {
-        if self.sigs.is_empty() {
-            return 0;
-        }
-        self.sigs
-            .iter()
-            .map(|(s, _)| {
-                let pos = self.after(s, true).remaining();
-                let neg = self.after(s, false).remaining();
-                pos.max(neg)
-            })
-            .min()
-            .expect("non-empty candidate list")
-    }
+/// Best worst-case remaining count after asking one more question.
+fn best_one_step(state: &SimState) -> u64 {
+    state
+        .sigs()
+        .map(|s| {
+            let pos = state.after(s, Label::Positive).remaining();
+            let neg = state.after(s, Label::Negative).remaining();
+            pos.max(neg)
+        })
+        .min()
+        .unwrap_or(0)
 }
 
 /// Depth-2 minimax on remaining informative tuples: choose the question
@@ -112,43 +39,22 @@ impl Strategy for LookaheadTwoStep {
         "lookahead-2step"
     }
 
-    fn choose(&mut self, engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
-        self.top_k(engine, candidates, 1).first().copied()
-    }
-
     fn top_k(
         &mut self,
         engine: &Engine,
         candidates: &CandidateView<'_>,
         k: usize,
     ) -> Vec<ProductId> {
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let state = SimState::from_view(engine, candidates);
-        let mut scored: Vec<(u64, u64, &crate::engine::Candidate)> = candidates
-            .iter()
-            .map(|c| {
-                let s = &c.restricted_sig;
-                let pos_state = state.after(s, true);
-                let neg_state = state.after(s, false);
-                // Adversary answers to maximize what survives two steps.
-                let depth2 = pos_state.best_one_step().max(neg_state.best_one_step());
-                // Tie-break with the one-step worst case.
-                let depth1 = pos_state.remaining().max(neg_state.remaining());
-                (depth2, depth1, c)
-            })
-            .collect();
-        scored.sort_by(|(a2, a1, ca), (b2, b1, cb)| {
-            a2.cmp(b2)
-                .then_with(|| a1.cmp(b1))
-                .then_with(|| ca.restricted_sig.cmp(&cb.restricted_sig))
-        });
-        scored
-            .into_iter()
-            .take(k)
-            .map(|(_, _, c)| c.representative)
-            .collect()
+        let state = SimState::new(engine, candidates);
+        rank(candidates.candidates(), k, |c| {
+            let pos = state.after(&c.restricted_sig, Label::Positive);
+            let neg = state.after(&c.restricted_sig, Label::Negative);
+            // Adversary answers to maximize what survives two steps; the
+            // one-step worst case breaks ties. Fewer survivors rank first.
+            let depth2 = best_one_step(&pos).max(best_one_step(&neg));
+            let depth1 = pos.remaining().max(neg.remaining());
+            Reverse((depth2, depth1))
+        })
     }
 }
 
@@ -183,14 +89,6 @@ impl Strategy for HybridStrategy {
         "hybrid"
     }
 
-    fn choose(&mut self, engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
-        if candidates.len() > self.threshold {
-            LocalSpecific.choose(engine, candidates)
-        } else {
-            LookaheadMinPrune.choose(engine, candidates)
-        }
-    }
-
     fn top_k(
         &mut self,
         engine: &Engine,
@@ -209,7 +107,6 @@ impl Strategy for HybridStrategy {
 mod tests {
     use super::*;
     use crate::engine::EngineOptions;
-    use crate::label::Label;
     use crate::predicate::JoinPredicate;
     use crate::strategy::choose_next;
     use jim_relation::{tup, DataType, Product, Relation, RelationSchema};
@@ -290,15 +187,15 @@ mod tests {
         let (f, h) = paper_instance();
         let p = Product::new(vec![&f, &h]).unwrap();
         let e = Engine::new(p, &EngineOptions::default()).unwrap();
-        let state = SimState::from_view(&e, &e.candidates());
+        let state = SimState::new(&e, &e.candidates());
 
         let bound_of = |id: jim_relation::ProductId, depth2: bool| {
             let t = e.product().tuple(id).unwrap();
             let sig = e.version_space().restrict(&e.universe().signature(&t));
-            let pos = state.after(&sig, true);
-            let neg = state.after(&sig, false);
+            let pos = state.after(&sig, Label::Positive);
+            let neg = state.after(&sig, Label::Negative);
             if depth2 {
-                pos.best_one_step().max(neg.best_one_step())
+                best_one_step(&pos).max(best_one_step(&neg))
             } else {
                 pos.remaining().max(neg.remaining())
             }
@@ -331,18 +228,18 @@ mod tests {
         let (f, h) = paper_instance();
         let p = Product::new(vec![&f, &h]).unwrap();
         let e = Engine::new(p, &EngineOptions::default()).unwrap();
-        let state = SimState::from_view(&e, &e.candidates());
-        for c in e.candidates().candidates().to_vec() {
+        let state = SimState::new(&e, &e.candidates());
+        for c in e.candidates().iter() {
             // Remaining-after counts must equal total minus the engine's
             // simulate() prune counts.
             let (pos_pruned, neg_pruned) = e.simulate(&c.restricted_sig);
             let total = state.remaining();
             assert_eq!(
-                state.after(&c.restricted_sig, true).remaining(),
+                state.after(&c.restricted_sig, Label::Positive).remaining(),
                 total - pos_pruned
             );
             assert_eq!(
-                state.after(&c.restricted_sig, false).remaining(),
+                state.after(&c.restricted_sig, Label::Negative).remaining(),
                 total - neg_pruned
             );
         }

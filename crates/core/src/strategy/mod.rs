@@ -6,6 +6,14 @@
 //! information a label would bring, via prune counts or a generalized
 //! entropy), the **random** baseline, and the **optimal** exponential-time
 //! planner. All of them are implemented here behind one trait.
+//!
+//! The trait contract: [`Strategy::top_k`] is the one required ranking
+//! method, and [`Strategy::choose`] is its head, `top_k(…, 1)`. Only
+//! [`RandomStrategy`] overrides `choose`: it draws a tuple weighted by
+//! count, while its `top_k` draws candidates uniformly. Every scoring
+//! strategy ranks through one routine, `rank`, which orders candidate
+//! indices and never clones a candidate. Lookahead-2step and the optimal
+//! planner step one shared branch state, `SimState`.
 
 mod data_aware;
 mod local;
@@ -21,9 +29,13 @@ pub use lookahead2::{HybridStrategy, LookaheadTwoStep};
 pub use optimal::OptimalStrategy;
 pub use random::RandomStrategy;
 
+use crate::bitset::{maximal_antichain, AtomSet};
 use crate::engine::{Candidate, CandidateView, Engine};
+use crate::label::Label;
 use jim_relation::ProductId;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A strategy proposes the next tuple for the user to label.
 ///
@@ -42,23 +54,20 @@ pub trait Strategy {
     /// Stable identifier used in experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Pick the next informative tuple, or `None` when inference is
-    /// complete (the view is empty).
-    fn choose(&mut self, engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId>;
-
     /// Rank the informative candidates best-first and return the top `k`
     /// (the demo's "top-k informative tuples" interaction, Figure 3.3).
-    /// Default implementation returns the single best choice.
+    /// Empty when the view is empty (inference is complete).
     fn top_k(
         &mut self,
         engine: &Engine,
         candidates: &CandidateView<'_>,
         k: usize,
-    ) -> Vec<ProductId> {
-        self.choose(engine, candidates)
-            .into_iter()
-            .take(k)
-            .collect()
+    ) -> Vec<ProductId>;
+
+    /// Pick the next informative tuple, or `None` when inference is
+    /// complete: the head of [`Strategy::top_k`] with `k = 1`.
+    fn choose(&mut self, engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
+        self.top_k(engine, candidates, 1).first().copied()
     }
 }
 
@@ -81,28 +90,150 @@ pub fn top_k_next(
     strategy.top_k(engine, &view, k)
 }
 
-/// Pick the best candidate under a score, breaking ties by the smallest
-/// restricted signature and then representative — fully deterministic.
-pub(crate) fn argmax_by_score<S: PartialOrd + Copy>(
+/// The representatives of the `k` best candidates under `score` (higher
+/// is better), best first. Ties break by the smaller restricted signature,
+/// then the smaller representative, so the order is fully deterministic.
+///
+/// Scores go into one `(score, index)` vector. When `k` is below the
+/// candidate count only the best `k` are selected and sorted, so `k = 1`
+/// costs one scoring pass and a linear selection.
+pub(crate) fn rank<S: PartialOrd>(
     candidates: &[Candidate],
-    score: impl FnMut(&Candidate) -> S,
-) -> Option<ProductId> {
-    ranked(candidates, score).first().map(|c| c.representative)
-}
-
-/// All candidates sorted best-first under a score with deterministic ties.
-pub(crate) fn ranked<S: PartialOrd + Copy>(
-    candidates: &[Candidate],
+    k: usize,
     mut score: impl FnMut(&Candidate) -> S,
-) -> Vec<Candidate> {
-    let mut scored: Vec<(S, &Candidate)> = candidates.iter().map(|c| (score(c), c)).collect();
-    scored.sort_by(|(sa, ca), (sb, cb)| {
+) -> Vec<ProductId> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut scored: Vec<(S, usize)> = candidates.iter().map(&mut score).zip(0..).collect();
+    let best_first = |(sa, a): &(S, usize), (sb, b): &(S, usize)| {
+        let (ca, cb) = (&candidates[*a], &candidates[*b]);
         sb.partial_cmp(sa)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
             .then_with(|| ca.restricted_sig.cmp(&cb.restricted_sig))
             .then_with(|| ca.representative.cmp(&cb.representative))
-    });
-    scored.into_iter().map(|(_, c)| c.clone()).collect()
+    };
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k - 1, best_first);
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(best_first);
+    scored
+        .into_iter()
+        .map(|(_, i)| candidates[i].representative)
+        .collect()
+}
+
+/// One simulated branch of the interaction: the version space `(U, N)` and
+/// the informative restricted signatures it leaves, each stored beside its
+/// tuple count. `N` is the maximal negative antichain, sorted, and the
+/// signatures are sorted and distinct, so one version space has exactly
+/// one state.
+///
+/// `Eq` and `Hash` ignore the counts: the worst-case number of questions
+/// depends only on the distinct signatures, so the optimal planner
+/// memoizes on the state itself. Lookahead-2step sums the counts.
+#[derive(Debug, Clone)]
+pub(crate) struct SimState {
+    upper: AtomSet,
+    negs: Vec<AtomSet>,
+    sigs: Vec<(AtomSet, u64)>,
+}
+
+impl SimState {
+    /// The engine's current state over the candidates of `view`.
+    pub(crate) fn new(engine: &Engine, view: &CandidateView<'_>) -> SimState {
+        let vs = engine.version_space();
+        let mut negs = vs.negatives().to_vec();
+        negs.sort();
+        // The index holds one candidate per restricted signature, so the
+        // signatures are already distinct.
+        let mut sigs: Vec<(AtomSet, u64)> = view
+            .iter()
+            .map(|c| (c.restricted_sig.clone(), c.count))
+            .collect();
+        sigs.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        SimState {
+            upper: vs.upper().clone(),
+            negs,
+            sigs,
+        }
+    }
+
+    /// The informative restricted signatures, sorted.
+    pub(crate) fn sigs(&self) -> impl Iterator<Item = &AtomSet> {
+        self.sigs.iter().map(|(s, _)| s)
+    }
+
+    /// Informative tuples left in this state.
+    pub(crate) fn remaining(&self) -> u64 {
+        self.sigs.iter().map(|(_, c)| c).sum()
+    }
+
+    /// True iff no informative signature is left.
+    pub(crate) fn is_resolved(&self) -> bool {
+        self.sigs.is_empty()
+    }
+
+    /// The state after the user answers `label` on a tuple whose restricted
+    /// signature is `s`. A positive answer shrinks `U` to `s`, restricting
+    /// the negatives and the signatures to it (signatures that coincide
+    /// merge, summing their counts). A negative answer adds `s` to the
+    /// antichain. Either way, signatures that became certain drop out.
+    pub(crate) fn after(&self, s: &AtomSet, label: Label) -> SimState {
+        let upper = match label {
+            Label::Positive => s.clone(),
+            Label::Negative => self.upper.clone(),
+        };
+        let mut negs = maximal_antichain(match label {
+            Label::Positive => self.negs.iter().map(|n| n.intersection(&upper)).collect(),
+            Label::Negative => self.negs.iter().chain([s]).cloned().collect(),
+        });
+        negs.sort();
+        let informative = |r: &AtomSet| *r != upper && !negs.iter().any(|n| r.is_subset(n));
+        let sigs = match label {
+            Label::Positive => {
+                let mut sigs: Vec<(AtomSet, u64)> = self
+                    .sigs
+                    .iter()
+                    .map(|(r, c)| (r.intersection(&upper), *c))
+                    .filter(|(r, _)| informative(r))
+                    .collect();
+                sigs.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+                sigs.dedup_by(|(r, c), (kept, kept_count)| {
+                    let same = r == kept;
+                    if same {
+                        *kept_count += *c;
+                    }
+                    same
+                });
+                sigs
+            }
+            Label::Negative => self
+                .sigs
+                .iter()
+                .filter(|(r, _)| informative(r))
+                .cloned()
+                .collect(),
+        };
+        SimState { upper, negs, sigs }
+    }
+}
+
+impl PartialEq for SimState {
+    fn eq(&self, other: &SimState) -> bool {
+        self.upper == other.upper && self.negs == other.negs && self.sigs().eq(other.sigs())
+    }
+}
+
+impl Eq for SimState {}
+
+impl Hash for SimState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.upper.hash(state);
+        self.negs.hash(state);
+        self.sigs().for_each(|s| s.hash(state));
+    }
 }
 
 /// Enumerates every implemented strategy; the uniform handle experiments
@@ -394,6 +525,69 @@ mod tests {
             "lookahead-2step"
         );
         assert_eq!(StrategyKind::Hybrid { threshold: 16 }.to_string(), "hybrid");
+    }
+
+    /// `rank` against the full sort it replaced, kept here as the oracle.
+    mod rank_oracle {
+        use super::super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Score every candidate, stably sort them all best-first under
+        /// the same comparator, and keep every representative.
+        fn ranked<S: PartialOrd>(
+            candidates: &[Candidate],
+            mut score: impl FnMut(&Candidate) -> S,
+        ) -> Vec<ProductId> {
+            let mut scored: Vec<(S, &Candidate)> =
+                candidates.iter().map(|c| (score(c), c)).collect();
+            scored.sort_by(|(sa, ca), (sb, cb)| {
+                sb.partial_cmp(sa)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| ca.restricted_sig.cmp(&cb.restricted_sig))
+                    .then_with(|| ca.representative.cmp(&cb.representative))
+            });
+            scored.into_iter().map(|(_, c)| c.representative).collect()
+        }
+
+        /// Up to 40 candidates over a 3-atom universe with counts 1–4 and
+        /// representatives below 16: scores, signatures and
+        /// representatives all tie often.
+        fn candidates(rng: &mut StdRng) -> Vec<Candidate> {
+            (0..rng.gen_range(0..=40usize))
+                .map(|_| Candidate {
+                    restricted_sig: AtomSet::from_indices(
+                        3,
+                        (0..3).filter(|_| rng.gen_bool(0.5)).collect::<Vec<_>>(),
+                    ),
+                    count: rng.gen_range(1..=4u64),
+                    representative: ProductId(rng.gen_range(0..16u64)),
+                })
+                .collect()
+        }
+
+        /// `rank` at every `k` from 0 to one past the candidate count
+        /// equals the head of the full sort.
+        fn check<S: PartialOrd>(cs: &[Candidate], mut score: impl FnMut(&Candidate) -> S) {
+            let full = ranked(cs, &mut score);
+            for k in 0..=cs.len() + 1 {
+                let head: Vec<ProductId> = full.iter().copied().take(k).collect();
+                prop_assert_eq!(rank(cs, k, &mut score), head, "k = {}", k);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn rank_matches_full_sort(seed in any::<u64>()) {
+                let cs = candidates(&mut StdRng::seed_from_u64(seed));
+                check(&cs, |c| c.count as i64 % 3);
+                check(&cs, |c| (c.count % 2, std::cmp::Reverse(c.restricted_sig.len())));
+                check(&cs, |c| 1.0 / c.count as f64 - c.restricted_sig.len() as f64 * 0.25);
+            }
+        }
     }
 
     #[test]

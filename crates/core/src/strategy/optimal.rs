@@ -8,95 +8,22 @@
 //! can quantify exactly *how* impractical it is (experiment E6) and how
 //! close the heuristics come to optimal.
 
-use crate::bitset::{maximal_antichain, AtomSet};
+use crate::bitset::AtomSet;
 use crate::engine::{CandidateView, Engine};
 use crate::error::{InferenceError, Result};
-use crate::strategy::Strategy;
+use crate::label::Label;
+use crate::strategy::{SimState, Strategy};
 use jim_relation::ProductId;
 use std::collections::HashMap;
 
-/// A canonical version-space state: everything the worst-case interaction
-/// count depends on. Tuple multiplicities are irrelevant (only *distinct*
-/// informative signatures matter), which is what makes memoization bite.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
-    /// Current upper bound `U`.
-    upper: AtomSet,
-    /// Maximal negative antichain, sorted.
-    negs: Vec<AtomSet>,
-    /// Distinct informative restricted signatures, sorted.
-    sigs: Vec<AtomSet>,
-}
-
-impl State {
-    fn from_engine(engine: &Engine) -> State {
-        let vs = engine.version_space();
-        let mut negs: Vec<AtomSet> = vs.negatives().to_vec();
-        negs.sort();
-        let mut sigs: Vec<AtomSet> = engine
-            .candidates()
-            .iter()
-            .map(|c| c.restricted_sig.clone())
-            .collect();
-        sigs.sort();
-        sigs.dedup();
-        State {
-            upper: vs.upper().clone(),
-            negs,
-            sigs,
-        }
-    }
-
-    /// Is a restricted signature informative under `(upper, negs)`?
-    fn informative(upper: &AtomSet, negs: &[AtomSet], sig: &AtomSet) -> bool {
-        sig != upper && !negs.iter().any(|n| sig.is_subset(n))
-    }
-
-    /// The state after answering `+` on signature `s`.
-    fn after_positive(&self, s: &AtomSet) -> State {
-        let upper = s.clone();
-        let mut negs =
-            maximal_antichain(self.negs.iter().map(|n| n.intersection(&upper)).collect());
-        negs.sort();
-        let mut sigs: Vec<AtomSet> = self
-            .sigs
-            .iter()
-            .map(|r| r.intersection(&upper))
-            .filter(|r| State::informative(&upper, &negs, r))
-            .collect();
-        sigs.sort();
-        sigs.dedup();
-        State { upper, negs, sigs }
-    }
-
-    /// The state after answering `−` on signature `s`.
-    fn after_negative(&self, s: &AtomSet) -> State {
-        let mut with_s = self.negs.clone();
-        with_s.push(s.clone());
-        let mut negs = maximal_antichain(with_s);
-        negs.sort();
-        let mut sigs: Vec<AtomSet> = self
-            .sigs
-            .iter()
-            .filter(|r| State::informative(&self.upper, &negs, r))
-            .cloned()
-            .collect();
-        sigs.sort();
-        sigs.dedup();
-        State {
-            upper: self.upper.clone(),
-            negs,
-            sigs,
-        }
-    }
-}
-
 /// Memoized minimax planner. Reusable across the steps of one inference run
 /// (each real answer lands in a child state that is usually already
-/// memoized).
+/// memoized). States are memoized on their distinct informative
+/// signatures: tuple multiplicities do not change the worst-case depth,
+/// which is what makes memoization bite.
 #[derive(Debug)]
 pub struct OptimalPlanner {
-    memo: HashMap<State, u32>,
+    memo: HashMap<SimState, u32>,
     /// Hard cap on distinct states explored; exceeding it returns
     /// [`InferenceError::BudgetExceeded`].
     max_states: usize,
@@ -126,34 +53,30 @@ impl OptimalPlanner {
     /// The optimal worst-case number of membership queries from the
     /// engine's current state.
     pub fn worst_case_depth(&mut self, engine: &Engine) -> Result<u32> {
-        let state = State::from_engine(engine);
-        self.depth(&state)
+        self.depth(SimState::new(engine, &engine.candidates()))
     }
 
     /// The signature to query next for optimal worst-case depth, with that
     /// depth. `None` when already resolved.
     pub fn best_move(&mut self, engine: &Engine) -> Result<Option<(AtomSet, u32)>> {
-        let state = State::from_engine(engine);
-        if state.sigs.is_empty() {
-            return Ok(None);
-        }
-        let mut best: Option<(AtomSet, u32)> = None;
-        for s in &state.sigs {
-            let d_pos = self.depth(&state.after_positive(s))?;
-            let d_neg = self.depth(&state.after_negative(s))?;
+        let state = SimState::new(engine, &engine.candidates());
+        let mut best: Option<(&AtomSet, u32)> = None;
+        for s in state.sigs() {
+            let d_pos = self.depth(state.after(s, Label::Positive))?;
+            let d_neg = self.depth(state.after(s, Label::Negative))?;
             let d = 1 + d_pos.max(d_neg);
-            if best.as_ref().is_none_or(|(_, b)| d < *b) {
-                best = Some((s.clone(), d));
+            if best.is_none_or(|(_, b)| d < b) {
+                best = Some((s, d));
             }
         }
-        Ok(best)
+        Ok(best.map(|(s, d)| (s.clone(), d)))
     }
 
-    fn depth(&mut self, state: &State) -> Result<u32> {
-        if state.sigs.is_empty() {
+    fn depth(&mut self, state: SimState) -> Result<u32> {
+        if state.is_resolved() {
             return Ok(0);
         }
-        if let Some(&d) = self.memo.get(state) {
+        if let Some(&d) = self.memo.get(&state) {
             return Ok(d);
         }
         if self.memo.len() >= self.max_states {
@@ -162,18 +85,18 @@ impl OptimalPlanner {
             });
         }
         let mut best = u32::MAX;
-        for s in &state.sigs {
-            let d_pos = self.depth(&state.after_positive(s))?;
+        for s in state.sigs() {
+            let d_pos = self.depth(state.after(s, Label::Positive))?;
             if 1 + d_pos >= best {
                 continue; // cannot improve even if the negative branch is free
             }
-            let d_neg = self.depth(&state.after_negative(s))?;
+            let d_neg = self.depth(state.after(s, Label::Negative))?;
             best = best.min(1 + d_pos.max(d_neg));
             if best == 1 {
                 break; // one question resolves everything: optimal
             }
         }
-        self.memo.insert(state.clone(), best);
+        self.memo.insert(state, best);
         Ok(best)
     }
 }
@@ -184,8 +107,8 @@ const DEFAULT_MAX_STATES: usize = 2_000_000;
 
 /// The optimal planner wrapped as a [`Strategy`].
 ///
-/// Panics inside `choose` are avoided: when the budget is exceeded, it
-/// falls back to the first informative candidate (and records that it did).
+/// It never panics: when the budget is exceeded, it falls back to the
+/// first informative candidate (and records that it did).
 #[derive(Debug)]
 pub struct OptimalStrategy {
     planner: OptimalPlanner,
@@ -210,7 +133,7 @@ impl OptimalStrategy {
         }
     }
 
-    /// Did any `choose` call exceed the planner budget and fall back?
+    /// Did any proposal exceed the planner budget and fall back?
     pub fn fell_back(&self) -> bool {
         self.fell_back
     }
@@ -226,22 +149,26 @@ impl Strategy for OptimalStrategy {
         "optimal"
     }
 
-    fn choose(&mut self, engine: &Engine, candidates: &CandidateView<'_>) -> Option<ProductId> {
+    /// The planner's best move, so at most one id whatever `k` is.
+    fn top_k(
+        &mut self,
+        engine: &Engine,
+        candidates: &CandidateView<'_>,
+        k: usize,
+    ) -> Vec<ProductId> {
         let candidates = candidates.candidates();
         if candidates.is_empty() {
-            return None;
+            return Vec::new();
         }
-        match self.planner.best_move(engine) {
-            Ok(Some((sig, _depth))) => candidates
-                .iter()
-                .find(|c| c.restricted_sig == sig)
-                .map(|c| c.representative),
+        let best = match self.planner.best_move(engine) {
+            Ok(Some((sig, _depth))) => candidates.iter().find(|c| c.restricted_sig == sig),
             Ok(None) => None,
             Err(_) => {
                 self.fell_back = true;
-                Some(candidates[0].representative)
+                candidates.first()
             }
-        }
+        };
+        best.map(|c| c.representative).into_iter().take(k).collect()
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! Tests (and a proptest in the workspace root) cross-check the two.
 
-use crate::error::{RelationError, Result};
+use crate::error::Result;
 use crate::product::{Product, ProductId};
 use crate::relation::Relation;
 use crate::schema::{Attribute, GlobalAttr, JoinSchema, RelationSchema};
@@ -191,96 +191,6 @@ impl JoinSpec {
         Ok(ids)
     }
 
-    /// Sort-merge evaluator for **binary** joins: both relations are
-    /// sorted on the vector of their cross-atom key attributes and merged.
-    /// Intra-relation atoms act as pre-filters, exactly as in
-    /// [`JoinSpec::eval_hash`]. Returns ids in rank order.
-    ///
-    /// Fails with [`RelationError::InvalidJoin`] for other arities — the
-    /// hash fold is the general evaluator; sort-merge exists as the
-    /// classic alternative for the two-relation case (and as a third
-    /// independent implementation to cross-check in tests).
-    pub fn eval_sort_merge(&self, product: &Product) -> Result<Vec<ProductId>> {
-        let schema = product.schema();
-        self.check(schema)?;
-        let relations = product.relations();
-        if relations.len() != 2 {
-            return Err(RelationError::InvalidJoin {
-                message: format!(
-                    "sort-merge join supports exactly 2 relations, got {}",
-                    relations.len()
-                ),
-            });
-        }
-
-        // Split atoms: key pairs (one side per relation) and intra filters.
-        let mut keys: Vec<(usize, usize)> = Vec::new(); // (local left, local right)
-        let mut intra: Vec<(usize, (usize, usize))> = Vec::new(); // (rel, (la, lb))
-        for &(a, b) in &self.pairs {
-            let (ra, la) = schema.locate(a)?;
-            let (rb, lb) = schema.locate(b)?;
-            if ra == rb {
-                intra.push((ra, (la, lb)));
-            } else if ra == 0 {
-                keys.push((la, lb));
-            } else {
-                keys.push((lb, la));
-            }
-        }
-
-        let passes_intra = |rel: usize, row: &Tuple| {
-            intra
-                .iter()
-                .filter(|(r, _)| *r == rel)
-                .all(|(_, (x, y))| row[*x] == row[*y])
-        };
-
-        // Sort row indices of each side by their key vector.
-        let key_of = |row: &Tuple, locals: &dyn Fn(usize) -> usize| -> Vec<Value> {
-            (0..keys.len()).map(|k| row[locals(k)].clone()).collect()
-        };
-        let left_key = |row: &Tuple| key_of(row, &|k| keys[k].0);
-        let right_key = |row: &Tuple| key_of(row, &|k| keys[k].1);
-
-        let mut left: Vec<usize> = (0..relations[0].len())
-            .filter(|&i| passes_intra(0, &relations[0].rows()[i]))
-            .collect();
-        let mut right: Vec<usize> = (0..relations[1].len())
-            .filter(|&i| passes_intra(1, &relations[1].rows()[i]))
-            .collect();
-        left.sort_by_key(|&i| left_key(&relations[0].rows()[i]));
-        right.sort_by_key(|&i| right_key(&relations[1].rows()[i]));
-
-        // Merge equal-key runs.
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < left.len() && j < right.len() {
-            let lk = left_key(&relations[0].rows()[left[i]]);
-            let rk = right_key(&relations[1].rows()[right[j]]);
-            match lk.cmp(&rk) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let i_end = (i..left.len())
-                        .find(|&x| left_key(&relations[0].rows()[left[x]]) != lk)
-                        .unwrap_or(left.len());
-                    let j_end = (j..right.len())
-                        .find(|&x| right_key(&relations[1].rows()[right[x]]) != rk)
-                        .unwrap_or(right.len());
-                    for &li in &left[i..i_end] {
-                        for &rj in &right[j..j_end] {
-                            out.push(product.encode(&[li, rj])?);
-                        }
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
     /// Materialize the selected tuples as a relation named `name`, with
     /// qualified attribute names so that the output schema is well-formed
     /// even for self-joins.
@@ -448,36 +358,7 @@ mod tests {
             let spec = spec_by_names(p.schema(), &pairs).unwrap();
             let reference = spec.eval_nested_loop(&p).unwrap();
             assert_eq!(spec.eval_hash(&p).unwrap(), reference, "hash, spec {spec}");
-            assert_eq!(
-                spec.eval_sort_merge(&p).unwrap(),
-                reference,
-                "sort-merge, spec {spec}"
-            );
         }
-    }
-
-    #[test]
-    fn sort_merge_rejects_non_binary() {
-        let f = flights();
-        let h = hotels();
-        let h2 = hotels();
-        let p = Product::new(vec![&f, &h, &h2]).unwrap();
-        let spec = spec_by_names(p.schema(), &[((0, "To"), (1, "City"))]).unwrap();
-        assert!(matches!(
-            spec.eval_sort_merge(&p),
-            Err(RelationError::InvalidJoin { .. })
-        ));
-        let single = Product::new(vec![&f]).unwrap();
-        assert!(JoinSpec::always().eval_sort_merge(&single).is_err());
-    }
-
-    #[test]
-    fn sort_merge_cross_product_when_keyless() {
-        // With no cross atoms the key vectors are empty: every pair merges.
-        let f = flights();
-        let h = hotels();
-        let p = Product::new(vec![&f, &h]).unwrap();
-        assert_eq!(JoinSpec::always().eval_sort_merge(&p).unwrap().len(), 12);
     }
 
     #[test]

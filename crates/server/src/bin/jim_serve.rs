@@ -58,22 +58,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The last commit that touched `crates/lint`, best-effort: the rule
-/// set a binary was built under is part of its provenance (matching
-/// the `lint_rev` field jim-load stamps into BENCH_load.json), but a
-/// deploy without git on PATH or outside a checkout still serves.
-fn lint_rev() -> String {
-    std::process::Command::new("git")
-        .args(["log", "-n1", "--format=%h", "--", "crates/lint"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 fn main() -> std::io::Result<()> {
     let mut host = "127.0.0.1".to_string();
     let mut port = 7914u16; // "JIM" on a phone pad, more or less.
@@ -210,8 +194,7 @@ fn main() -> std::io::Result<()> {
     eprintln!(
         "jim-serve: listening on {} via the {} transport ({} reactors, max {} connections, \
          idle timeout {}, {} in-flight/conn, per-ip cap {}; max {} sessions, {} shards, \
-         ttl {:?}, factorize past {} tuples, answer batches up to {} labels, sessions {}, \
-         lint rules @ {})",
+         ttl {:?}, factorize past {} tuples, answer batches up to {} labels, sessions {})",
         listener.local_addr()?,
         transport,
         transport_limits.reactors,
@@ -233,8 +216,7 @@ fn main() -> std::io::Result<()> {
         match &data_dir {
             Some(dir) => format!("durable in {dir}"),
             None => "in memory only".to_string(),
-        },
-        lint_rev()
+        }
     );
     serve_with(listener, handler, transport, shutdown, transport_limits)
 }

@@ -658,6 +658,15 @@ mod tests {
             self.calls.fetch_add(1, Ordering::SeqCst);
             self.inner.choose(engine, candidates)
         }
+
+        fn top_k(
+            &mut self,
+            engine: &Engine,
+            candidates: &CandidateView<'_>,
+            k: usize,
+        ) -> Vec<ProductId> {
+            self.inner.top_k(engine, candidates, k)
+        }
     }
 
     #[test]

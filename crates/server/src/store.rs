@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 /// The strategy's answer for one engine generation — what `NextQuestion`
 /// computed, kept so an unanswered (or retried) question never re-runs the
-/// strategy. Any label or absorb bumps [`Engine::generation`], which makes
+/// strategy. Any label bumps [`Engine::generation`], which makes
 /// the entry stale; the handler then recomputes and re-caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuestionCache {

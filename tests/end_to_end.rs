@@ -8,8 +8,9 @@
 //!   the goal.
 
 use jim::core::session::run_most_informative;
-use jim::core::strategy::StrategyKind;
-use jim::core::{Engine, EngineOptions, GoalOracle, JoinPredicate};
+use jim::core::strategy::optimal::OptimalPlanner;
+use jim::core::strategy::{choose_next, LookaheadTwoStep, OptimalStrategy, StrategyKind};
+use jim::core::{AtomId, Engine, EngineOptions, GoalOracle, JoinPredicate, Label, Strategy};
 use jim::relation::{Database, Product};
 use jim::synth::{flights, goals, random_db, setgame, tpch};
 
@@ -239,4 +240,111 @@ fn lookahead_beats_random_on_average() {
         lookahead_total <= random_total,
         "lookahead {lookahead_total} vs random {random_total}"
     );
+}
+
+/// One fixed `random_db` instance (two relations) with the optimal
+/// planner's values on it, and the questions two strategies ask for each
+/// single-atom goal: one `/`-separated run of product ranks per goal, in
+/// atom order.
+#[derive(Debug)]
+struct Pinned {
+    /// `(arity, rows, domain, seed)` of `RandomDbConfig::uniform`.
+    shape: (usize, usize, i64, u64),
+    depth: u32,
+    states: usize,
+    best_move: (&'static [usize], u32),
+    two_step: &'static str,
+    optimal: &'static str,
+}
+
+const PINNED: [Pinned; 4] = [
+    Pinned {
+        shape: (2, 8, 3, 3),
+        depth: 6,
+        states: 141,
+        best_move: (&[0, 1], 6),
+        two_step: "19 0 2 20 / 19 0 16 18 / 19 0 / 19 0 16",
+        optimal: "45 2 0 / 45 2 0 / 45 2 18 / 45 2 18 28 0",
+    },
+    Pinned {
+        shape: (3, 3, 2, 0),
+        depth: 7,
+        states: 427,
+        best_move: (&[0, 1, 2], 7),
+        two_step: "6 5 4 1 / 6 5 0 / 6 5 4 2 / 6 4 7 2 1 / 6 4 0 5 / 6 4 0 5 2 8 / \
+                   6 4 7 2 0 / 6 4 0 2 / 6 4 0 2 8",
+        optimal: "6 2 1 0 / 6 2 5 / 6 2 1 4 / 6 7 1 / 6 7 2 8 1 4 5 / 6 7 2 8 4 / \
+                  6 7 1 8 0 / 6 7 2 8 1 0 / 6 7 2 8 1 0",
+    },
+    Pinned {
+        shape: (3, 3, 3, 4),
+        depth: 4,
+        states: 67,
+        best_move: (&[0, 1, 2, 3, 4, 5], 4),
+        two_step: "2 5 0 4 / 2 5 0 4 / 2 5 0 / 2 5 0 4 / 2 5 0 4 / 2 5 0 / 2 0 1 / \
+                   2 0 1 / 2 5 0 4 7",
+        optimal: "0 4 1 / 0 4 1 / 0 4 1 / 0 4 1 / 0 4 1 / 0 4 1 / 0 5 1 2 / 0 5 1 2 / \
+                  0 5 4 7",
+    },
+    Pinned {
+        shape: (3, 4, 3, 3),
+        depth: 10,
+        states: 3857,
+        best_move: (&[3, 4], 10),
+        two_step: "14 1 0 7 / 14 1 13 0 3 / 14 4 1 7 0 15 / 14 4 1 7 8 / 14 4 3 9 / \
+                   14 1 0 3 / 14 1 13 11 3 / 14 1 13 0 7 / 14 4 3 5",
+        optimal: "10 1 7 11 / 10 1 3 8 / 10 1 7 11 0 15 / 10 1 0 / 10 1 3 / 10 1 7 11 0 / \
+                  10 1 3 8 14 5 / 10 1 3 7 14 0 / 10 1 3 7 0 13 14 4 5",
+    },
+];
+
+/// The questions `strategy` asks until each single-atom goal is resolved,
+/// in the `Pinned` notation.
+fn questions(engine: &Engine, strategy: &mut dyn Strategy) -> String {
+    let u = engine.universe();
+    let runs: Vec<String> = (0..u.len())
+        .map(|atom| {
+            let goal = JoinPredicate::of(u.clone(), [AtomId(atom as u32)]);
+            let mut engine = engine.clone();
+            let mut asked = Vec::new();
+            while let Some(id) = choose_next(strategy, &engine) {
+                let tuple = engine.product().tuple(id).unwrap();
+                engine
+                    .label(id, Label::from_bool(goal.selects(&tuple)))
+                    .unwrap();
+                asked.push(id.0.to_string());
+            }
+            asked.join(" ")
+        })
+        .collect();
+    runs.join(" / ")
+}
+
+/// The optimal planner's state count, depth and first move, and the
+/// question sequences of lookahead-2step and the optimal strategy, stay
+/// exactly as pinned. The state count pins the memo key's canonical form:
+/// two keys for one version space would explore more states.
+#[test]
+fn planner_and_two_step_match_pinned_values() {
+    for pin in &PINNED {
+        let (arity, rows, domain, seed) = pin.shape;
+        let config = random_db::RandomDbConfig::uniform(2, arity, rows, domain, seed);
+        let (rels, _) = random_db::generate(&config)
+            .join_view(&["r1", "r2"])
+            .unwrap();
+        let e = Engine::new(Product::new(rels).unwrap(), &EngineOptions::default()).unwrap();
+
+        let mut planner = OptimalPlanner::with_budget(200_000);
+        let depth = planner.worst_case_depth(&e).unwrap();
+        let states = planner.states_explored();
+        let (sig, move_depth) = planner.best_move(&e).unwrap().unwrap();
+        let best_move = (sig.iter().collect::<Vec<_>>(), move_depth);
+        assert_eq!((depth, states), (pin.depth, pin.states), "{pin:?}");
+        assert_eq!(best_move, (pin.best_move.0.to_vec(), pin.best_move.1));
+        assert_eq!(planner.states_explored(), pin.states, "a move re-explored");
+
+        assert_eq!(questions(&e, &mut LookaheadTwoStep), pin.two_step);
+        // One optimal strategy serves every goal: its memo only saves work.
+        assert_eq!(questions(&e, &mut OptimalStrategy::default()), pin.optimal);
+    }
 }
