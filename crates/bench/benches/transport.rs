@@ -73,7 +73,6 @@ impl BenchServer {
         let store = Arc::new(SessionStore::new(StoreConfig {
             max_sessions: 16,
             ttl: Duration::from_secs(600),
-            ..Default::default()
         }));
         let handler = Arc::new(Handler::new(store));
         let shutdown = Shutdown::new();

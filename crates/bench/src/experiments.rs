@@ -575,7 +575,6 @@ pub fn e9_evict_resume() -> Table {
             StoreConfig {
                 max_sessions: 8,
                 ttl,
-                ..Default::default()
             },
             JournalStore::open(dir).expect("journal dir"),
         )))

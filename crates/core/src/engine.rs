@@ -256,7 +256,6 @@ pub struct SimScratch {
 struct CandidateIndex {
     candidates: Vec<Candidate>,
     members: Vec<Vec<usize>>,
-    by_restricted: HashMap<AtomSet, usize>,
     /// Bumped on every engine mutation (every label batch).
     generation: u64,
     /// Total tuples across informative groups (= `stats.informative`).
@@ -267,15 +266,23 @@ impl CandidateIndex {
     fn clear(&mut self) {
         self.candidates.clear();
         self.members.clear();
-        self.by_restricted.clear();
         self.informative_tuples = 0;
     }
 
     /// Merge one informative group (with the given restricted signature)
     /// into the aggregation, preserving first-seen candidate order.
-    fn add_group(&mut self, g: usize, restricted: AtomSet, count: u64, rep: ProductId) {
+    /// `slots` maps each restricted signature seen so far in this rebuild
+    /// to its candidate slot.
+    fn add_group(
+        &mut self,
+        slots: &mut HashMap<AtomSet, usize>,
+        g: usize,
+        restricted: &AtomSet,
+        count: u64,
+        rep: ProductId,
+    ) {
         self.informative_tuples += count;
-        match self.by_restricted.get(&restricted) {
+        match slots.get(restricted) {
             Some(&slot) => {
                 let c = &mut self.candidates[slot];
                 c.count += count;
@@ -285,10 +292,9 @@ impl CandidateIndex {
                 self.members[slot].push(g);
             }
             None => {
-                self.by_restricted
-                    .insert(restricted.clone(), self.candidates.len());
+                slots.insert(restricted.clone(), self.candidates.len());
                 self.candidates.push(Candidate {
-                    restricted_sig: restricted,
+                    restricted_sig: restricted.clone(),
                     count,
                     representative: rep,
                 });
@@ -861,6 +867,7 @@ impl Engine {
     /// with all groups at construction.
     fn reindex(&mut self, alive: &[usize]) {
         self.index.clear();
+        let mut slots = HashMap::new();
         // One scratch set: classification and the candidate re-key both
         // need `sig ∩ U`, so compute the intersection once per group.
         let mut restricted = self.universe.empty_set();
@@ -873,7 +880,7 @@ impl Engine {
                 continue;
             }
             let (count, rep) = (group.count(), group.members.rep());
-            self.index.add_group(g, restricted.clone(), count, rep);
+            self.index.add_group(&mut slots, g, &restricted, count, rep);
         }
     }
 
@@ -883,9 +890,7 @@ impl Engine {
     /// have become certain-**negative**, and only via a fresh negative —
     /// the older antichain entries already cleared every survivor),
     /// marking its member groups certain-negative. Candidate order among
-    /// survivors is preserved; the map keeps the surviving keys (only
-    /// their slot indices are fixed up), so nothing is re-hashed or
-    /// re-cloned.
+    /// survivors is preserved, and nothing is re-hashed or re-cloned.
     fn drop_subsumed_candidates(&mut self, new_negs: &[AtomSet]) {
         // Pack both sides row-major so the whole antichain sweep runs over
         // contiguous rows — no per-candidate pointer chase.
@@ -908,18 +913,6 @@ impl Engine {
             for g in std::mem::take(&mut self.index.members[slot]) {
                 self.groups[g].class = TupleClass::CertainNegative;
             }
-        }
-        self.index.by_restricted.retain(|_, slot| keep[*slot]);
-        let mut new_slot = vec![usize::MAX; keep.len()];
-        let mut next = 0usize;
-        for (old, &k) in keep.iter().enumerate() {
-            if k {
-                new_slot[old] = next;
-                next += 1;
-            }
-        }
-        for slot in self.index.by_restricted.values_mut() {
-            *slot = new_slot[*slot];
         }
         let mut i = 0;
         self.index.candidates.retain(|_| {

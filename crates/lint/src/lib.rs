@@ -246,16 +246,13 @@ impl Finding {
 pub struct Config {
     /// Path prefixes where `unsafe` is allowed.
     pub unsafe_allow: Vec<String>,
-    /// Receiver-name → lock-class aliases (`s` and `shard` are the
-    /// same `Mutex` viewed through different local names).
+    /// Receiver-name → lock-class aliases (different local names for the
+    /// same `Mutex` map to one class).
     pub lock_aliases: BTreeMap<String, String>,
     /// Callee names the lock rule must not resolve through — std-library
     /// collisions like `insert` or `get` that would wire unrelated
     /// functions into the acquisition graph.
     pub lock_ignore_calls: Vec<String>,
-    /// Lock classes where same-class re-acquisition is by design
-    /// (e.g. store shards, always taken in ascending index order).
-    pub lock_ordered_classes: Vec<String>,
     /// Helper functions that acquire and hold a lock class for the
     /// duration of their argument list (closure-taking wrappers such
     /// as `with_session`): fn name → class. Without this, a lock whose
@@ -288,7 +285,6 @@ impl Config {
         let mut cfg = Config {
             unsafe_allow: lint.list("unsafe", "allow"),
             lock_ignore_calls: lint.list("locks", "ignore_calls"),
-            lock_ordered_classes: lint.list("locks", "ordered_classes"),
             panic_paths: lint.list("panic", "paths"),
             ..Config::default()
         };

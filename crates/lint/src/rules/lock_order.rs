@@ -16,13 +16,13 @@
 //! argument list, so edges out of the closures they run are seen.
 //!
 //! Lock *classes* are receiver field names after `[locks.aliases]`
-//! normalization (`s` and `shard` are the same shard mutex seen
-//! through different locals). A cycle between classes — `session →
-//! shard` somewhere and `shard → session` anywhere else — is exactly
-//! an AB/BA deadlock shape and is reported with one example site per
-//! edge. Same-class re-acquisition is reported too, unless the class
-//! is in `ordered_classes` (shards are taken in ascending index order
-//! by construction).
+//! normalization (the store's `sessions` map is the `session_map`
+//! class wherever it is locked). A cycle between classes — `session →
+//! session_map` somewhere and `session_map → session` anywhere else —
+//! is exactly an AB/BA deadlock shape and is reported with one example
+//! site per edge. Same-class re-acquisition is reported too: it is a
+//! self-deadlock on one mutex or an unordered pair of same-class
+//! mutexes, and no lock in the workspace is a set taken in a fixed order.
 //!
 //! Known blind spot (documented, tested): a guard bound by `match
 //! m.lock() {..}` scrutinee lives to the end of the match but is
@@ -118,27 +118,23 @@ pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
         }
     }
 
-    // Self-loops are their own finding (unless declared ordered).
+    // Self-loops are their own finding.
     let mut graph: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for ((from, to), site) in &edges {
         if from == to {
-            if !cfg.lock_ordered_classes.iter().any(|c| c == from) {
-                out.push(Finding {
-                    rule: "locks",
-                    file: site.file.clone(),
-                    line: site.line,
-                    message: format!(
-                        "lock class `{from}` acquired while already held in `{}`{}; if the \
-                         class is a sharded set taken in a fixed order, declare it in \
-                         [locks] ordered_classes",
-                        site.func,
-                        match &site.via {
-                            Some(v) => format!(" (via call to `{v}`)"),
-                            None => String::new(),
-                        }
-                    ),
-                });
-            }
+            out.push(Finding {
+                rule: "locks",
+                file: site.file.clone(),
+                line: site.line,
+                message: format!(
+                    "lock class `{from}` acquired while already held in `{}`{}",
+                    site.func,
+                    match &site.via {
+                        Some(v) => format!(" (via call to `{v}`)"),
+                        None => String::new(),
+                    }
+                ),
+            });
             continue;
         }
         graph.entry(from.clone()).or_default().insert(to.clone());

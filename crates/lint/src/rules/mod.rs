@@ -13,7 +13,7 @@ use crate::lexer::{matching_close, matching_open, Token, TokenKind};
 /// Walk backward from the `.` at `dot` to find the receiver of a
 /// method call. Returns `(last_ident, rooted_at_self)`:
 /// `self.store.record_batch(..)` → `("store", true)`;
-/// `s.lock()` → `("s", false)`; `self.shard(id).lock()` → `("shard", true)`.
+/// `s.lock()` → `("s", false)`; `self.slot(id).lock()` → `("slot", true)`.
 /// Matched `(..)`/`[..]` groups are skipped, so indexing and call
 /// results resolve to the nearest meaningful name.
 pub(crate) fn receiver_of(tokens: &[Token], dot: usize) -> (Option<String>, bool) {

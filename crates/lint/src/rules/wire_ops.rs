@@ -3,7 +3,7 @@
 //!
 //! Three artifacts list the same op set today: `protocol.rs`'s `enum
 //! Request`, `metrics.rs`'s `enum Op` (with its `Op::ALL` array that
-//! drives the per-op counter registry and the `Metrics` wire
+//! drives the per-op counter table and the `Metrics` wire
 //! response), and the README's protocol table. Adding a wire op and
 //! forgetting one of the other two is a silent drift class — the op
 //! works but is invisible to operators — so this rule closes it: every

@@ -21,7 +21,6 @@ allow = ["crates/aio/", "crates/simd/src/avx2.rs"]
 
 [locks]
 ignore_calls = ["new", "push", "len", "insert"]
-ordered_classes = []
 
 [locks.aliases]
 s = "shard"
@@ -304,7 +303,7 @@ impl S {
 }
 
 #[test]
-fn same_class_reacquisition_is_a_self_loop_unless_ordered() {
+fn same_class_reacquisition_is_a_self_loop() {
     let src = r#"
 impl S {
     fn nested(&self) {
@@ -317,10 +316,6 @@ impl S {
     let out = lock_findings(src, &cfg);
     assert_eq!(out.len(), 1, "{out:?}");
     assert!(out[0].message.contains("acquired while already held"));
-
-    let mut ordered = test_config();
-    ordered.lock_ordered_classes = vec!["session".into()];
-    assert!(lock_findings(src, &ordered).is_empty());
 }
 
 #[test]

@@ -598,7 +598,6 @@ impl Report {
                             None => Json::Null,
                         },
                     ),
-                    ("max_inflight", Json::from(self.config.limits.max_inflight)),
                     // The last revision that touched the lint rules: a
                     // BENCH_load.json produced under a different rule
                     // set (e.g. before a panic-path refactor the lint
@@ -693,7 +692,6 @@ impl SpawnedServer {
             StoreConfig {
                 max_sessions: config.concurrency * 2 + 64,
                 ttl: Duration::from_secs(600),
-                ..Default::default()
             },
             journal,
         ));

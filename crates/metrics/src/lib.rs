@@ -10,20 +10,17 @@
 //! * [`HistogramSnapshot`] — a dense, mergeable copy of a histogram;
 //!   merging per-thread snapshots is bit-identical to recording every
 //!   sample into one histogram (property-tested).
-//! * [`Registry`] — get-or-create named handles; the lock is taken only
-//!   at registration and snapshot time, never on the record path.
 //!
-//! Everything on the hot path is a handful of `Relaxed` atomic ops; a
-//! snapshot is a point-in-time copy that may be minutely torn under
-//! concurrent writers (counts and sums race by design — observability,
-//! not accounting).
+//! Callers hold these as typed fields of their own metrics tables; there
+//! is no name-keyed lookup and no lock. Everything on the hot path is a
+//! handful of `Relaxed` atomic ops; a snapshot is a point-in-time copy
+//! that may be minutely torn under concurrent writers (counts and sums
+//! race by design — observability, not accounting).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A monotonically increasing counter.
@@ -279,99 +276,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Named get-or-create metric handles. Cache the returned `Arc`s on hot
-/// paths; the internal lock is touched only here and in
-/// [`Registry::snapshot`].
-#[derive(Debug, Default)]
-pub struct Registry {
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.counters.entry(name.to_string()).or_default().clone()
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.gauges.entry(name.to_string()).or_default().clone()
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// A point-in-time copy of every registered metric.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        RegistrySnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-/// A point-in-time copy of a whole [`Registry`], mergeable across
-/// threads or processes (counters and gauges add, histograms merge).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegistrySnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge levels by name.
-    pub gauges: BTreeMap<String, i64>,
-    /// Histogram snapshots by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl RegistrySnapshot {
-    /// Fold `other` into `self` name-by-name.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,42 +421,5 @@ mod tests {
             all.record(v);
         }
         assert_eq!(merged, all.snapshot());
-    }
-
-    #[test]
-    fn registry_returns_shared_handles() {
-        let r = Registry::new();
-        let c1 = r.counter("requests");
-        let c2 = r.counter("requests");
-        c1.inc();
-        c2.inc();
-        assert_eq!(r.counter("requests").get(), 2);
-        assert!(Arc::ptr_eq(&c1, &c2));
-        r.gauge("depth").set(5);
-        r.histogram("lat").record(10);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters["requests"], 2);
-        assert_eq!(snap.gauges["depth"], 5);
-        assert_eq!(snap.histograms["lat"].count(), 1);
-    }
-
-    #[test]
-    fn registry_snapshot_merge() {
-        let r1 = Registry::new();
-        let r2 = Registry::new();
-        r1.counter("x").add(2);
-        r2.counter("x").add(3);
-        r2.counter("y").inc();
-        r1.gauge("g").set(4);
-        r2.gauge("g").set(-1);
-        r1.histogram("h").record(7);
-        r2.histogram("h").record(9);
-        let mut s = r1.snapshot();
-        s.merge(&r2.snapshot());
-        assert_eq!(s.counters["x"], 5);
-        assert_eq!(s.counters["y"], 1);
-        assert_eq!(s.gauges["g"], 3);
-        assert_eq!(s.histograms["h"].count(), 2);
-        assert_eq!(s.histograms["h"].max(), 9);
     }
 }

@@ -4,7 +4,7 @@
 
 #![forbid(unsafe_code)]
 
-use jim_metrics::{Histogram, HistogramSnapshot, Registry};
+use jim_metrics::{Histogram, HistogramSnapshot};
 use proptest::prelude::*;
 
 proptest! {
@@ -52,30 +52,5 @@ proptest! {
         ba.merge(&sa);
         prop_assert_eq!(&ab, &ba);
         prop_assert_eq!(ab.max(), sa.max().max(sb.max()));
-    }
-
-    #[test]
-    fn registry_merge_matches_single_registry(
-        xs in proptest::collection::vec(0u64..100_000, 0..=20),
-        ys in proptest::collection::vec(0u64..100_000, 0..=20),
-    ) {
-        let single = Registry::new();
-        let left = Registry::new();
-        let right = Registry::new();
-        for &v in &xs {
-            left.counter("n").inc();
-            left.histogram("lat").record(v);
-            single.counter("n").inc();
-            single.histogram("lat").record(v);
-        }
-        for &v in &ys {
-            right.counter("n").inc();
-            right.histogram("lat").record(v);
-            single.counter("n").inc();
-            single.histogram("lat").record(v);
-        }
-        let mut merged = left.snapshot();
-        merged.merge(&right.snapshot());
-        prop_assert_eq!(merged, single.snapshot());
     }
 }

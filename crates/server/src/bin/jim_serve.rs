@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! jim-serve [--port N] [--host ADDR] [--max-sessions N] [--ttl-secs N]
-//!           [--shards N] [--max-product N] [--max-batch N] [--data-dir PATH]
+//!           [--max-product N] [--max-batch N] [--data-dir PATH]
 //!           [--transport threads|epoll] [--metrics-interval SECS]
 //!           [--reactors N] [--max-connections N] [--idle-timeout SECS]
-//!           [--max-inflight N] [--max-per-ip N]
+//!           [--max-per-ip N]
 //! ```
 //!
 //! With `--data-dir`, every session is journaled to disk (write-ahead,
@@ -24,10 +24,10 @@
 //! including the guardrails: `--max-connections` sheds over-cap
 //! connects with a typed `overloaded` error, `--idle-timeout` reaps
 //! peers that complete no request line in SECS seconds (0 disables),
-//! `--max-inflight` caps pipelined requests per connection (epoll;
-//! threads answers one at a time), and `--max-per-ip` sheds a single
-//! address's connections past N with the same `overloaded` error (0
-//! disables, the default).
+//! and `--max-per-ip` sheds a single address's connections past N with
+//! the same `overloaded` error (0 disables, the default). A pipelining
+//! peer gets up to four requests running at once on epoll; threads
+//! answers one at a time.
 //!
 //! `--metrics-interval SECS` logs a one-line metrics summary (requests,
 //! errors, latency quantiles, live connections, resident sessions) every
@@ -50,10 +50,9 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: jim-serve [--port N] [--host ADDR] [--max-sessions N] [--ttl-secs N] \
-         [--shards N] [--max-product N] [--max-batch N] [--data-dir PATH] \
+         [--max-product N] [--max-batch N] [--data-dir PATH] \
          [--transport threads|epoll] [--metrics-interval SECS] \
-         [--reactors N] [--max-connections N] [--idle-timeout SECS] [--max-inflight N] \
-         [--max-per-ip N]"
+         [--reactors N] [--max-connections N] [--idle-timeout SECS] [--max-per-ip N]"
     );
     std::process::exit(2);
 }
@@ -91,10 +90,6 @@ fn main() -> std::io::Result<()> {
                 Ok(secs) if secs > 0 => config.ttl = Duration::from_secs(secs),
                 _ => usage(),
             },
-            "--shards" => match value("--shards").parse() {
-                Ok(n) if n > 0 => config.shards = n,
-                _ => usage(),
-            },
             "--max-product" => match value("--max-product").parse() {
                 Ok(n) if n > 0 => limits.max_product = n,
                 _ => usage(),
@@ -128,10 +123,6 @@ fn main() -> std::io::Result<()> {
                 Ok(0) => transport_limits.idle_timeout = None,
                 Ok(secs) => transport_limits.idle_timeout = Some(Duration::from_secs(secs)),
                 Err(_) => usage(),
-            },
-            "--max-inflight" => match value("--max-inflight").parse() {
-                Ok(n) if n > 0 => transport_limits.max_inflight = n,
-                _ => usage(),
             },
             // 0 disables the per-address quota (the default).
             "--max-per-ip" => match value("--max-per-ip").parse::<usize>() {
@@ -187,13 +178,12 @@ fn main() -> std::io::Result<()> {
             }
         });
     }
-    let shards = store.num_shards();
     let handler = Arc::new(Handler::with_limits(store, limits));
 
     let listener = TcpListener::bind((host.as_str(), port))?;
     eprintln!(
         "jim-serve: listening on {} via the {} transport ({} reactors, max {} connections, \
-         idle timeout {}, {} in-flight/conn, per-ip cap {}; max {} sessions, {} shards, \
+         idle timeout {}, per-ip cap {}; max {} sessions, \
          ttl {:?}, factorize past {} tuples, answer batches up to {} labels, sessions {})",
         listener.local_addr()?,
         transport,
@@ -203,13 +193,11 @@ fn main() -> std::io::Result<()> {
             Some(t) => format!("{t:?}"),
             None => "off".to_string(),
         },
-        transport_limits.max_inflight,
         match transport_limits.max_per_ip {
             Some(n) => n.to_string(),
             None => "off".to_string(),
         },
         config.max_sessions,
-        shards,
         config.ttl,
         limits.max_product,
         limits.max_batch,

@@ -7,7 +7,7 @@
 //! from [`Conn::next_line`], reports their responses through
 //! [`Conn::complete`], writes [`Conn::output`], and closes the socket once
 //! [`Conn::finished`] says so. The epoll reactor drives it from readiness
-//! events with a window of `max_inflight` lines at its worker pool; the
+//! events with a window of 4 in-flight lines at its worker pool; the
 //! threads transport drives it from blocking reads and writes with a
 //! window of 1. Either way the peer sees the same wire behavior:
 //!

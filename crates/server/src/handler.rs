@@ -138,12 +138,11 @@ impl Handler {
         }
     }
 
-    /// The `Metrics` op: refresh the session-population gauges (cheap, and
-    /// a snapshot should not be stale by up to one sweep interval), then
-    /// render the aggregate.
+    /// The `Metrics` op: refresh the on-disk session gauge (it is read
+    /// from the journal directory, and a snapshot should not be stale by
+    /// up to one sweep interval), then render the aggregate.
     fn metrics_snapshot(&self) -> Json {
         let metrics = self.store.metrics();
-        metrics.resident_sessions.set(self.store.len() as i64);
         metrics
             .disk_sessions
             .set(self.store.disk_ids().len() as i64);

@@ -5,10 +5,10 @@
 //! `jim-core` engine into a long-lived service able to host many such
 //! users at once:
 //!
-//! * [`store`] — an id-**sharded** concurrent [`SessionStore`] of **owned**
-//!   sessions (engine + strategy + pending question + generation-keyed
-//!   question cache), with a global max-sessions cap, LRU eviction and TTL
-//!   sweeping. This is what the ownership refactor in
+//! * [`store`] — a concurrent [`SessionStore`] of **owned** sessions
+//!   (engine + strategy + pending question + generation-keyed question
+//!   cache) in one id map behind one lock, with a max-sessions cap, LRU
+//!   eviction and TTL sweeping. This is what the ownership refactor in
 //!   `jim-relation`/`jim-core` (products own `Arc<Relation>`, `Engine` is
 //!   `Send + 'static`) exists for.
 //! * [`journal`] — the write-ahead transcript journal that de-couples
@@ -34,8 +34,8 @@
 //!   cap, blank lines, the idle clock, in-order responses, the close
 //!   decision) behind one admission gate, so the wire behavior is the
 //!   same on both; both observe a graceful [`serve::Shutdown`] signal.
-//! * [`metrics`] — the server-wide observability aggregate over
-//!   `jim-metrics`: per-op request/error counters and latency
+//! * [`metrics`] — the server-wide observability aggregate, one table of
+//!   typed `jim-metrics` fields: per-op request/error counters and latency
 //!   histograms, transport gauges and store/journal counters, exposed
 //!   on the wire as the `Metrics` op and as `jim-serve
 //!   --metrics-interval` log lines.

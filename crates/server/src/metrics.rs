@@ -3,9 +3,8 @@
 //!
 //! The aggregate lives on the [`crate::store::SessionStore`] (the one
 //! object the handler, both transports, the sweeper and the binaries all
-//! already share) and is built on `jim-metrics` primitives: every metric
-//! is registered by name in a [`Registry`] **and** cached as a typed
-//! `Arc` handle, so hot paths never touch the registry lock.
+//! already share) and is one table of typed `jim-metrics` fields: a hot
+//! path bumps a field directly, and every reader renders the same fields.
 //!
 //! Three layers report here:
 //!
@@ -30,7 +29,7 @@
 use crate::protocol::Request;
 use crate::sync::LockExt;
 use jim_json::Json;
-use jim_metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+use jim_metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -126,128 +125,102 @@ impl Op {
 /// One reactor thread's share of the transport counters (epoll only).
 ///
 /// The global transport gauges are **aggregates**: every reactor
-/// increments and decrements the same `transport.live_connections` /
-/// `transport.worker_queue_depth` handles symmetrically (no reactor ever
-/// `set`s them), so N reactors sum correctly. These per-reactor handles
-/// exist on top of that so a snapshot can show *skew* — a reactor whose
-/// queue is deep or whose connection share is lopsided.
+/// increments and decrements the same `live_connections` /
+/// `worker_queue_depth` gauges symmetrically (no reactor ever `set`s
+/// them), so N reactors sum correctly. These per-reactor fields exist on
+/// top of that so a snapshot can show *skew* — a reactor whose queue is
+/// deep or whose connection share is lopsided.
+#[derive(Default)]
 pub struct ReactorMetrics {
     /// Complete lines this reactor handed to its worker pool.
-    pub dispatched: Arc<Counter>,
+    pub dispatched: Counter,
     /// Connections currently owned by this reactor.
-    pub live_connections: Arc<Gauge>,
+    pub live_connections: Gauge,
     /// Jobs queued at this reactor's worker pool right now.
-    pub worker_queue_depth: Arc<Gauge>,
+    pub worker_queue_depth: Gauge,
     /// Connections this reactor reaped for idling past the timeout.
-    pub idle_timeouts: Arc<Counter>,
+    pub idle_timeouts: Counter,
     /// Over-cap connections shed that round-robin would have sent here.
-    pub sheds: Arc<Counter>,
+    pub sheds: Counter,
 }
 
 /// Per-op counters and latency.
+#[derive(Default)]
 pub struct OpMetrics {
     /// Requests dispatched (counted before the handler runs).
-    pub requests: Arc<Counter>,
+    pub requests: Counter,
     /// Responses with `ok:false`.
-    pub errors: Arc<Counter>,
+    pub errors: Counter,
     /// Handler latency in microseconds.
-    pub latency: Arc<Histogram>,
+    pub latency: Histogram,
 }
 
-/// The server-wide metrics aggregate (see module docs).
-pub struct ServerMetrics {
-    registry: Registry,
-    started: Instant,
-    ops: Vec<OpMetrics>,
-    /// Complete request lines handed to the handler (both transports).
-    pub dispatched: Arc<Counter>,
-    /// Lines refused at decode: invalid UTF-8 or unparseable JSON.
-    pub decode_refused: Arc<Counter>,
-    /// Lines refused for exceeding the 16 MiB cap.
-    pub oversized: Arc<Counter>,
-    /// Currently open client connections (summed across reactors).
-    pub live_connections: Arc<Gauge>,
-    /// Jobs queued at the epoll worker pools right now, summed across
-    /// reactors (0 on threads).
-    pub worker_queue_depth: Arc<Gauge>,
-    /// Connections refused at the admission cap with `Overloaded`.
-    pub sheds: Arc<Counter>,
-    /// Connections reaped for idling past the timeout.
-    pub idle_timeouts: Arc<Counter>,
-    /// Per-reactor breakdowns, one entry per reactor index (lazily
-    /// registered by the epoll transport; empty on threads).
-    reactors: Mutex<Vec<Arc<ReactorMetrics>>>,
-    /// Session lookups answered from memory.
-    pub store_hits: Arc<Counter>,
-    /// Session lookups rehydrated from the journal (evicted → resident).
-    pub store_resumes: Arc<Counter>,
-    /// Label batches replayed during those resumes.
-    pub replayed_batches: Arc<Counter>,
-    /// Bytes appended to session journals (headers + batches).
-    pub journal_bytes: Arc<Counter>,
-    /// Sessions dropped from memory by LRU/TTL since start.
-    pub evicted_total: Arc<Counter>,
-    /// Of those, how many stayed resumable on disk.
-    pub persisted_total: Arc<Counter>,
-    /// Sessions resident in memory (refreshed on create/evict/sweep).
-    pub resident_sessions: Arc<Gauge>,
-    /// Sessions on disk only (refreshed by sweeps and listings).
-    pub disk_sessions: Arc<Gauge>,
-    /// TTL sweeper passes.
-    pub sweeps: Arc<Counter>,
-    /// Sessions the sweeper evicted across all passes.
-    pub swept_sessions: Arc<Counter>,
-    /// Sessions whose oversized product opened through factorized
-    /// construction (full fidelity, no sampling).
-    pub factorized_sessions: Arc<Counter>,
-    /// Signature groups across those factorized sessions — the partition
-    /// size the sweep produced instead of enumerating the product.
-    pub signature_groups: Arc<Counter>,
-}
+/// When an aggregate was created; the default is now.
+struct Started(Instant);
 
-impl Default for ServerMetrics {
+impl Default for Started {
     fn default() -> Self {
-        Self::new()
+        Started(Instant::now())
     }
 }
 
+/// The server-wide metrics aggregate (see module docs).
+#[derive(Default)]
+pub struct ServerMetrics {
+    started: Started,
+    ops: [OpMetrics; Op::ALL.len()],
+    /// Complete request lines handed to the handler (both transports).
+    pub dispatched: Counter,
+    /// Lines refused at decode: invalid UTF-8 or unparseable JSON.
+    pub decode_refused: Counter,
+    /// Lines refused for exceeding the 16 MiB cap.
+    pub oversized: Counter,
+    /// Currently open client connections (summed across reactors).
+    pub live_connections: Gauge,
+    /// Jobs queued at the epoll worker pools right now, summed across
+    /// reactors (0 on threads).
+    pub worker_queue_depth: Gauge,
+    /// Connections refused at the admission cap with `Overloaded`.
+    pub sheds: Counter,
+    /// Connections reaped for idling past the timeout.
+    pub idle_timeouts: Counter,
+    /// Per-reactor breakdowns, one entry per reactor index (allocated by
+    /// the epoll transport on first use; empty on threads).
+    reactors: Mutex<Vec<Arc<ReactorMetrics>>>,
+    /// Session lookups answered from memory.
+    pub store_hits: Counter,
+    /// Session lookups rehydrated from the journal (evicted → resident).
+    pub store_resumes: Counter,
+    /// Label batches replayed during those resumes.
+    pub replayed_batches: Counter,
+    /// Bytes appended to session journals (headers + batches).
+    pub journal_bytes: Counter,
+    /// Sessions dropped from memory by LRU/TTL since start.
+    pub evicted_total: Counter,
+    /// Of those, how many stayed resumable on disk.
+    pub persisted_total: Counter,
+    /// Sessions resident in memory, set by every change to the store's
+    /// session map.
+    pub resident_sessions: Gauge,
+    /// Sessions on disk only, read from the journal directory (refreshed
+    /// by each sweep and each `Metrics` request).
+    pub disk_sessions: Gauge,
+    /// TTL sweeper passes.
+    pub sweeps: Counter,
+    /// Sessions the sweeper evicted across all passes.
+    pub swept_sessions: Counter,
+    /// Sessions whose oversized product opened through factorized
+    /// construction (full fidelity, no sampling).
+    pub factorized_sessions: Counter,
+    /// Signature groups across those factorized sessions — the partition
+    /// size the sweep produced instead of enumerating the product.
+    pub signature_groups: Counter,
+}
+
 impl ServerMetrics {
-    /// A fresh aggregate with every metric registered and zeroed.
+    /// A fresh aggregate with every metric zeroed.
     pub fn new() -> ServerMetrics {
-        let registry = Registry::new();
-        let ops = Op::ALL
-            .iter()
-            .map(|op| OpMetrics {
-                requests: registry.counter(&format!("ops.{}.requests", op.name())),
-                errors: registry.counter(&format!("ops.{}.errors", op.name())),
-                latency: registry.histogram(&format!("ops.{}.latency_us", op.name())),
-            })
-            .collect();
-        ServerMetrics {
-            dispatched: registry.counter("transport.dispatched"),
-            decode_refused: registry.counter("transport.decode_refused"),
-            oversized: registry.counter("transport.oversized"),
-            live_connections: registry.gauge("transport.live_connections"),
-            worker_queue_depth: registry.gauge("transport.worker_queue_depth"),
-            sheds: registry.counter("transport.sheds"),
-            idle_timeouts: registry.counter("transport.idle_timeouts"),
-            reactors: Mutex::new(Vec::new()),
-            store_hits: registry.counter("store.hits"),
-            store_resumes: registry.counter("store.resumes"),
-            replayed_batches: registry.counter("store.replayed_batches"),
-            journal_bytes: registry.counter("store.journal_bytes"),
-            evicted_total: registry.counter("store.evicted_total"),
-            persisted_total: registry.counter("store.persisted_total"),
-            resident_sessions: registry.gauge("store.resident_sessions"),
-            disk_sessions: registry.gauge("store.disk_sessions"),
-            sweeps: registry.counter("store.sweeps"),
-            swept_sessions: registry.counter("store.swept_sessions"),
-            factorized_sessions: registry.counter("store.factorized_sessions"),
-            signature_groups: registry.counter("store.signature_groups"),
-            ops,
-            registry,
-            started: Instant::now(),
-        }
+        Self::default()
     }
 
     /// The per-op metrics of one wire op.
@@ -255,39 +228,16 @@ impl ServerMetrics {
         &self.ops[op as usize]
     }
 
-    /// The per-reactor metrics of reactor `index`, registering the slots
-    /// up through `index` on first use. Registration is name-keyed, so a
-    /// transport restart over the same store (tests do this) gets the
-    /// same handles back — counters continue, they don't double-register.
+    /// The per-reactor metrics of reactor `index`, allocating the slots
+    /// up through `index` on first use. A transport restart over the same
+    /// store (tests do this) gets the same slots back, so counters
+    /// continue.
     pub fn reactor(&self, index: usize) -> Arc<ReactorMetrics> {
         let mut reactors = self.reactors.lock_unpoisoned();
         while reactors.len() <= index {
-            let i = reactors.len();
-            reactors.push(Arc::new(ReactorMetrics {
-                dispatched: self
-                    .registry
-                    .counter(&format!("transport.reactor.{i}.dispatched")),
-                live_connections: self
-                    .registry
-                    .gauge(&format!("transport.reactor.{i}.live_connections")),
-                worker_queue_depth: self
-                    .registry
-                    .gauge(&format!("transport.reactor.{i}.worker_queue_depth")),
-                idle_timeouts: self
-                    .registry
-                    .counter(&format!("transport.reactor.{i}.idle_timeouts")),
-                sheds: self
-                    .registry
-                    .counter(&format!("transport.reactor.{i}.sheds")),
-            }));
+            reactors.push(Arc::default());
         }
         Arc::clone(&reactors[index])
-    }
-
-    /// The underlying name-keyed registry (every typed handle above is
-    /// also reachable here).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// All op latencies merged into one snapshot, plus total request and
@@ -324,7 +274,7 @@ impl ServerMetrics {
         vec![
             (
                 "uptime_secs",
-                Json::from(self.started.elapsed().as_secs_f64()),
+                Json::from(self.started.0.elapsed().as_secs_f64()),
             ),
             ("ops", Json::Object(ops)),
             (
@@ -441,20 +391,12 @@ mod tests {
     }
 
     #[test]
-    fn typed_handles_alias_the_registry() {
-        let m = ServerMetrics::new();
-        m.op(Op::Answer).requests.inc();
-        m.dispatched.add(3);
-        let snap = m.registry().snapshot();
-        assert_eq!(snap.counters["ops.Answer.requests"], 1);
-        assert_eq!(snap.counters["transport.dispatched"], 3);
-    }
-
-    #[test]
     fn snapshot_fields_carry_all_sections() {
         let m = ServerMetrics::new();
         m.op(Op::CreateSession).requests.inc();
         m.op(Op::CreateSession).latency.record(1000);
+        m.dispatched.add(3);
+        m.evicted_total.add(2);
         let json = Json::Object(
             m.snapshot_fields()
                 .into_iter()
@@ -472,8 +414,10 @@ mod tests {
                 .as_u64(),
             Some(1)
         );
-        assert!(json.get("transport").unwrap().get("dispatched").is_some());
-        assert!(json.get("store").unwrap().get("evicted_total").is_some());
+        let transport = json.get("transport").unwrap();
+        assert_eq!(transport.get("dispatched").unwrap().as_u64(), Some(3));
+        let store = json.get("store").unwrap();
+        assert_eq!(store.get("evicted_total").unwrap().as_u64(), Some(2));
         assert!(json.get("uptime_secs").is_some());
     }
 

@@ -39,7 +39,7 @@
 //! ## What a reactor does, and what it leaves to `Conn`
 //!
 //! Every per-connection decision — framing, the line cap, blank lines,
-//! the idle clock, the `max_inflight` window with request-order flush,
+//! the idle clock, the `MAX_INFLIGHT` window with request-order flush,
 //! and when to close — belongs to the sans-IO `Conn` that the threads
 //! transport drives too. A reactor keeps only what is about sockets and
 //! threads:
@@ -92,6 +92,11 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// stays meaningful even at `--reactors 4`.
 const MIN_WORKERS: usize = 2;
 const MAX_WORKERS: usize = 8;
+
+/// Pipelined requests one connection may have in flight at the worker
+/// pool before the reactor stops reading it (the threads transport
+/// answers one line at a time, a window of 1).
+const MAX_INFLIGHT: usize = 4;
 
 fn workers_per_reactor(reactors: usize) -> usize {
     let cores = std::thread::available_parallelism()
@@ -513,7 +518,7 @@ fn reactor_loop(
             match poller.add(stream.as_raw_fd(), token, Interest::READ) {
                 Ok(()) => {
                     let conn = Conn::new(
-                        ctx.limits.max_inflight,
+                        MAX_INFLIGHT,
                         ctx.limits.idle_timeout,
                         Arc::clone(ctx.handler.store().metrics()),
                     );

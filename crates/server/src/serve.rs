@@ -59,9 +59,6 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 /// Default per-connection idle timeout (see [`TransportLimits::idle_timeout`]).
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
-/// Default per-connection in-flight cap (see [`TransportLimits::max_inflight`]).
-pub const DEFAULT_MAX_INFLIGHT: usize = 4;
-
 /// The production-traffic guardrails both transports honor.
 ///
 /// One struct, one semantics, one enforcement point: both accept loops
@@ -85,10 +82,6 @@ pub struct TransportLimits {
     /// (`None` disables). The clock resets on *complete lines*, not raw
     /// bytes, so a slowloris drip does not count as progress.
     pub idle_timeout: Option<Duration>,
-    /// Pipelined requests one connection may have in flight at the
-    /// worker pool before the reactor stops reading it (epoll only; the
-    /// threads transport answers one line at a time, a window of 1).
-    pub max_inflight: usize,
     /// Concurrent connections one peer address may hold (`None` = off,
     /// the default). Past it, that peer's next connect is shed with the
     /// same typed [`ServerError::Overloaded`] as the global cap — one
@@ -102,7 +95,6 @@ impl Default for TransportLimits {
             reactors: default_reactors(),
             max_connections: DEFAULT_MAX_CONNECTIONS,
             idle_timeout: Some(DEFAULT_IDLE_TIMEOUT),
-            max_inflight: DEFAULT_MAX_INFLIGHT,
             max_per_ip: None,
         }
     }
@@ -113,7 +105,6 @@ impl TransportLimits {
     pub fn normalized(mut self) -> TransportLimits {
         self.reactors = self.reactors.clamp(1, 64);
         self.max_connections = self.max_connections.max(1);
-        self.max_inflight = self.max_inflight.max(1);
         self.max_per_ip = self.max_per_ip.map(|n| n.max(1));
         self
     }
@@ -453,7 +444,7 @@ fn serve_connection(
 /// the store is gone (it holds only a weak reference); the returned
 /// handle joins promptly after a trigger. Evictions are accounted from
 /// the sweep result itself: each sweep updates the metrics aggregate
-/// (sweep counters plus the session-population gauges) and the log line
+/// (sweep counters plus the on-disk session gauge) and the log line
 /// is formatted **from those counters**, so the sweeper's reporting and
 /// a concurrent `Metrics` snapshot can never disagree about totals —
 /// concurrent LRU evictions on `create` move the running totals but are
@@ -474,7 +465,6 @@ pub fn spawn_sweeper(
         let metrics = store.metrics();
         metrics.sweeps.inc();
         metrics.swept_sessions.add(report.evicted.len() as u64);
-        metrics.resident_sessions.set(store.len() as i64);
         metrics.disk_sessions.set(store.disk_ids().len() as i64);
         if !report.evicted.is_empty() {
             eprintln!(

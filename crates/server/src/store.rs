@@ -1,4 +1,4 @@
-//! The session store: id-keyed, sharded, concurrent, bounded.
+//! The session store: id-keyed, concurrent, bounded.
 //!
 //! A [`Session`] owns everything the interaction loop needs — the engine
 //! (which owns its product, which owns its relations), the strategy state,
@@ -7,21 +7,19 @@
 //! `Engine` a `Send + 'static` value precisely so it can live here across
 //! requests.
 //!
-//! Concurrency model: the id map is **sharded** by session id (power-of-two
-//! mask), so the per-request lookup (`get`/`peek`/`remove`) contends only
-//! on one shard instead of one global map lock — at high session counts,
-//! requests against sessions in different shards never serialize on the
-//! store at all. Each session additionally has its own lock, so a slow
-//! strategy choice in one session never blocks another. `create` is the
-//! only cross-shard operation (it must enforce the *global* cap): it takes
-//! every shard lock in index order, which is deadlock-free and rare
-//! relative to lookups. Capacity is bounded two ways:
+//! Concurrency model: one id map behind one lock, held only for a lookup,
+//! an insert or a removal — never across engine work. JIM's traffic is
+//! human-paced (one membership question per turn), which one lock serves.
+//! Each session has its own lock, so a slow strategy choice in one session
+//! never blocks another, and no path locks a session while holding the
+//! map lock. Every change to the map's population sets the
+//! `store.resident_sessions` gauge to the map's size under the map lock,
+//! so the gauge is exact. Capacity is bounded two ways:
 //!
-//! * **max sessions** — creating one past the cap evicts the globally
-//!   least-recently-used session (LRU across all shards);
-//! * **TTL** — [`SessionStore::sweep_at`] walks all shards and drops
-//!   sessions idle longer than the configured time-to-live (the server
-//!   runs it periodically).
+//! * **max sessions** — creating one past the cap evicts the
+//!   least-recently-used session;
+//! * **TTL** — [`SessionStore::sweep_at`] drops sessions idle longer than
+//!   the configured time-to-live (the server runs it periodically).
 //!
 //! ## Durability: eviction is not destruction
 //!
@@ -52,7 +50,7 @@ use jim_core::{Engine, Label, SessionOrigin, Strategy};
 use jim_relation::ProductId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The strategy's answer for one engine generation — what `NextQuestion`
@@ -110,8 +108,6 @@ pub struct StoreConfig {
     pub max_sessions: usize,
     /// Idle time after which a session may be swept.
     pub ttl: Duration,
-    /// Number of id-keyed shards (rounded up to a power of two, min 1).
-    pub shards: usize,
 }
 
 impl Default for StoreConfig {
@@ -119,7 +115,6 @@ impl Default for StoreConfig {
         StoreConfig {
             max_sessions: 64,
             ttl: Duration::from_secs(30 * 60),
-            shards: 8,
         }
     }
 }
@@ -133,13 +128,11 @@ struct Entry {
     persisted: bool,
 }
 
-type Shard = Mutex<HashMap<u64, Entry>>;
-
-/// The concurrent, sharded session map (see module docs).
+/// The concurrent session map (see module docs).
 pub struct SessionStore {
     config: StoreConfig,
-    shards: Box<[Shard]>,
-    mask: u64,
+    /// Id → entry: the one lock every lookup, insert and removal takes.
+    sessions: Mutex<HashMap<u64, Entry>>,
     next_id: AtomicU64,
     /// The write-ahead journal directory, when durability is on.
     journal: Option<JournalStore>,
@@ -168,12 +161,10 @@ impl SessionStore {
     }
 
     fn build(config: StoreConfig, journal: Option<JournalStore>) -> Self {
-        let n = config.shards.max(1).next_power_of_two();
         let first_id = journal.as_ref().map_or(0, JournalStore::max_id) + 1;
         SessionStore {
             config,
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: n as u64 - 1,
+            sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(first_id),
             journal,
             metrics: Arc::new(ServerMetrics::new()),
@@ -202,7 +193,6 @@ impl SessionStore {
 
     fn count_eviction(&self, persisted: bool) {
         self.metrics.evicted_total.inc();
-        self.metrics.resident_sessions.add(-1);
         if persisted {
             self.metrics.persisted_total.inc();
         }
@@ -213,20 +203,9 @@ impl SessionStore {
         self.config
     }
 
-    /// Number of shards actually allocated (the config rounded up to a
-    /// power of two).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, id: u64) -> &Shard {
-        // Sequential ids round-robin across shards.
-        &self.shards[(id & self.mask) as usize]
-    }
-
-    /// Number of live sessions across all shards.
+    /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock_unpoisoned().len()).sum()
+        self.sessions.lock_unpoisoned().len()
     }
 
     /// True iff no session is live.
@@ -235,7 +214,7 @@ impl SessionStore {
     }
 
     /// Insert a new session built from `engine` + `strategy`; returns its
-    /// id and handle. Evicts expired sessions first, then the globally
+    /// id and handle. Evicts expired sessions first, then the
     /// least-recently-used session if the store is still at capacity.
     /// Returns the id of the evicted LRU session, if any, alongside the
     /// new session.
@@ -286,63 +265,45 @@ impl SessionStore {
             origin,
             persisted,
         };
-        let (handle, evicted) = self.insert(session);
-        (handle, evicted)
+        self.insert(session)
     }
 
     /// Insert an owned session (newly created or rehydrated), evicting
-    /// expired sessions first and then the global LRU victim if the store
-    /// is still at capacity. If the id is already resident (a concurrent
+    /// expired sessions first and then the LRU victim if the store is
+    /// still at capacity. If the id is already resident (a concurrent
     /// resume won the race), the resident handle wins and `session` is
     /// dropped.
     fn insert(&self, session: Session) -> (Arc<Mutex<Session>>, Option<u64>) {
         let id = session.id;
         let persisted = session.persisted;
         let now = Instant::now();
-        // The global cap needs a consistent view: take every shard lock in
-        // index order (deadlock-free; creates are rare next to lookups).
-        let mut guards: Vec<MutexGuard<'_, HashMap<u64, Entry>>> =
-            self.shards.iter().map(|s| s.lock_unpoisoned()).collect();
-        let shard = (id & self.mask) as usize;
-        if let Some(e) = guards[shard].get_mut(&id) {
+        let mut entries = self.sessions.lock_unpoisoned();
+        if let Some(e) = entries.get_mut(&id) {
             e.last_touched = now;
             return (Arc::clone(&e.session), None);
         }
-        for guard in guards.iter_mut() {
-            for (_, was_persisted) in Self::sweep_locked(guard, now, self.config.ttl) {
-                self.count_eviction(was_persisted);
-            }
-        }
+        self.sweep_locked(&mut entries, now);
         let mut evicted = None;
-        let total: usize = guards.iter().map(|g| g.len()).sum();
-        if total >= self.config.max_sessions {
-            // Global LRU victim; ties broken by smallest id for
-            // determinism. Sessions with an in-flight request (a handle
-            // besides the entry's own) are never victims — evicting one
-            // mid-request would let a concurrent resume replay the
-            // journal *before* that request's append lands, resurrecting
-            // a copy missing an acked batch.
-            let victim = guards
+        if entries.len() >= self.config.max_sessions {
+            // LRU victim; ties broken by smallest id for determinism.
+            // Sessions with an in-flight request (a handle besides the
+            // entry's own) are never victims — evicting one mid-request
+            // would let a concurrent resume replay the journal *before*
+            // that request's append lands, resurrecting a copy missing an
+            // acked batch.
+            let victim = entries
                 .iter()
-                .enumerate()
-                .flat_map(|(si, g)| {
-                    g.iter()
-                        .filter(|(_, e)| Arc::strong_count(&e.session) == 1)
-                        .map(move |(&id, e)| (e.last_touched, id, si))
-                })
-                .min();
-            if let Some((_, lru, si)) = victim {
-                // The victim was found under these same guards, so it must
-                // still be present; if it somehow is not, skip the eviction
-                // rather than panic while holding every shard lock.
-                if let Some(entry) = guards[si].remove(&lru) {
-                    self.count_eviction(entry.persisted);
-                    evicted = Some(lru);
-                }
+                .filter(|(_, e)| Arc::strong_count(&e.session) == 1)
+                .map(|(&id, e)| (e.last_touched, id))
+                .min()
+                .map(|(_, id)| id);
+            if let Some(entry) = victim.and_then(|lru| entries.remove(&lru)) {
+                self.count_eviction(entry.persisted);
+                evicted = victim;
             }
         }
         let session = Arc::new(Mutex::new(session));
-        guards[shard].insert(
+        entries.insert(
             id,
             Entry {
                 session: Arc::clone(&session),
@@ -350,11 +311,7 @@ impl SessionStore {
                 persisted,
             },
         );
-        // All shard locks are held: this is the one place the resident
-        // gauge can be set to an exact population instead of nudged by a
-        // delta, correcting any drift from concurrent sweeps.
-        let total: usize = guards.iter().map(|g| g.len()).sum();
-        self.metrics.resident_sessions.set(total as i64);
+        self.metrics.resident_sessions.set(entries.len() as i64);
         (session, evicted)
     }
 
@@ -408,7 +365,7 @@ impl SessionStore {
     }
 
     fn get_resident(&self, id: u64) -> Option<Arc<Mutex<Session>>> {
-        let mut entries = self.shard(id).lock_unpoisoned();
+        let mut entries = self.sessions.lock_unpoisoned();
         entries.get_mut(&id).map(|e| {
             e.last_touched = Instant::now();
             self.metrics.store_hits.inc();
@@ -441,15 +398,10 @@ impl SessionStore {
                     );
                     session.persisted = false;
                     journal.delete(session.id);
-                    // Shard-after-session lock acquisition is safe here: no
-                    // path in this module acquires a session lock while
-                    // holding a shard lock (guards are dropped before
-                    // handles are locked).
-                    if let Some(entry) = self
-                        .shard(session.id)
-                        .lock_unpoisoned()
-                        .get_mut(&session.id)
-                    {
+                    // Map-after-session acquisition is safe here: no path
+                    // in this module locks a session while holding the
+                    // map lock (handles are cloned out, then locked).
+                    if let Some(entry) = self.sessions.lock_unpoisoned().get_mut(&session.id) {
                         entry.persisted = false;
                     }
                 }
@@ -461,7 +413,7 @@ impl SessionStore {
     /// for observers (listing, metrics) that must not keep idle sessions
     /// alive or reorder eviction.
     pub fn peek(&self, id: u64) -> Option<Arc<Mutex<Session>>> {
-        let entries = self.shard(id).lock_unpoisoned();
+        let entries = self.sessions.lock_unpoisoned();
         entries.get(&id).map(|e| Arc::clone(&e.session))
     }
 
@@ -469,12 +421,14 @@ impl SessionStore {
     /// journal** — unlike eviction, this is destruction. `true` if it
     /// existed in memory or on disk.
     pub fn remove(&self, id: u64) -> bool {
-        let resident = self.shard(id).lock_unpoisoned().remove(&id).is_some();
-        if resident {
-            self.metrics.resident_sessions.add(-1);
-        }
+        let removed = {
+            let mut entries = self.sessions.lock_unpoisoned();
+            let removed = entries.remove(&id);
+            self.metrics.resident_sessions.set(entries.len() as i64);
+            removed
+        };
         let on_disk = self.journal.as_ref().is_some_and(|j| j.delete(id));
-        resident || on_disk
+        removed.is_some() || on_disk
     }
 
     /// Session ids resumable from disk but not currently resident,
@@ -483,30 +437,26 @@ impl SessionStore {
         let Some(journal) = &self.journal else {
             return Vec::new();
         };
-        journal
-            .ids()
-            .into_iter()
-            .filter(|&id| !self.shard(id).lock_unpoisoned().contains_key(&id))
+        let ids = journal.ids();
+        let entries = self.sessions.lock_unpoisoned();
+        ids.into_iter()
+            .filter(|id| !entries.contains_key(id))
             .collect()
     }
 
-    /// Live session ids across all shards, ascending.
+    /// Live session ids, ascending.
     pub fn ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock_unpoisoned().keys().copied().collect::<Vec<u64>>())
-            .collect();
+        let mut ids: Vec<u64> = self.sessions.lock_unpoisoned().keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
-    /// Evict every session idle at `now` for longer than the TTL, in
-    /// every shard; returns the evicted ids ascending (eviction counters
-    /// are updated — persisted sessions remain resumable on disk, the
-    /// write-ahead journal means nothing needs writing here). The
-    /// server's sweeper thread calls this with `Instant::now()`; tests
-    /// can pass a synthetic "future" instant.
+    /// Evict every session idle at `now` for longer than the TTL; returns
+    /// the evicted ids ascending (eviction counters are updated —
+    /// persisted sessions remain resumable on disk, the write-ahead
+    /// journal means nothing needs writing here). The server's sweeper
+    /// thread calls this with `Instant::now()`; tests can pass a
+    /// synthetic "future" instant.
     pub fn sweep_at(&self, now: Instant) -> Vec<u64> {
         self.sweep_report(now).evicted
     }
@@ -518,17 +468,12 @@ impl SessionStore {
     /// concurrent `create` LRU-evicts, which would mis-attribute its
     /// evictions to the sweep.
     pub fn sweep_report(&self, now: Instant) -> SweepReport {
-        let mut expired: Vec<(u64, bool)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                let mut entries = s.lock_unpoisoned();
-                Self::sweep_locked(&mut entries, now, self.config.ttl)
-            })
-            .collect();
-        for &(_, persisted) in &expired {
-            self.count_eviction(persisted);
-        }
+        let mut expired = {
+            let mut entries = self.sessions.lock_unpoisoned();
+            let expired = self.sweep_locked(&mut entries, now);
+            self.metrics.resident_sessions.set(entries.len() as i64);
+            expired
+        };
         expired.sort_unstable();
         SweepReport {
             persisted: expired.iter().filter(|&&(_, p)| p).count(),
@@ -536,26 +481,23 @@ impl SessionStore {
         }
     }
 
-    /// Remove expired entries from one locked shard, returning
-    /// `(id, persisted)` pairs so callers can account for them. Entries
-    /// with an in-flight handle (`Arc` strong count above the entry's
-    /// own) are spared for the same reason the LRU path spares them:
-    /// eviction must never race a request that is about to journal.
-    fn sweep_locked(
-        entries: &mut HashMap<u64, Entry>,
-        now: Instant,
-        ttl: Duration,
-    ) -> Vec<(u64, bool)> {
+    /// Remove and count the entries idle past the TTL at `now`, returning
+    /// their `(id, persisted)` pairs. Entries with an in-flight handle
+    /// (`Arc` strong count above the entry's own) are spared for the same
+    /// reason the LRU path spares them: eviction must never race a request
+    /// that is about to journal.
+    fn sweep_locked(&self, entries: &mut HashMap<u64, Entry>, now: Instant) -> Vec<(u64, bool)> {
         let expired: Vec<(u64, bool)> = entries
             .iter()
             .filter(|(_, e)| {
-                now.saturating_duration_since(e.last_touched) > ttl
+                now.saturating_duration_since(e.last_touched) > self.config.ttl
                     && Arc::strong_count(&e.session) == 1
             })
             .map(|(&id, e)| (id, e.persisted))
             .collect();
-        for (id, _) in &expired {
-            entries.remove(id);
+        for &(id, persisted) in &expired {
+            entries.remove(&id);
+            self.count_eviction(persisted);
         }
         expired
     }
@@ -577,7 +519,6 @@ mod tests {
         SessionStore::new(StoreConfig {
             max_sessions: max,
             ttl,
-            ..Default::default()
         })
     }
 
@@ -617,44 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_spans_shards() {
-        // Sessions land in distinct shards (sequential ids, power-of-two
-        // mask), yet the cap is global and the LRU victim is found across
-        // all of them.
-        let s = SessionStore::new(StoreConfig {
-            max_sessions: 4,
-            ttl: Duration::from_secs(60),
-            shards: 4,
-        });
-        assert_eq!(s.num_shards(), 4);
-        let ids: Vec<u64> = (0..4).map(|_| create(&s).0).collect();
-        // Touch everything except the second session.
-        for &id in ids.iter().filter(|&&id| id != ids[1]) {
-            assert!(s.get(id).is_some());
-        }
-        let (e, evicted) = create(&s);
-        assert_eq!(evicted, Some(ids[1]), "global LRU evicted across shards");
-        assert_eq!(s.len(), 4);
-        assert!(s.get(e).is_some());
-    }
-
-    #[test]
-    fn shard_count_rounds_up_to_power_of_two() {
-        let s = SessionStore::new(StoreConfig {
-            shards: 5,
-            ..Default::default()
-        });
-        assert_eq!(s.num_shards(), 8);
-        let s = SessionStore::new(StoreConfig {
-            shards: 0,
-            ..Default::default()
-        });
-        assert_eq!(s.num_shards(), 1);
-        assert!(create(&s).1.is_none());
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
     fn ttl_sweep_expires_idle_sessions() {
         let ttl = Duration::from_secs(60);
         let s = store(8, ttl);
@@ -666,20 +569,6 @@ mod tests {
         assert_eq!(s.sweep_at(future), vec![a]);
         assert!(s.is_empty());
         assert!(s.get(a).is_none());
-    }
-
-    #[test]
-    fn ttl_sweep_walks_every_shard() {
-        let ttl = Duration::from_secs(60);
-        let s = SessionStore::new(StoreConfig {
-            max_sessions: 16,
-            ttl,
-            shards: 4,
-        });
-        let ids: Vec<u64> = (0..6).map(|_| create(&s).0).collect();
-        let future = Instant::now() + ttl + Duration::from_secs(1);
-        assert_eq!(s.sweep_at(future), ids, "all shards swept, ids ascending");
-        assert!(s.is_empty());
     }
 
     #[test]
@@ -732,7 +621,6 @@ mod tests {
             StoreConfig {
                 max_sessions: max,
                 ttl,
-                ..Default::default()
             },
             JournalStore::open(dir).unwrap(),
         )
@@ -943,5 +831,57 @@ mod tests {
         let set: std::collections::HashSet<_> = ids.iter().collect();
         assert_eq!(set.len(), 4);
         assert_eq!(s.len(), 4);
+    }
+
+    #[test]
+    fn churn_keeps_ids_unique_and_the_resident_gauge_exact() {
+        // Creates, lookups, handle drops and closes race a sweeper that
+        // expires every idle session; afterwards the gauge must equal the
+        // map's size, which needs every mutation to set it under the map
+        // lock.
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let (cap, ttl, workers) = (4, Duration::from_secs(60), 4);
+        let s = Arc::new(store(cap, ttl));
+        let stop = Arc::new(AtomicBool::new(false));
+        // Every thread starts churning at once, so the phases overlap.
+        let start = Arc::new(Barrier::new(workers + 1));
+        let sweeper = {
+            let (s, stop, start) = (Arc::clone(&s), Arc::clone(&stop), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    s.sweep_report(Instant::now() + ttl + Duration::from_secs(1));
+                }
+            })
+        };
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                let (s, start) = (Arc::clone(&s), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..30)
+                        .map(|i| {
+                            let (id, _) = create(&s);
+                            drop(s.get(id));
+                            if i % 3 == 0 {
+                                s.remove(id);
+                            }
+                            id
+                        })
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let ids: Vec<u64> = workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        sweeper.join().unwrap();
+        let unique: std::collections::HashSet<u64> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), ids.len(), "ids are never reused");
+        assert!(s.len() <= cap, "{} sessions over a cap of {cap}", s.len());
+        assert_eq!(s.metrics().resident_sessions.get(), s.len() as i64);
     }
 }

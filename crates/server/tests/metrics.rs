@@ -21,7 +21,6 @@ fn start_server(transport: jim_server::serve::Transport) -> TestServer {
     let store = Arc::new(SessionStore::new(StoreConfig {
         max_sessions: 8,
         ttl: Duration::from_secs(600),
-        ..Default::default()
     }));
     // A long sweep interval: sweeps must not race the gauge assertions.
     TestServer::start_with_sweep(

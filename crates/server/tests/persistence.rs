@@ -29,7 +29,6 @@ fn journaled_handler(dir: &PathBuf, ttl: Duration) -> Handler {
         StoreConfig {
             max_sessions: 8,
             ttl,
-            ..Default::default()
         },
         JournalStore::open(dir).expect("journal dir"),
     );
@@ -309,7 +308,6 @@ fn start_server_over(dir: &PathBuf, transport: Transport) -> TestServer {
         StoreConfig {
             max_sessions: 8,
             ttl: Duration::from_secs(600),
-            ..Default::default()
         },
         JournalStore::open(dir).expect("journal dir"),
     );
@@ -412,7 +410,6 @@ fn multi_mib_round_trip(transport: Transport) {
         StoreConfig {
             max_sessions: 1,
             ttl: Duration::from_secs(600),
-            ..Default::default()
         },
         JournalStore::open(&dir).expect("journal dir"),
     );

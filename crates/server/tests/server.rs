@@ -266,7 +266,6 @@ fn lru_eviction_when_over_capacity() {
     let h = handler_with(StoreConfig {
         max_sessions: 2,
         ttl: Duration::from_secs(600),
-        ..Default::default()
     });
     let a = expect_ok(&h, CREATE_FLIGHTS_INLINE)
         .get("session")
@@ -301,7 +300,6 @@ fn ttl_eviction_of_an_expired_session() {
     let h = handler_with(StoreConfig {
         max_sessions: 8,
         ttl,
-        ..Default::default()
     });
     let r = expect_ok(&h, CREATE_FLIGHTS_INLINE);
     let session = r.get("session").unwrap().as_u64().unwrap();
@@ -381,7 +379,6 @@ fn list_sessions_does_not_keep_idle_sessions_alive() {
     let h = handler_with(StoreConfig {
         max_sessions: 8,
         ttl,
-        ..Default::default()
     });
     let r = expect_ok(&h, CREATE_FLIGHTS_INLINE);
     let session = r.get("session").unwrap().as_u64().unwrap();

@@ -26,7 +26,6 @@ fn start(transport: Transport) -> TestServer {
     let store = Arc::new(SessionStore::new(StoreConfig {
         max_sessions: 512,
         ttl: Duration::from_secs(600),
-        ..Default::default()
     }));
     TestServer::start(transport, Arc::new(Handler::new(store)))
 }
@@ -35,7 +34,6 @@ fn start_with_limits(transport: Transport, limits: TransportLimits) -> TestServe
     let store = Arc::new(SessionStore::new(StoreConfig {
         max_sessions: 512,
         ttl: Duration::from_secs(600),
-        ..Default::default()
     }));
     TestServer::start_with_limits(
         transport,
@@ -532,7 +530,7 @@ fn connection_257_of_a_256_cap_server_gets_overloaded() {
 fn pipelined_requests_are_answered_in_request_order() {
     // A peer that writes a burst of requests without reading gets every
     // response, in request order — even though the epoll transport runs
-    // up to `max_inflight` of them concurrently on the worker pool (the
+    // up to four of them concurrently on the worker pool (the
     // reactor reorders completions by sequence number before flushing).
     const BURST: usize = 24;
     for transport in transports() {

@@ -26,7 +26,6 @@ fn start_server_with_limits(transport: Transport, limits: ServerLimits) -> TestS
     let store = Arc::new(SessionStore::new(StoreConfig {
         max_sessions: 8,
         ttl: Duration::from_secs(600),
-        ..Default::default()
     }));
     TestServer::start(transport, Arc::new(Handler::with_limits(store, limits)))
 }

@@ -544,7 +544,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let ttl = Duration::from_secs(60);
         let durable = Handler::new(Arc::new(SessionStore::with_journal(
-            StoreConfig { max_sessions: 8, ttl, ..Default::default() },
+            StoreConfig { max_sessions: 8, ttl },
             JournalStore::open(&dir).unwrap(),
         )));
         let live = Handler::new(Arc::new(SessionStore::new(StoreConfig::default())));
