@@ -17,9 +17,11 @@
 //!   RSS/VSZ delta from `/proc/self/status` (linux) next to the timing.
 //!
 //! * `reactor_sweep` — the epoll transport at 1, 2 and 4 reactors under
-//!   pipelined multi-connection traffic (16 connections, 32 requests in
-//!   flight each), plus a self-timed aggregate req/s print per reactor
-//!   count. **Honesty caveat:** reactor scaling is core scaling; on a
+//!   pipelined multi-connection traffic (16 connections, each writing
+//!   32-request bursts, which the server runs one request per connection
+//!   at a time, so at most 16 are in flight), plus a self-timed
+//!   aggregate req/s print per reactor count. **Honesty caveat:**
+//!   reactor scaling is core scaling; on a
 //!   single-core host every reactor thread shares the one CPU and the
 //!   sweep shows flat numbers (it then proves extra reactors cost
 //!   nothing). Run on an N-core machine to see the 1→N rps climb.
@@ -51,7 +53,8 @@ const ROUND_TRIPS: usize = 100_000;
 const WARMUP_ROUND_TRIPS: usize = 2_000;
 
 /// Reactor-sweep shape: enough connections to spread across 4 reactors
-/// and enough pipelining to keep every worker pool saturated.
+/// and keep every worker pool busy, and bursts deep enough that each
+/// connection always has its next request buffered at the server.
 const SWEEP_CONNS: usize = 16;
 const PIPELINE_DEPTH: usize = 32;
 const SWEEP_ROUNDS: usize = 20;
@@ -211,8 +214,8 @@ fn bench_idle_connections(c: &mut Criterion) {
     group.finish();
 }
 
-/// Write `depth` requests in one burst, then read all `depth` responses
-/// — the pipelined shape the reactor's in-flight window exists for.
+/// Write `depth` requests in one burst, then read all `depth` responses;
+/// the server answers them one at a time, in order.
 fn pipelined_burst(conn: &mut Conn, depth: usize) {
     let mut batch = String::new();
     for _ in 0..depth {

@@ -271,7 +271,13 @@ fn skip_plain_string(b: &[u8], mut i: usize, line: &mut u32) -> usize {
     i += 1; // past opening "
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                // An escaped newline (a `\` line continuation) is a line.
+                if b.get(i + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             b'"' => return i + 1,
             b'\n' => {
                 *line += 1;

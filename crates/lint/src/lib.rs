@@ -15,7 +15,7 @@
 //! | `unsafe`  | `unsafe` only under `crates/aio/` |
 //! | `locks`   | the cross-function lock-acquisition graph is acyclic (no AB/BA deadlock shapes) |
 //! | `atomics` | every `Ordering::` use matches the per-field convention in `crates/lint/atomics.toml` |
-//! | `panics`  | no `unwrap`/`expect`/`panic!`/`todo!` in non-test server/aio code beyond the committed baseline |
+//! | `panics`  | no `unwrap`/`expect`/`panic!`/`todo!` in non-test code on the audited paths (server, aio, the wire and CSV parsers) |
 //! | `wire`    | every protocol op has a `ServerMetrics` per-op entry and a README protocol-table row |
 //!
 //! Rules are pure functions from a [`Workspace`] (lexed files + README
@@ -240,8 +240,8 @@ impl Finding {
     }
 }
 
-/// Parsed lint configuration (from `crates/lint/lint.toml`,
-/// `crates/lint/atomics.toml`, and `crates/lint/panic_baseline.txt`).
+/// Parsed lint configuration (from `crates/lint/lint.toml` and
+/// `crates/lint/atomics.toml`).
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     /// Path prefixes where `unsafe` is allowed.
@@ -261,8 +261,6 @@ pub struct Config {
     pub lock_acquires: BTreeMap<String, String>,
     /// Path prefixes the panic rule audits.
     pub panic_paths: Vec<String>,
-    /// file → allowed count of panic-capable sites.
-    pub panic_baseline: BTreeMap<String, usize>,
     /// Atomic field/static name → allowed `Ordering` variants.
     pub atomics: BTreeMap<String, Vec<String>>,
 }
@@ -273,13 +271,11 @@ impl Config {
         let dir = root.join("crates/lint");
         let lint = read_required(&dir.join("lint.toml"))?;
         let atomics = read_required(&dir.join("atomics.toml"))?;
-        let baseline = std::fs::read_to_string(dir.join("panic_baseline.txt"))
-            .map_err(|e| format!("crates/lint/panic_baseline.txt: {e}"))?;
-        Config::parse(&lint, &atomics, &baseline)
+        Config::parse(&lint, &atomics)
     }
 
     /// Parse configuration from in-memory text (fixture entry point).
-    pub fn parse(lint: &str, atomics: &str, baseline: &str) -> Result<Config, String> {
+    pub fn parse(lint: &str, atomics: &str) -> Result<Config, String> {
         let lint = parse_toml(lint)?;
         let atomics_doc = parse_toml(atomics)?;
         let mut cfg = Config {
@@ -302,19 +298,6 @@ impl Config {
             if let TomlValue::List(items) = v {
                 cfg.atomics.insert(k.clone(), items.clone());
             }
-        }
-        for (lineno, line) in baseline.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (count, file) = line.split_once(char::is_whitespace).ok_or_else(|| {
-                format!("panic_baseline.txt:{}: want `<count> <file>`", lineno + 1)
-            })?;
-            let count: usize = count
-                .parse()
-                .map_err(|_| format!("panic_baseline.txt:{}: bad count {count:?}", lineno + 1))?;
-            cfg.panic_baseline.insert(file.trim().to_string(), count);
         }
         Ok(cfg)
     }

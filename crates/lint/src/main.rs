@@ -5,13 +5,12 @@
 //! cargo run -p jim-lint -- --workspace --deny all          # the CI gate
 //! cargo run -p jim-lint -- --allow panics                  # triage mode
 //! cargo run -p jim-lint -- --format json                   # machine-readable
-//! cargo run -p jim-lint -- --write-baseline                # lock in panic burn-down
 //! ```
 //!
 //! Exit codes: 0 clean (or only allowed findings), 1 denied findings,
 //! 2 usage/configuration error.
 
-use jim_lint::{find_root, json_escape, rules, run_all, Config, Workspace, RULES};
+use jim_lint::{find_root, json_escape, run_all, Config, Workspace, RULES};
 
 const USAGE: &str = "\
 jim-lint: workspace static analysis (unsafe, locks, atomics, panics, wire)
@@ -25,7 +24,6 @@ OPTIONS:
     --allow <RULE|all>   demote a rule's findings to warnings
     --deny <RULE|all>    promote a rule's findings to errors (default for all)
     --format <text|json> output format (default text)
-    --write-baseline     regenerate crates/lint/panic_baseline.txt and exit
     --list-rules         print the rule names and exit
     -h, --help           this help
 ";
@@ -37,7 +35,6 @@ fn main() {
 fn run(args: Vec<String>) -> i32 {
     let mut root_arg: Option<String> = None;
     let mut format = "text".to_string();
-    let mut write_baseline = false;
     // Rule → denied? Everything is denied until a flag says otherwise;
     // flags apply in order, so `--allow all --deny locks` means "only
     // locks is fatal".
@@ -74,7 +71,6 @@ fn run(args: Vec<String>) -> i32 {
                     ));
                 }
             }
-            "--write-baseline" => write_baseline = true,
             "--list-rules" => {
                 for r in RULES {
                     println!("{r}");
@@ -113,31 +109,6 @@ fn run(args: Vec<String>) -> i32 {
             return 2;
         }
     };
-
-    if write_baseline {
-        let counts = rules::panic_path::counts(&ws, &cfg);
-        let mut text = String::from(
-            "# Panic-path burn-down baseline (rule `panics`).\n\
-             # `<allowed sites> <file>`; regenerated by `jim-lint --write-baseline`.\n\
-             # The lint fails when a file goes above OR below its line here, so\n\
-             # every fix must shrink this file in the same commit. Target: empty.\n",
-        );
-        for (file, n) in &counts {
-            text.push_str(&format!("{n} {file}\n"));
-        }
-        let path = root.join("crates/lint/panic_baseline.txt");
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("jim-lint: cannot write {}: {e}", path.display());
-            return 2;
-        }
-        println!(
-            "jim-lint: wrote {} ({} file(s), {} tolerated site(s))",
-            path.display(),
-            counts.len(),
-            counts.values().sum::<usize>()
-        );
-        return 0;
-    }
 
     let findings = run_all(&ws, &cfg);
     let is_denied = |rule: &str| denied.iter().any(|(r, d)| *r == rule && *d);

@@ -6,14 +6,23 @@
 //! until its block closes or an explicit `drop(g)`; a temporary
 //! (`m.lock().len()`) acquires but holds nothing afterward. Every
 //! acquisition performed while another class is held contributes a
-//! directed edge `held → acquired`. Calls that can be resolved by name
-//! (methods rooted at `self`, `Type::method(..)`, bare lowercase
-//! `helper(..)`) propagate: the callee's *transitive* lock set (a
-//! fixpoint over the whole workspace call graph) is edged from
-//! whatever the caller holds at the call site. Closure-taking wrappers
-//! whose guard never escapes (`with_session`) are declared in
-//! `[locks.acquires]` and hold their class for the span of their
-//! argument list, so edges out of the closures they run are seen.
+//! directed edge `held → acquired`. Calls that can be resolved
+//! propagate: the callee's *transitive* lock set (a fixpoint over the
+//! whole workspace call graph) is edged from whatever the caller holds
+//! at the call site. A call resolves to the function it names:
+//!
+//! * `self.f(..)` inside `impl T`, and `Self::f(..)` or `T::f(..)`, to
+//!   `T`'s `f` (so a parser's `peek` is not the store's `peek`);
+//! * bare `f(..)` and `module::f(..)` to the free functions named `f`
+//!   (in any module: the scanner does not track `use` paths);
+//! * a method on a field chain, `self.store.peek(..)`, whose receiver's
+//!   type the scanner cannot see, to every function named `peek`.
+//!
+//! A cycle is reported at a line that nests two of its locks directly,
+//! when it has one. Closure-taking wrappers whose guard never escapes
+//! (`with_session`) are declared in `[locks.acquires]` and hold their
+//! class for the span of their argument list, so edges out of the
+//! closures they run are seen.
 //!
 //! Lock *classes* are receiver field names after `[locks.aliases]`
 //! normalization (the store's `sessions` map is the `session_map`
@@ -30,7 +39,7 @@
 //! prefer `let` bindings for guards.
 
 use super::{functions, is_keyword, receiver_of};
-use crate::lexer::{matching_close, TokenKind};
+use crate::lexer::{matching_close, Token, TokenKind};
 use crate::{Config, Finding, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -53,10 +62,22 @@ struct EdgeSite {
     via: Option<String>,
 }
 
+/// A call site. `callee` is a function key (`T::f` for a method or
+/// associated function, `f` for a free function) or, when `by_name`
+/// (a method on a receiver of unknown type), every function named so.
+struct Call {
+    callee: String,
+    by_name: bool,
+    held: Vec<String>,
+    file: String,
+    line: u32,
+    func: String,
+}
+
 #[derive(Default)]
 struct FnData {
     direct: BTreeSet<String>,
-    calls: Vec<(String, Vec<String>, String, u32, String)>, // callee, held, file, line, fn
+    calls: Vec<Call>,
 }
 
 pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
@@ -67,26 +88,53 @@ pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
         if file.test_file {
             continue;
         }
+        let impls = impl_blocks(&file.tokens);
         for f in functions(file, true) {
-            scan_fn(file, &f, cfg, &mut fns, &mut edges);
+            let ty = impls
+                .iter()
+                .filter(|(open, close, _)| *open < f.body.0 && f.body.0 < *close)
+                .max_by_key(|(open, _, _)| *open)
+                .map(|(_, _, ty)| ty.as_str());
+            scan_fn(file, &f, ty, cfg, &mut fns, &mut edges);
         }
     }
 
-    // Fixpoint: transitive lock set per function name.
+    // Each call's target keys: the one it names, or every same-named one.
+    let mut named: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for key in fns.keys() {
+        named
+            .entry(key.rsplit(':').next().unwrap_or(key))
+            .or_default()
+            .push(key);
+    }
+    let resolved: Vec<(&Call, Vec<&str>)> = fns
+        .values()
+        .flat_map(|data| &data.calls)
+        .map(|call| {
+            let keys = if call.by_name {
+                named.get(call.callee.as_str()).cloned().unwrap_or_default()
+            } else {
+                vec![call.callee.as_str()]
+            };
+            (call, keys)
+        })
+        .collect();
+
+    // Fixpoint: transitive lock set per function key.
     let mut trans: BTreeMap<String, BTreeSet<String>> = fns
         .iter()
-        .map(|(name, d)| (name.clone(), d.direct.clone()))
+        .map(|(key, d)| (key.clone(), d.direct.clone()))
         .collect();
     loop {
         let mut changed = false;
-        for (name, data) in &fns {
-            let mut add = BTreeSet::new();
-            for (callee, _, _, _, _) in &data.calls {
-                if let Some(t) = trans.get(callee) {
-                    add.extend(t.iter().cloned());
-                }
-            }
-            let mine = trans.entry(name.clone()).or_default();
+        for (call, keys) in &resolved {
+            let add: BTreeSet<String> = keys
+                .iter()
+                .filter_map(|k| trans.get(*k))
+                .flatten()
+                .cloned()
+                .collect();
+            let mine = trans.entry(call.func.clone()).or_default();
             for c in add {
                 changed |= mine.insert(c);
             }
@@ -97,23 +145,17 @@ pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
     }
 
     // Call edges: caller holds H, callee transitively locks T ⇒ H × T.
-    for data in fns.values() {
-        for (callee, held, file, line, func) in &data.calls {
-            if held.is_empty() {
-                continue;
-            }
-            let Some(t) = trans.get(callee) else { continue };
-            for h in held {
-                for to in t {
-                    edges
-                        .entry((h.clone(), to.clone()))
-                        .or_insert_with(|| EdgeSite {
-                            file: file.clone(),
-                            line: *line,
-                            func: func.clone(),
-                            via: Some(callee.clone()),
-                        });
-                }
+    for (call, keys) in &resolved {
+        for to in keys.iter().filter_map(|k| trans.get(*k)).flatten() {
+            for h in &call.held {
+                edges
+                    .entry((h.clone(), to.clone()))
+                    .or_insert_with(|| EdgeSite {
+                        file: call.file.clone(),
+                        line: call.line,
+                        func: call.func.clone(),
+                        via: Some(call.callee.clone()),
+                    });
             }
         }
     }
@@ -158,15 +200,16 @@ pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
                 ));
             }
         }
-        let first = edges
-            .get(&(cycle[0].clone(), cycle[1].clone()))
+        // Point at a line that nests two of the locks itself, if the
+        // cycle has one, rather than at a call whose callee takes one.
+        let Some(first) = cycle
+            .windows(2)
+            .filter_map(|w| edges.get(&(w[0].clone(), w[1].clone())))
+            .min_by_key(|site| site.via.is_some())
             .cloned()
-            .unwrap_or(EdgeSite {
-                file: String::new(),
-                line: 0,
-                func: String::new(),
-                via: None,
-            });
+        else {
+            continue;
+        };
         out.push(Finding {
             rule: "locks",
             file: first.file,
@@ -180,9 +223,46 @@ pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
     }
 }
 
+/// The `impl` blocks of a file as `(open, close, type)`: the token span
+/// of each body and the last path segment of the implementing type
+/// (`Ticket` for `impl Drop for Ticket`, `Box` for `impl<T> S for Box<T>`).
+fn impl_blocks(tokens: &[Token]) -> Vec<(usize, usize, String)> {
+    let mut out = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        // An item, not `impl Trait` in a type position.
+        let item = i == 0
+            || matches!(
+                tokens[i - 1].text.as_str(),
+                "unsafe" | "}" | ";" | "]" | "{"
+            );
+        if !t.is_ident("impl") || !item {
+            continue;
+        }
+        let (mut angle, mut ty, mut j) = (0i32, None, i + 1);
+        while let Some(t) = tokens.get(j) {
+            if t.is_punct("<") {
+                angle += 1;
+            } else if t.is_punct(">") && !tokens[j - 1].is_punct("-") {
+                angle -= 1;
+            } else if angle == 0 && (t.is_punct("{") || t.is_punct(";") || t.is_ident("where")) {
+                break;
+            } else if angle == 0 && t.kind == TokenKind::Ident {
+                ty = (!t.is_ident("for")).then(|| t.text.clone());
+            }
+            j += 1;
+        }
+        let open = (j..tokens.len()).find(|&k| tokens[k].is_punct("{"));
+        if let (Some(ty), Some(open)) = (ty, open) {
+            out.push((open, matching_close(tokens, open), ty));
+        }
+    }
+    out
+}
+
 fn scan_fn(
     file: &crate::Lexed,
     f: &super::FnSpan,
+    impl_type: Option<&str>,
     cfg: &Config,
     fns: &mut BTreeMap<String, FnData>,
     edges: &mut BTreeMap<(String, String), EdgeSite>,
@@ -190,7 +270,14 @@ fn scan_fn(
     let tokens = &file.tokens;
     let mut holders: Vec<Holder> = Vec::new();
     let mut depth: i32 = 0;
-    let data = fns.entry(f.name.clone()).or_default();
+    // `f` within `impl T` is keyed `T::f`; a bare `self.f(..)` outside
+    // one (in a trait's default method) is resolved by name.
+    let method = |name: &str| match impl_type {
+        Some(ty) => (format!("{ty}::{name}"), false),
+        None => (name.to_string(), true),
+    };
+    let key = method(&f.name).0;
+    let data = fns.entry(key.clone()).or_default();
 
     let mut idx = f.body.0 + 1;
     while idx < f.body.1 {
@@ -227,7 +314,7 @@ fn scan_fn(
             let (recv, _) = receiver_of(tokens, idx - 1);
             if let Some(recv) = recv {
                 let class = cfg.lock_aliases.get(&recv).cloned().unwrap_or(recv);
-                record_acquisition(&class, t.line, file, f, &holders, data, edges);
+                record_acquisition(&class, t.line, file, &key, &holders, data, edges);
                 if let Some(binding) = let_binding(tokens, f.body.0, idx - 1) {
                     holders.push(Holder {
                         class,
@@ -246,7 +333,7 @@ fn scan_fn(
             if let Some(class) = cfg.lock_acquires.get(&t.text) {
                 // Closure-taking wrapper: holds `class` for the span of
                 // its argument list.
-                record_acquisition(class, t.line, file, f, &holders, data, edges);
+                record_acquisition(class, t.line, file, &key, &holders, data, edges);
                 let close = matching_close(tokens, idx + 1);
                 holders.push(Holder {
                     class: class.clone(),
@@ -258,22 +345,39 @@ fn scan_fn(
                 continue;
             }
             if !cfg.lock_ignore_calls.iter().any(|c| c == &t.text) {
-                let resolvable = if idx > 0 && tokens[idx - 1].is_punct(".") {
-                    receiver_of(tokens, idx - 1).1 // methods only when self-rooted
-                } else if idx > 0 && tokens[idx - 1].is_punct(":") {
-                    true // Type::method(..) / path::helper(..)
+                let name = t.text.as_str();
+                let callee = if idx > 0 && tokens[idx - 1].is_punct(".") {
+                    // Methods only when self-rooted.
+                    match receiver_of(tokens, idx - 1) {
+                        (Some(recv), true) if recv == "self" => Some(method(name)),
+                        (_, true) => Some((name.to_string(), true)),
+                        _ => None,
+                    }
+                } else if idx > 2 && tokens[idx - 1].is_punct(":") && tokens[idx - 2].is_punct(":")
+                {
+                    // `Self::f(..)`, `Type::f(..)` or `module::f(..)`.
+                    let seg = &tokens[idx - 3];
+                    Some(if seg.is_ident("Self") {
+                        method(name)
+                    } else if seg.text.starts_with(char::is_uppercase) {
+                        (format!("{}::{name}", seg.text), false)
+                    } else {
+                        (name.to_string(), false)
+                    })
                 } else {
-                    t.text.starts_with(|c: char| c.is_lowercase() || c == '_')
+                    name.starts_with(|c: char| c.is_lowercase() || c == '_')
+                        .then(|| (name.to_string(), false))
                 };
-                if resolvable {
+                if let Some((callee, by_name)) = callee {
                     let held: Vec<String> = holders.iter().map(|h| h.class.clone()).collect();
-                    data.calls.push((
-                        t.text.clone(),
+                    data.calls.push(Call {
+                        callee,
+                        by_name,
                         held,
-                        file.path.clone(),
-                        t.line,
-                        f.name.clone(),
-                    ));
+                        file: file.path.clone(),
+                        line: t.line,
+                        func: key.clone(),
+                    });
                 }
             }
         }
@@ -285,7 +389,7 @@ fn record_acquisition(
     class: &str,
     line: u32,
     file: &crate::Lexed,
-    f: &super::FnSpan,
+    func: &str,
     holders: &[Holder],
     data: &mut FnData,
     edges: &mut BTreeMap<(String, String), EdgeSite>,
@@ -297,7 +401,7 @@ fn record_acquisition(
             .or_insert_with(|| EdgeSite {
                 file: file.path.clone(),
                 line,
-                func: f.name.clone(),
+                func: func.to_string(),
                 via: None,
             });
     }

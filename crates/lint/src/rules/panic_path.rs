@@ -3,13 +3,8 @@
 //! the epoll reactor — a panic there takes down a worker or poisons a
 //! lock for every other connection).
 //!
-//! Existing sites are *burned down, not grandfathered*: the committed
-//! `crates/lint/panic_baseline.txt` records, per file, how many sites
-//! are still tolerated. Going **above** a file's baseline fails the
-//! lint with one finding per site; dropping **below** it also fails —
-//! a stale ceiling would let the count creep back up silently — with a
-//! one-line fix (`jim-lint --write-baseline`). The end state is an
-//! empty baseline file, at which point the rule is simply "zero".
+//! The rule is zero: every such site is a finding, and nothing
+//! grandfathers one in.
 //!
 //! `unwrap_or`, `unwrap_or_else`, `unwrap_or_default` are distinct
 //! identifiers at the token level and never match. `assert!` family
@@ -18,15 +13,12 @@
 
 use crate::lexer::TokenKind;
 use crate::{Config, Finding, Workspace};
-use std::collections::BTreeMap;
 
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
 
-/// Every panic-capable site in audited non-test code:
-/// file → `(line, what)` list.
-pub fn sites(ws: &Workspace, cfg: &Config) -> BTreeMap<String, Vec<(u32, String)>> {
-    let mut out: BTreeMap<String, Vec<(u32, String)>> = BTreeMap::new();
+/// One finding per panic-capable site in audited non-test code.
+pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
     for file in &ws.files {
         if file.test_file {
             continue;
@@ -39,7 +31,6 @@ pub fn sites(ws: &Workspace, cfg: &Config) -> BTreeMap<String, Vec<(u32, String)
             continue;
         }
         let tokens = &file.tokens;
-        let mut found = Vec::new();
         for idx in 0..tokens.len() {
             let t = &tokens[idx];
             if t.kind != TokenKind::Ident || file.in_test(idx) {
@@ -51,68 +42,20 @@ pub fn sites(ws: &Workspace, cfg: &Config) -> BTreeMap<String, Vec<(u32, String)
                 && tokens.get(idx + 1).is_some_and(|n| n.is_punct("("));
             let is_macro = PANIC_MACROS.contains(&t.text.as_str())
                 && tokens.get(idx + 1).is_some_and(|n| n.is_punct("!"));
-            if is_method {
-                found.push((t.line, format!(".{}()", t.text)));
+            let what = if is_method {
+                format!(".{}()", t.text)
             } else if is_macro {
-                found.push((t.line, format!("{}!", t.text)));
-            }
-        }
-        out.insert(file.path.clone(), found);
-    }
-    out
-}
-
-/// Per-file counts, zero-count files omitted — the exact content of a
-/// fresh `panic_baseline.txt`.
-pub fn counts(ws: &Workspace, cfg: &Config) -> BTreeMap<String, usize> {
-    sites(ws, cfg)
-        .into_iter()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(k, v)| (k, v.len()))
-        .collect()
-}
-
-pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
-    let all = sites(ws, cfg);
-    for (file, found) in &all {
-        let baseline = cfg.panic_baseline.get(file).copied().unwrap_or(0);
-        if found.len() > baseline {
-            for (line, what) in found {
-                out.push(Finding {
-                    rule: "panics",
-                    file: file.clone(),
-                    line: *line,
-                    message: format!(
-                        "panic-capable `{what}` on a non-test path ({} sites, baseline \
-                         allows {baseline}); return a typed error or log-and-shed instead",
-                        found.len()
-                    ),
-                });
-            }
-        } else if found.len() < baseline {
+                format!("{}!", t.text)
+            } else {
+                continue;
+            };
             out.push(Finding {
                 rule: "panics",
-                file: file.clone(),
-                line: 1,
+                file: file.path.clone(),
+                line: t.line,
                 message: format!(
-                    "stale panic baseline: allows {baseline} sites but only {} remain — \
-                     lock in the progress with `cargo run -p jim-lint -- --write-baseline`",
-                    found.len()
-                ),
-            });
-        }
-    }
-    // Baseline entries for files that no longer exist (or left the
-    // audited set) are stale too.
-    for (file, baseline) in &cfg.panic_baseline {
-        if !all.contains_key(file) && *baseline > 0 {
-            out.push(Finding {
-                rule: "panics",
-                file: file.clone(),
-                line: 1,
-                message: format!(
-                    "stale panic baseline: file is gone or no longer audited but still \
-                     allows {baseline} sites — regenerate with --write-baseline"
+                    "panic-capable `{what}` on a non-test path; return a typed error or \
+                     log-and-shed instead"
                 ),
             });
         }

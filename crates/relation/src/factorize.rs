@@ -45,9 +45,6 @@ pub struct FactorizeOptions {
     /// Maximum number of witness ids carried per signature group (at least
     /// one — the minimum id is always a witness).
     pub max_witnesses: usize,
-    /// Force the dense mixed-radix sweep even for binary products (used by
-    /// tests to pin both sweeps against each other).
-    pub force_dense: bool,
 }
 
 impl Default for FactorizeOptions {
@@ -56,7 +53,6 @@ impl Default for FactorizeOptions {
             cross_only: true,
             max_sweep: 4_000_000,
             max_witnesses: 8,
-            force_dense: false,
         }
     }
 }
@@ -194,6 +190,16 @@ pub fn factorize(
     product: &Product,
     options: &FactorizeOptions,
 ) -> Result<Factorized, FactorizeError> {
+    factorize_with(product, options, false)
+}
+
+/// [`factorize`], taking the dense sweep for binary products too when
+/// `always_dense` is set, so tests can pin both sweeps to brute force.
+fn factorize_with(
+    product: &Product,
+    options: &FactorizeOptions,
+    always_dense: bool,
+) -> Result<Factorized, FactorizeError> {
     let schema = product.schema();
     let n = schema.num_relations();
     let pair_attrs = joinable_pairs(schema, options.cross_only);
@@ -301,7 +307,7 @@ pub fn factorize(
     let blocks_per_occurrence: Vec<usize> = blocks.iter().map(Vec::len).collect();
 
     let mut accs: HashMap<Vec<u32>, Acc> = HashMap::new();
-    let swept = if n == 2 && !options.force_dense {
+    let swept = if n == 2 && !always_dense {
         sweep_sparse(product, &pairs, &blocks, options.max_sweep, cap, &mut accs)?
     } else {
         sweep_dense(product, &pairs, &blocks, options.max_sweep, cap, &mut accs)?
@@ -654,12 +660,8 @@ mod tests {
 
     fn check(product: &Product, options: &FactorizeOptions) {
         let expect = brute(product, options.cross_only);
-        for force_dense in [false, true] {
-            let opts = FactorizeOptions {
-                force_dense,
-                ..*options
-            };
-            let got = factorize(product, &opts).expect("factorize succeeds");
+        for always_dense in [false, true] {
+            let got = factorize_with(product, options, always_dense).expect("factorize succeeds");
             assert_eq!(got.groups.len(), expect.len(), "group count");
             for (g, e) in got.groups.iter().zip(&expect) {
                 let mut gp = g.pattern.clone();
@@ -671,9 +673,9 @@ mod tests {
                 assert_eq!(g.min_id, e.min_id, "min id");
                 assert!(!g.witnesses.is_empty());
                 assert_eq!(g.witnesses[0], g.min_id, "min id is first witness");
-                let expected_len = (e.count as usize).min(opts.max_witnesses.max(1));
+                let expected_len = (e.count as usize).min(options.max_witnesses.max(1));
                 assert!(
-                    g.witnesses.len() <= opts.max_witnesses.max(1)
+                    g.witnesses.len() <= options.max_witnesses.max(1)
                         && !g.witnesses.is_empty()
                         && g.witnesses.len() <= expected_len,
                     "witness count {} vs count {}",
@@ -774,14 +776,7 @@ mod tests {
         let p = Product::new(vec![&empty, &other]).unwrap();
         let f = factorize(&p, &FactorizeOptions::default()).unwrap();
         assert!(f.groups.is_empty());
-        let dense = factorize(
-            &p,
-            &FactorizeOptions {
-                force_dense: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let dense = factorize_with(&p, &FactorizeOptions::default(), true).unwrap();
         assert!(dense.groups.is_empty());
     }
 

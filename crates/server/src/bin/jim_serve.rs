@@ -25,9 +25,9 @@
 //! connects with a typed `overloaded` error, `--idle-timeout` reaps
 //! peers that complete no request line in SECS seconds (0 disables),
 //! and `--max-per-ip` sheds a single address's connections past N with
-//! the same `overloaded` error (0 disables, the default). A pipelining
-//! peer gets up to four requests running at once on epoll; threads
-//! answers one at a time.
+//! the same `overloaded` error (0 disables, the default). On both, a
+//! connection has one request in flight at a time, so its requests run
+//! in the order sent; a pipelining peer gets every response, in order.
 //!
 //! `--metrics-interval SECS` logs a one-line metrics summary (requests,
 //! errors, latency quantiles, live connections, resident sessions) every

@@ -3,25 +3,27 @@
 //!
 //! [`Conn`] is sans-IO: it owns one connection's buffers and makes every
 //! framing and close decision, but never touches the socket. A transport
-//! reads bytes and hands them to [`Conn::receive`], takes request lines
-//! from [`Conn::next_line`], reports their responses through
+//! reads bytes and hands them to [`Conn::receive`], takes a request line
+//! from [`Conn::next_line`], reports its response through
 //! [`Conn::complete`], writes [`Conn::output`], and closes the socket once
 //! [`Conn::finished`] says so. The epoll reactor drives it from readiness
-//! events with a window of 4 in-flight lines at its worker pool; the
-//! threads transport drives it from blocking reads and writes with a
-//! window of 1. Either way the peer sees the same wire behavior:
+//! events and its worker pool; the threads transport drives it from
+//! blocking reads and writes. Either way the peer sees the same wire
+//! behavior:
 //!
 //! * lines end at `\n`; a line longer than [`MAX_LINE_BYTES`] (counted
 //!   across partial reads) is answered with the typed `oversize` error,
 //!   then the connection closes;
 //! * a line is blank exactly when it is valid UTF-8 and [`str::trim`]
 //!   leaves nothing; blank lines get no response and reach no handler;
-//! * responses leave in request order, whatever order the window's
-//!   lines complete in;
+//! * one request at a time: a line is dispatched only once the response
+//!   to the line before it is queued and written, so a connection's
+//!   requests run in the order sent, as the paper's question/answer loop
+//!   does, and a peer that pipelines gets every response, in order;
 //! * the idle clock resets only on complete lines, so a peer dripping
 //!   bytes mid-line is reaped like a silent one;
-//! * no more bytes are read while a complete line waits, while the
-//!   window is full, or while responses are unwritten, so a peer that
+//! * reading goes on while a line is in flight, but stops while a
+//!   complete line waits or responses are unwritten, so a peer that
 //!   pipelines without reading is backpressured at its socket.
 //!
 //! [`Admission`] applies the global connection cap and the per-address
@@ -33,7 +35,7 @@ use crate::metrics::ServerMetrics;
 use crate::protocol::ServerError;
 use crate::serve::{TransportLimits, MAX_LINE_BYTES};
 use crate::sync::LockExt;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{IpAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,7 +46,7 @@ use std::time::{Duration, Instant};
 /// shrink back to after a one-off huge line or response.
 pub(crate) const READ_CHUNK: usize = 64 << 10;
 
-/// One connection's framing, ordering, idle and close state.
+/// One connection's framing, in-flight, idle and close state.
 pub(crate) struct Conn {
     /// Bytes received; `inbuf[head..]` is not yet consumed.
     inbuf: Vec<u8>,
@@ -57,17 +59,14 @@ pub(crate) struct Conn {
     /// Response bytes not yet written, from `outpos`.
     outbuf: Vec<u8>,
     outpos: usize,
-    /// Dispatched lines whose responses are not yet in, at most `window`.
-    window: usize,
-    inflight: usize,
-    /// Sequence number of the next dispatched line, and of the response
-    /// that is written next; responses completing early wait in `parked`.
-    next_seq: u64,
-    next_flush: u64,
-    parked: BTreeMap<u64, String>,
+    /// A dispatched line's response is not yet in.
+    inflight: bool,
+    /// A partial line passed the cap while a line was in flight: its
+    /// `oversize` notice follows that line's response.
+    oversize_after_inflight: bool,
     /// More bytes may still be read (false after EOF or any close).
     reading: bool,
-    /// Dispatch nothing more; close once in-flight responses are written.
+    /// Dispatch nothing more; close once the in-flight response is written.
     closing: bool,
     /// The socket is beyond use: close now, written or not.
     dead: bool,
@@ -78,23 +77,16 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// A fresh connection allowing `window` lines in flight at once.
-    pub(crate) fn new(
-        window: usize,
-        idle_timeout: Option<Duration>,
-        metrics: Arc<ServerMetrics>,
-    ) -> Conn {
+    /// A fresh connection.
+    pub(crate) fn new(idle_timeout: Option<Duration>, metrics: Arc<ServerMetrics>) -> Conn {
         Conn {
             inbuf: Vec::new(),
             head: 0,
             scanned: 0,
             outbuf: Vec::new(),
             outpos: 0,
-            window,
-            inflight: 0,
-            next_seq: 0,
-            next_flush: 0,
-            parked: BTreeMap::new(),
+            inflight: false,
+            oversize_after_inflight: false,
             reading: true,
             closing: false,
             dead: false,
@@ -119,14 +111,13 @@ impl Conn {
         self.scan();
     }
 
-    /// The next non-blank request line (without its `\n`) and its
-    /// sequence number, when the window and the unwritten output allow
-    /// one to be dispatched. Every line returned must be reported back
-    /// through [`Conn::complete`].
-    pub(crate) fn next_line(&mut self) -> Option<(u64, Vec<u8>)> {
+    /// The next non-blank request line (without its `\n`), when no line
+    /// is in flight and every response is written. The line returned
+    /// must be answered through [`Conn::complete`].
+    pub(crate) fn next_line(&mut self) -> Option<Vec<u8>> {
         while !self.closing
             && !self.dead
-            && self.inflight < self.window
+            && !self.inflight
             && !self.wants_write()
             && self.line_buffered()
         {
@@ -139,23 +130,26 @@ impl Conn {
             let line = &self.inbuf[start..end];
             let blank = std::str::from_utf8(line).is_ok_and(|s| s.trim().is_empty());
             let line = (!blank).then(|| line.to_vec());
+            // In flight before the scan below, so a refusal it makes
+            // waits for this line's response.
+            self.inflight = line.is_some();
             self.head = end + 1;
             self.scanned = self.head;
             self.scan();
-            if let Some(line) = line {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.inflight += 1;
-                return Some((seq, line));
+            if line.is_some() {
+                return line;
             }
         }
         None
     }
 
-    /// The response to the line dispatched as `seq`.
-    pub(crate) fn complete(&mut self, seq: u64, response: String) {
-        self.inflight -= 1;
-        self.finish(seq, response);
+    /// The response to the line in flight.
+    pub(crate) fn complete(&mut self, response: String) {
+        self.inflight = false;
+        self.queue(response);
+        if std::mem::take(&mut self.oversize_after_inflight) {
+            self.queue(ServerError::Oversize.response().render());
+        }
     }
 
     /// Response bytes ready to write.
@@ -182,7 +176,7 @@ impl Conn {
     }
 
     /// The server is shutting down: read and dispatch nothing more, and
-    /// close once the responses already in flight are written.
+    /// close once the response already in flight is written.
     pub(crate) fn shutdown(&mut self) {
         self.reading = false;
         self.closing = true;
@@ -196,7 +190,7 @@ impl Conn {
         let Some(idle) = self.idle_timeout else {
             return false;
         };
-        if self.inflight > 0
+        if self.inflight
             || self.closing
             || self.dead
             || now.saturating_duration_since(self.last_line) < idle
@@ -215,7 +209,7 @@ impl Conn {
 
     /// Should the transport read more bytes now?
     pub(crate) fn wants_read(&self) -> bool {
-        self.reading && self.inflight < self.window && !self.wants_write() && !self.line_buffered()
+        self.reading && !self.wants_write() && !self.line_buffered()
     }
 
     /// Are there response bytes to write?
@@ -226,7 +220,7 @@ impl Conn {
     /// Should the transport close the socket now?
     pub(crate) fn finished(&self) -> bool {
         self.dead
-            || (self.inflight == 0
+            || (!self.inflight
                 && !self.wants_write()
                 && (self.closing || (!self.reading && !self.line_buffered())))
     }
@@ -254,30 +248,19 @@ impl Conn {
         }
     }
 
-    /// Answer the typed `oversize` error in the next response slot, then
-    /// close: the stream cannot be resynchronized past a dropped line.
+    /// Answer the typed `oversize` error after the response in flight,
+    /// if any, then close: the stream cannot be resynchronized past a
+    /// dropped line.
     fn refuse_oversize(&mut self) {
         self.metrics.oversized.inc();
         self.shutdown();
         self.inbuf = Vec::new();
         self.head = 0;
         self.scanned = 0;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.finish(seq, ServerError::Oversize.response().render());
-    }
-
-    /// Queue the response for `seq` and every parked one now in turn.
-    fn finish(&mut self, seq: u64, response: String) {
-        if seq != self.next_flush {
-            self.parked.insert(seq, response);
-            return;
-        }
-        self.queue(response);
-        self.next_flush += 1;
-        while let Some(next) = self.parked.remove(&self.next_flush) {
-            self.queue(next);
-            self.next_flush += 1;
+        if self.inflight {
+            self.oversize_after_inflight = true;
+        } else {
+            self.queue(ServerError::Oversize.response().render());
         }
     }
 
@@ -394,8 +377,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn conn(window: usize, idle_timeout: Option<Duration>) -> Conn {
-        Conn::new(window, idle_timeout, Arc::new(ServerMetrics::new()))
+    fn conn(idle_timeout: Option<Duration>) -> Conn {
+        Conn::new(idle_timeout, Arc::new(ServerMetrics::new()))
     }
 
     /// Everything the connection has to write, marked written.
@@ -419,15 +402,15 @@ mod tests {
         let cap = MAX_LINE_BYTES as usize;
 
         // Exactly at the cap, newline included: an ordinary request.
-        let mut c = conn(1, None);
+        let mut c = conn(None);
         let mut at_cap = vec![b'y'; cap - 1];
         at_cap.push(b'\n');
         c.receive(&at_cap);
-        let (_, line) = c.next_line().expect("a line at the cap is dispatched");
+        let line = c.next_line().expect("a line at the cap is dispatched");
         assert_eq!(line.len(), cap - 1);
 
         // One byte more, newline included: refused when it is taken.
-        let mut c = conn(1, None);
+        let mut c = conn(None);
         let mut over = vec![b'y'; cap];
         over.push(b'\n');
         c.receive(&over);
@@ -436,18 +419,19 @@ mod tests {
         assert!(c.finished() && !c.wants_read());
         assert_eq!(c.metrics.oversized.get(), 1);
 
-        // Past the cap with no newline yet, across two reads: refused
-        // without waiting for the line's end, behind the response to the
-        // line before it.
-        let mut c = conn(2, None);
+        // Past the cap with no newline yet, across two reads, while the
+        // line before it is in flight: refused without waiting for the
+        // line's end, behind the response to the line before it.
+        let mut c = conn(None);
         let mut stream = b"ok\n".to_vec();
         stream.extend(vec![b'y'; cap / 2]);
         c.receive(&stream);
-        let (seq, line) = c.next_line().expect("the line before");
+        let line = c.next_line().expect("the line before");
         assert!(c.wants_read());
         c.receive(&vec![b'y'; cap / 2 + 1]);
         assert!(!c.wants_read() && c.next_line().is_none());
-        c.complete(seq, answer(&line));
+        assert!(!c.wants_write() && !c.finished(), "the refusal waits");
+        c.complete(answer(&line));
         let mut expected = format!("{}\n", answer(b"ok")).into_bytes();
         expected.extend(line_of(ServerError::Oversize));
         assert_eq!(take_output(&mut c), expected);
@@ -460,7 +444,7 @@ mod tests {
         let later = || Instant::now() + 2 * idle;
 
         // Bytes that complete no line do not reset the clock.
-        let mut c = conn(1, Some(idle));
+        let mut c = conn(Some(idle));
         assert!(!c.tick(Instant::now()));
         c.receive(b"{\"op\":");
         assert!(c.tick(later()));
@@ -470,41 +454,45 @@ mod tests {
         assert_eq!(c.metrics.idle_timeouts.get(), 1);
 
         // A line in flight is never idle.
-        let mut c = conn(1, Some(idle));
+        let mut c = conn(Some(idle));
         c.receive(b"a\n");
-        let (seq, line) = c.next_line().expect("dispatched");
+        let line = c.next_line().expect("dispatched");
         assert!(!c.tick(later()));
 
         // A response the peer has not read: closed without the notice.
-        c.complete(seq, answer(&line));
+        c.complete(answer(&line));
         assert!(c.tick(later()));
         assert!(c.finished() && !c.wants_write());
 
         // No timeout, no reaping.
-        let mut c = conn(1, None);
+        let mut c = conn(None);
         assert!(!c.tick(later()));
     }
 
     #[test]
     fn no_bytes_are_read_while_a_complete_line_waits() {
-        let mut c = conn(4, None);
+        // A line in flight does not stop reading.
+        let mut c = conn(None);
         assert!(c.wants_read());
-        c.receive(b"a\nb\nc");
-        assert!(!c.wants_read(), "two complete lines are buffered");
-        assert!(c.next_line().is_some() && c.next_line().is_some());
-        assert!(c.next_line().is_none());
-        assert!(c.wants_read(), "only a partial line is left");
+        c.receive(b"a\nb");
+        let a = c.next_line().expect("a");
+        assert!(c.wants_read(), "only a partial line is buffered");
 
-        // A full window or unwritten output holds reading off too.
-        let mut c = conn(1, None);
-        c.receive(b"a\nb\n");
-        let (seq, line) = c.next_line().expect("a");
+        // A buffered complete line does, and it is not dispatched until
+        // the line in flight completes.
+        c.receive(b"\nc\n");
+        assert!(!c.wants_read(), "b is complete and waiting");
+        assert!(c.next_line().is_none(), "a is still in flight");
+        c.complete(answer(&a));
+        assert!(c.next_line().is_none(), "a's response is unwritten");
         assert!(!c.wants_read());
-        c.complete(seq, answer(&line));
-        assert!(!c.wants_read() && c.next_line().is_none());
-        take_output(&mut c);
-        assert!(!c.wants_read(), "b is still buffered");
-        assert!(c.next_line().is_some());
+        assert_eq!(
+            take_output(&mut c),
+            format!("{}\n", answer(b"a")).into_bytes()
+        );
+        assert_eq!(c.next_line().as_deref(), Some(&b"b"[..]));
+        assert!(c.next_line().is_none(), "b is in flight");
+        assert!(!c.wants_read(), "c is complete and waiting");
     }
 
     /// One generated request line and whether it is blank.
@@ -547,12 +535,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Whatever the chunking, window and completion order, the
-        /// non-blank lines are dispatched in order, blank means what
-        /// `str::trim` says, and the output is every response in request
-        /// order.
+        /// Whatever the chunking and the interleaving of reads, writes
+        /// and completions, at most one line is in flight, the non-blank
+        /// lines are dispatched in order, blank means what `str::trim`
+        /// says, and the output is every response in request order.
         #[test]
-        fn framing_and_ordering_hold_for_any_chunking_and_window(
+        fn framing_and_ordering_hold_for_any_chunking(
             lines in proptest::collection::vec((0u8..6, any::<u64>()), 0..32),
             chunks in proptest::collection::vec(1usize..48, 1..16),
             seed in any::<u64>(),
@@ -576,53 +564,51 @@ mod tests {
                 }
             }
             let mut rng = StdRng::seed_from_u64(seed);
-            for window in 1..=4 {
-                let mut c = conn(window, None);
-                let (mut fed, mut turn) = (0, 0);
-                let mut inflight: Vec<(u64, Vec<u8>)> = Vec::new();
-                let (mut dispatched, mut output) = (Vec::new(), Vec::new());
-                loop {
-                    while let Some((seq, line)) = c.next_line() {
-                        dispatched.push(line.clone());
-                        inflight.push((seq, line));
+            let mut c = conn(None);
+            let (mut fed, mut turn) = (0, 0);
+            let mut inflight: Option<Vec<u8>> = None;
+            let (mut dispatched, mut output) = (Vec::new(), Vec::new());
+            loop {
+                if let Some(line) = c.next_line() {
+                    prop_assert!(inflight.is_none(), "a second line in flight");
+                    dispatched.push(line.clone());
+                    inflight = Some(line);
+                }
+                let mut moves = Vec::new();
+                if inflight.is_some() {
+                    moves.push(0);
+                }
+                if c.wants_write() {
+                    moves.push(1);
+                }
+                if c.wants_read() {
+                    moves.push(2);
+                }
+                if moves.is_empty() {
+                    prop_assert!(c.finished(), "stalled with nothing to do");
+                    break;
+                }
+                match moves[rng.gen_range(0..moves.len())] {
+                    0 => {
+                        let line = inflight.take().expect("a line in flight");
+                        c.complete(answer(&line));
                     }
-                    prop_assert!(inflight.len() <= window);
-                    let mut moves = Vec::new();
-                    if !inflight.is_empty() {
-                        moves.push(0);
+                    1 => {
+                        let n = rng.gen_range(1..=c.output().len());
+                        output.extend_from_slice(&c.output()[..n]);
+                        c.written(n);
                     }
-                    if c.wants_write() {
-                        moves.push(1);
-                    }
-                    if c.wants_read() {
-                        moves.push(2);
-                    }
-                    if moves.is_empty() {
-                        prop_assert!(c.finished(), "stalled with nothing to do");
-                        break;
-                    }
-                    match moves[rng.gen_range(0..moves.len())] {
-                        0 => {
-                            let (seq, line) = inflight.swap_remove(rng.gen_range(0..inflight.len()));
-                            c.complete(seq, answer(&line));
-                        }
-                        1 => {
-                            let n = rng.gen_range(1..=c.output().len());
-                            output.extend_from_slice(&c.output()[..n]);
-                            c.written(n);
-                        }
-                        _ => {
-                            let n = chunks[turn % chunks.len()].min(stream.len() - fed);
-                            turn += 1;
-                            c.receive(&stream[fed..fed + n]);
-                            fed += n;
-                        }
+                    _ => {
+                        let n = chunks[turn % chunks.len()].min(stream.len() - fed);
+                        turn += 1;
+                        c.receive(&stream[fed..fed + n]);
+                        fed += n;
                     }
                 }
-                prop_assert_eq!(fed, stream.len());
-                prop_assert_eq!(&dispatched, &requests);
-                prop_assert_eq!(&output, &expected);
             }
+            prop_assert_eq!(fed, stream.len());
+            prop_assert_eq!(&dispatched, &requests);
+            prop_assert_eq!(&output, &expected);
         }
     }
 }

@@ -24,16 +24,19 @@
 //!   `ListSessions`, `CloseSession`.
 //! * [`handler`] — transport-independent dispatch: one request line in,
 //!   one response line out. Products larger than the (clamped) limit are
-//!   uniformly sampled instead of rejected, and responses say so with a
-//!   `sampled` flag.
+//!   factorized, at full fidelity, instead of rejected; only when
+//!   factorization's sweep budget runs out (or the client asks for
+//!   `force_sample`) is the product uniformly sampled, and responses say
+//!   which with `factorized` and `sampled` flags.
 //! * [`serve`] — the TCP front ends: a portable thread-per-connection
 //!   transport and an epoll-driven event-loop transport (linux, via the
 //!   in-repo `jim-aio` readiness shim — see [`reactor`]'s module docs),
 //!   selected by `jim-serve --transport`, plus the TTL sweeper thread.
 //!   Both drive one sans-IO connection core (`conn`: framing, the line
-//!   cap, blank lines, the idle clock, in-order responses, the close
-//!   decision) behind one admission gate, so the wire behavior is the
-//!   same on both; both observe a graceful [`serve::Shutdown`] signal.
+//!   cap, blank lines, the idle clock, one request in flight at a time,
+//!   the close decision) behind one admission gate and accept at once,
+//!   so the wire behavior is the same on both; both observe a graceful
+//!   [`serve::Shutdown`] signal.
 //! * [`metrics`] — the server-wide observability aggregate, one table of
 //!   typed `jim-metrics` fields: per-op request/error counters and latency
 //!   histograms, transport gauges and store/journal counters, exposed

@@ -39,17 +39,18 @@
 //! ## What a reactor does, and what it leaves to `Conn`
 //!
 //! Every per-connection decision — framing, the line cap, blank lines,
-//! the idle clock, the `MAX_INFLIGHT` window with request-order flush,
-//! and when to close — belongs to the sans-IO `Conn` that the threads
-//! transport drives too. A reactor keeps only what is about sockets and
-//! threads:
+//! the idle clock, one request in flight at a time, and when to close —
+//! belongs to the sans-IO `Conn` that the threads transport drives too.
+//! A reactor keeps only what is about sockets and threads:
 //!
 //! * readiness: read while the `Conn` wants bytes, write while it has
-//!   output, and arm poller interest to match, so a connection past its
-//!   window or behind on its writes is backpressured at the socket;
-//! * the worker pool, which runs the lines the `Conn` dispatches, and
-//!   the completion queue plus eventfd [`Waker`] that bring responses
-//!   back (`seq` numbers let the `Conn` put them in request order);
+//!   output, and arm poller interest to match, so a connection with a
+//!   complete line waiting or behind on its writes is backpressured at
+//!   the socket;
+//! * the worker pool, which runs the line the `Conn` dispatches, and
+//!   the completion queue plus eventfd [`Waker`] that bring its response
+//!   back; the worker pool serves many connections at once, never two
+//!   lines of one;
 //! * the timer tick: `poller.wait`'s timeout doubles as the idle
 //!   reaper's clock;
 //! * [`Shutdown`]: stop accepting, stop reading, let in-flight responses
@@ -93,11 +94,6 @@ const FIRST_CONN_TOKEN: u64 = 2;
 const MIN_WORKERS: usize = 2;
 const MAX_WORKERS: usize = 8;
 
-/// Pipelined requests one connection may have in flight at the worker
-/// pool before the reactor stops reading it (the threads transport
-/// answers one line at a time, a window of 1).
-const MAX_INFLIGHT: usize = 4;
-
 fn workers_per_reactor(reactors: usize) -> usize {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -106,12 +102,8 @@ fn workers_per_reactor(reactors: usize) -> usize {
 }
 
 /// One complete request line travelling to a reactor's worker pool.
-/// `seq` is its position in the connection's request order — the
-/// connection's `Conn` uses it to put concurrent completions back in
-/// order.
 struct Job {
     token: u64,
-    seq: u64,
     line: Vec<u8>,
 }
 
@@ -159,17 +151,17 @@ impl JobQueue {
 /// The workers→reactor channel: finished responses, plus the waker that
 /// pops the reactor out of `epoll_wait` to collect them.
 struct Completions {
-    ready: Mutex<Vec<(u64, u64, String)>>,
+    ready: Mutex<Vec<(u64, String)>>,
     waker: Waker,
 }
 
 impl Completions {
-    fn push(&self, token: u64, seq: u64, response: String) {
-        self.ready.lock_unpoisoned().push((token, seq, response));
+    fn push(&self, token: u64, response: String) {
+        self.ready.lock_unpoisoned().push((token, response));
         let _ = self.waker.wake();
     }
 
-    fn take(&self) -> Vec<(u64, u64, String)> {
+    fn take(&self) -> Vec<(u64, String)> {
         std::mem::take(&mut *self.ready.lock_unpoisoned())
     }
 }
@@ -422,7 +414,7 @@ fn run_reactor(ctx: ReactorCtx) -> io::Result<()> {
                     let metrics = handler.store().metrics();
                     metrics.worker_queue_depth.add(-1);
                     rmetrics.worker_queue_depth.add(-1);
-                    completions.push(job.token, job.seq, respond_to(&handler, &job.line));
+                    completions.push(job.token, respond_to(&handler, &job.line));
                 }
             });
         match spawned {
@@ -518,7 +510,6 @@ fn reactor_loop(
             match poller.add(stream.as_raw_fd(), token, Interest::READ) {
                 Ok(()) => {
                     let conn = Conn::new(
-                        MAX_INFLIGHT,
                         ctx.limits.idle_timeout,
                         Arc::clone(ctx.handler.store().metrics()),
                     );
@@ -538,11 +529,11 @@ fn reactor_loop(
             }
         }
 
-        for (token, seq, response) in completions.take() {
+        for (token, response) in completions.take() {
             // A completion for a token that already closed is dropped
             // here — tokens are never reused, so it can't be misdelivered.
             if let Some(sock) = conns.get_mut(&token) {
-                sock.conn.complete(seq, response);
+                sock.conn.complete(response);
                 touched.push(token);
             }
         }
@@ -590,8 +581,8 @@ fn close(sock: Socket, poller: &Poller, ctx: &ReactorCtx) {
     ctx.rmetrics.live_connections.add(-1);
 }
 
-/// Drive one connection as far as it can go right now: dispatch the
-/// lines its window allows, write its output, then re-arm poller
+/// Drive one connection as far as it can go right now: dispatch its
+/// next line if it has one ready, write its output, then re-arm poller
 /// interest to what it wants next. Returns `false` once it must close.
 fn advance(
     token: u64,
@@ -602,11 +593,11 @@ fn advance(
 ) -> bool {
     let metrics = ctx.handler.store().metrics();
     loop {
-        while let Some((seq, line)) = sock.conn.next_line() {
+        if let Some(line) = sock.conn.next_line() {
             metrics.worker_queue_depth.add(1);
             ctx.rmetrics.worker_queue_depth.add(1);
             ctx.rmetrics.dispatched.inc();
-            jobs.push(Job { token, seq, line });
+            jobs.push(Job { token, line });
         }
         if !sock.conn.wants_write() {
             break;

@@ -2,17 +2,19 @@
 //!
 //! The `Handler`/`protocol` split is transport-agnostic by design, and
 //! so is everything per connection: framing (lines to `\n` under the
-//! 16 MiB cap), blank lines, the idle clock, in-order responses and the
+//! 16 MiB cap), blank lines, the idle clock, one request in flight at a
+//! time (so a connection's requests run in the order sent) and the
 //! close decision all live in the sans-IO `Conn`, and admission (the
 //! connection cap and per-address quota) in its `Admission` gate. A
 //! transport's own job is only *scheduling*: who blocks where, and who
-//! calls `read` and `write`.
+//! calls `accept`, `read` and `write`. Both accept at once: each accept
+//! loop blocks until a peer connects or [`Shutdown`] wakes it.
 //!
 //! * [`Transport::Threads`] — one thread per connection, blocking I/O
-//!   with a [`SHUTDOWN_POLL`] timeout on both directions, driving its
-//!   `Conn` with a window of one line. Simple and portable; costs a stack
-//!   per mostly-idle session, which is exactly what the interactive
-//!   workload produces (one question/answer line per human turn).
+//!   with a [`SHUTDOWN_POLL`] timeout on both directions. Simple and
+//!   portable; costs a stack per mostly-idle session, which is exactly
+//!   what the interactive workload produces (one question/answer line
+//!   per human turn).
 //! * [`Transport::Epoll`] — a non-blocking event loop (linux only): N
 //!   reactor threads multiplex every connection through `jim-aio` epoll
 //!   pollers, and per-reactor worker pools run [`Handler::handle_line`]
@@ -34,7 +36,7 @@ use crate::protocol::ServerError;
 use crate::store::SessionStore;
 use crate::sync::{CondvarExt, LockExt};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -44,8 +46,9 @@ use std::time::{Duration, Instant};
 /// newline must not grow server memory without bound.
 pub const MAX_LINE_BYTES: u64 = 16 << 20;
 
-/// How often the threads transport's blocked accept, read and write
-/// calls wake to observe the shutdown signal and the idle clock.
+/// How often the threads transport's blocked read and write calls wake
+/// to observe the shutdown signal and the idle clock; also how long a
+/// shutdown trigger waits at most to wake its blocked `accept`.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 /// How long a shutting-down transport waits for in-flight responses to
@@ -238,8 +241,9 @@ impl Shutdown {
     }
 
     /// Block until triggered or `timeout` elapses; `true` iff triggered.
-    /// The sweeper's interval sleep and the threads transport's accept
-    /// poll both live here, so a trigger interrupts them immediately.
+    /// The sweeper's interval sleep and the threads transport's back-off
+    /// after a failed accept both live here, so a trigger interrupts them
+    /// immediately.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut triggered = self.inner.lock.lock_unpoisoned();
@@ -304,6 +308,10 @@ pub fn serve_with(
 /// threads observe the signal within one [`SHUTDOWN_POLL`] and give up
 /// on unwritten responses [`DRAIN_DEADLINE`] later, and `serve_with`
 /// waits for them that long, so returning really means drained.
+///
+/// `accept` blocks, so a new connection is served at once. A trigger
+/// wakes it with a throwaway connection to the listener's own address,
+/// which is dropped unserved like any connection accepted after it.
 fn serve_threads(
     listener: TcpListener,
     handler: Arc<Handler>,
@@ -311,19 +319,27 @@ fn serve_threads(
     limits: TransportLimits,
     admission: Arc<Admission>,
 ) -> io::Result<()> {
-    // Non-blocking accept so the loop can observe the shutdown signal;
-    // connections themselves stay blocking.
-    listener.set_nonblocking(true)?;
-    while !shutdown.is_triggered() {
-        match listener.accept() {
+    // An unspecified address (`0.0.0.0`) is not connectable everywhere.
+    let mut wake = listener.local_addr()?;
+    if wake.ip().is_unspecified() {
+        let loopback = match wake {
+            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        };
+        wake.set_ip(loopback);
+    }
+    // A full backlog can stall the connect, but then `accept` has peers
+    // to return anyway: the timeout only keeps `trigger` from blocking.
+    shutdown.on_trigger(move || {
+        let _ = TcpStream::connect_timeout(&wake, SHUTDOWN_POLL);
+    });
+    loop {
+        let accepted = listener.accept();
+        if shutdown.is_triggered() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                // BSD-derived platforms make accepted sockets inherit the
-                // listener's O_NONBLOCK; connection threads rely on
-                // blocking I/O with a timeout, so force blocking mode
-                // (a no-op on linux).
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
                 // One write per response line; Nagle would stall the
                 // question/answer ping-pong a delayed-ACK (~40ms) per turn.
                 let _ = stream.set_nodelay(true);
@@ -340,11 +356,6 @@ fn serve_threads(
                         eprintln!("jim-serve: connection ended: {e}");
                     }
                 });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shutdown.wait_timeout(SHUTDOWN_POLL) {
-                    break;
-                }
             }
             Err(e) => {
                 // EMFILE and friends: without a pause this arm is a
@@ -401,12 +412,12 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
     stream.set_write_timeout(Some(SHUTDOWN_POLL))?;
-    let mut conn = Conn::new(1, idle_timeout, Arc::clone(handler.store().metrics()));
+    let mut conn = Conn::new(idle_timeout, Arc::clone(handler.store().metrics()));
     let mut chunk = vec![0u8; READ_CHUNK];
     let mut give_up: Option<Instant> = None;
     while !conn.finished() {
-        while let Some((seq, line)) = conn.next_line() {
-            conn.complete(seq, respond_to(handler, &line));
+        if let Some(line) = conn.next_line() {
+            conn.complete(respond_to(handler, &line));
         }
         let io = if conn.wants_write() {
             stream.write(conn.output()).map(|n| conn.written(n))

@@ -3,8 +3,9 @@
 //! store corrupted relation data), slowloris partial lines (tolerated
 //! below the idle timeout, reaped past it), the 16 MiB
 //! answered-then-dropped cap, the max-connections admission cap (typed
-//! `overloaded` shed, never a hang), pipelined request ordering,
-//! graceful shutdown that drains in-flight responses, and the things
+//! `overloaded` shed, never a hang), pipelined request ordering (one
+//! request in flight per connection), a new connection answered at
+//! once, graceful shutdown that drains in-flight responses, and the things
 //! only the epoll event loop can do — holding hundreds of idle
 //! connections without a thread per socket, and spreading them across
 //! multiple reactors.
@@ -526,12 +527,16 @@ fn connection_257_of_a_256_cap_server_gets_overloaded() {
     conns[255].send(r#"{"op":"ListSessions"}"#);
 }
 
+/// Trials of the same-session case below: a transport that ran one
+/// connection's lines concurrently on a two-worker pool put the Answer
+/// first in 2 to 75 of 3,000, so the case catches it every run.
+const SAME_SESSION_TRIALS: usize = 3_000;
+
 #[test]
 fn pipelined_requests_are_answered_in_request_order() {
     // A peer that writes a burst of requests without reading gets every
-    // response, in request order — even though the epoll transport runs
-    // up to four of them concurrently on the worker pool (the
-    // reactor reorders completions by sequence number before flushing).
+    // response, in request order, and the requests run in that order:
+    // each connection has one request in flight at a time.
     const BURST: usize = 24;
     for transport in transports() {
         let server = start(transport);
@@ -563,6 +568,57 @@ fn pipelined_requests_are_answered_in_request_order() {
         }
         // Nothing extra trails the burst, and the connection still works.
         client.send(r#"{"op":"ListSessions"}"#);
+
+        // One session's requests run in the order sent: an Answer
+        // pipelined behind the NextQuestion it answers always finds that
+        // question pending.
+        for trial in 0..SAME_SESSION_TRIALS {
+            let created = client.send(
+                r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
+            );
+            let session = created.get("session").and_then(Json::as_u64).expect("id");
+            let burst = format!(
+                "{{\"op\":\"NextQuestion\",\"session\":{session}}}\n\
+                 {{\"op\":\"Answer\",\"session\":{session},\"label\":\"-\"}}\n\
+                 {{\"op\":\"CloseSession\",\"session\":{session}}}\n"
+            );
+            client
+                .writer
+                .write_all(burst.as_bytes())
+                .expect("write burst");
+            let responses = [(); 3].map(|_| client.read_response());
+            for r in &responses {
+                assert_eq!(
+                    r.get("ok").and_then(Json::as_bool),
+                    Some(true),
+                    "{transport} trial {trial}: {responses:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_new_connection_is_answered_at_once() {
+    // Both accept loops block until a peer connects, so a connection to
+    // a server that has been idle waits for no poll interval. The idle
+    // spells are staggered so that no periodic wake-up lines up with
+    // every connect.
+    for transport in transports() {
+        let server = start(transport);
+        let mut waits: Vec<Duration> = (0..10)
+            .map(|i| {
+                std::thread::sleep(Duration::from_millis(100 + 7 * i));
+                let started = Instant::now();
+                Client::connect(server.addr).send(r#"{"op":"ListSessions"}"#);
+                started.elapsed()
+            })
+            .collect();
+        waits.sort();
+        assert!(
+            waits[waits.len() / 2] < Duration::from_millis(10),
+            "{transport}: connect to first response {waits:?}"
+        );
     }
 }
 
