@@ -5,7 +5,7 @@
 //! `Engine::new` — measured at the smallest sizes only, where it is
 //! still feasible — pays for every product tuple.
 //!
-//! Two series:
+//! Three series:
 //!
 //! * `social_log` — `follows_log(32, events, ·)` self-joined: an
 //!   event-log-shaped edge stream whose distinct-row count saturates at
@@ -15,6 +15,11 @@
 //!   1.2·10⁶→1.2·10¹⁰): key-joined relations whose blocks are the rows
 //!   themselves, the adversarial end for factorization (cost grows with
 //!   rows — but rows grow with √product, so the build still flattens).
+//! * `follows3` — `follows_log(12, events, ·)` self-joined three times
+//!   over one shared relation: at most `12·11 = 132` blocks per
+//!   occurrence, so the sweep pairs each of ≤ 132² prefix combinations
+//!   with the third occurrence's blocks that share a value with it.
+//!   `events` sweeps 10²→10⁶, so the product sweeps 10⁶→10¹⁸.
 //!
 //! After each factorized build, a full goal-driven session resolves the
 //! instance and the per-question step cost is reported — inference over
@@ -202,10 +207,61 @@ fn main() {
         }
     }
 
+    // ── Series C: a three-occurrence self-join, product 10⁶ → 10¹⁸. ───
+    for &events in &[100usize, 1_000, 10_000, 100_000, 1_000_000] {
+        let shared = social::follows_log(12, events, 7).into_shared();
+        let product =
+            Product::new(vec![shared.clone(), shared.clone(), shared]).expect("self-join");
+        let size = product.size();
+        let (build_ns, engine) =
+            measure(|| Engine::from_factorized(product.clone(), &options).expect("factorizes"));
+        let groups = engine.num_groups();
+        println!(
+            "bench factorize/follows3/{events}ev/factorized: {build_ns:.0} ns/iter \
+             ({size} product tuples, {groups} groups)"
+        );
+        let goal = social::two_hop_goal(engine.universe());
+        let (question_ns, interactions) = session_step(engine, goal);
+        println!(
+            "bench factorize/follows3/{events}ev/question: {question_ns:.0} ns/iter \
+             ({interactions} questions to resolve)"
+        );
+        samples.push(Sample {
+            series: "follows3",
+            param: events as u64,
+            product_size: size,
+            mode: "factorized",
+            build_ns,
+            groups,
+            question_ns: Some(question_ns),
+            interactions: Some(interactions),
+        });
+
+        if size <= options.max_product {
+            let (build_ns, engine) =
+                measure(|| Engine::new(product.clone(), &options).expect("enumerable"));
+            println!(
+                "bench factorize/follows3/{events}ev/enumerated: {build_ns:.0} ns/iter \
+                 ({size} product tuples, {} groups)",
+                engine.num_groups()
+            );
+            samples.push(Sample {
+                series: "follows3",
+                param: events as u64,
+                product_size: size,
+                mode: "enumerated",
+                build_ns,
+                groups: engine.num_groups(),
+                question_ns: None,
+                interactions: None,
+            });
+        }
+    }
+
     // The headline: how much the build slowed down across each series
     // versus how much the product grew.
     let mut flatness: Vec<(String, f64, f64)> = Vec::new();
-    for series in ["social_log", "tpch"] {
+    for series in ["social_log", "tpch", "follows3"] {
         let pts: Vec<&Sample> = samples
             .iter()
             .filter(|s| s.series == series && s.mode == "factorized")

@@ -47,13 +47,14 @@ use std::sync::Arc;
 pub struct EngineOptions {
     /// Which attribute pairs are candidate atoms.
     pub scope: AtomScope,
-    /// Refuse to enumerate products larger than this (callers should
-    /// [`Product::sample`] first). Default: 5,000,000.
+    /// Refuse to enumerate products larger than this; open them with
+    /// [`Engine::from_factorized`] instead. Default: 5,000,000.
     pub max_product: u64,
-    /// Sweep budget for [`Engine::from_factorized`]: the maximum number of
-    /// block combinations (dense sweep) or candidate block pairs (sparse
-    /// sweep) factorization may visit before giving up with
-    /// [`InferenceError::FactorizationTooLarge`]. Default: 4,000,000.
+    /// Sweep budget for [`Engine::from_factorized`]: the most sweep work
+    /// factorization may do (see `jim_relation::FactorizeOptions::max_sweep`)
+    /// before giving up with [`InferenceError::FactorizationTooLarge`]; the
+    /// sweep counts as it goes, so giving up costs at most this much.
+    /// Default: 4,000,000.
     pub max_combos: u64,
 }
 
@@ -461,9 +462,14 @@ impl Engine {
     /// exactly as if every tuple had been enumerated (the equivalence is
     /// property-tested against [`Engine::new`]).
     ///
-    /// Fails with [`InferenceError::FactorizationTooLarge`] when the block
-    /// sweep would exceed [`EngineOptions::max_combos`] — callers fall back
-    /// to sampling ([`Product::sample`] + [`Engine::from_ids`]).
+    /// The product may have any number of occurrences, and any size: a
+    /// product small enough for [`Engine::new`] may still be cheaper to
+    /// factorize when its relations collapse to few blocks.
+    ///
+    /// Fails with [`InferenceError::FactorizationTooLarge`] as soon as the
+    /// block sweep passes [`EngineOptions::max_combos`]; the caller then
+    /// enumerates a product within [`EngineOptions::max_product`], or
+    /// samples one beyond it ([`Product::sample`] + [`Engine::from_ids`]).
     pub fn from_factorized(product: Product, options: &EngineOptions) -> Result<Self> {
         let universe = AtomUniverse::new(product.schema().clone(), options.scope)?;
         let vs = VersionSpace::new(universe.clone());

@@ -5,14 +5,16 @@
 //! pin it against [`Engine::new`] on random small instances: identical
 //! candidates, identical [`ProgressStats`], and an identical question
 //! sequence under every strategy — plus the edge cases (empty relation,
-//! all-rows-one-block, self-join with duplicate rows).
+//! all-rows-one-block, self-join with duplicate rows) and 2–4-occurrence
+//! self-joins over one shared relation.
 
 #![forbid(unsafe_code)]
 
 use jim_core::strategy::choose_next;
 use jim_core::{AtomScope, Engine, EngineOptions, InferenceError, Label, StrategyKind};
-use jim_relation::{DataType, Product, Relation, RelationSchema, Tuple, Value};
+use jim_relation::{DataType, IntoSharedRelation, Product, Relation, RelationSchema, Tuple, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn relation(name: &str, arity: usize, rows: &[Vec<i64>]) -> Relation {
     let cols: Vec<(String, DataType)> = (0..arity)
@@ -30,6 +32,18 @@ fn relation(name: &str, arity: usize, rows: &[Vec<i64>]) -> Relation {
 /// Build both engines over the same relations; `None` when the instance is
 /// degenerate for that scope (both constructions must agree on that too).
 fn both(rels: &[&Relation], scope: AtomScope) -> Option<(Engine, Engine)> {
+    both_shared(
+        &rels
+            .iter()
+            .map(|r| (*r).clone().into_shared())
+            .collect::<Vec<_>>(),
+        scope,
+    )
+}
+
+/// [`both`] over shared handles: repeating one `Arc` is the shape
+/// `Database::join_view` gives a self-join.
+fn both_shared(rels: &[Arc<Relation>], scope: AtomScope) -> Option<(Engine, Engine)> {
     let opts = EngineOptions {
         scope,
         ..Default::default()
@@ -106,7 +120,8 @@ proptest! {
         }
     }
 
-    /// Ternary instances exercise the dense mixed-radix sweep.
+    /// Ternary instances: the sweep's mixed-radix prefix over two
+    /// occurrences, in both scopes.
     #[test]
     fn ternary_instances_match(
         rows_a in rows_strategy(4),
@@ -116,10 +131,29 @@ proptest! {
         let a = relation("a", 2, &rows_a);
         let b = relation("b", 2, &rows_b);
         let c = relation("c", 2, &rows_c);
-        let Some((fe, ee)) = both(&[&a, &b, &c], AtomScope::CrossRelation) else { return Ok(()) };
-        assert_same_state(&fe, &ee, "ternary construction");
-        assert_same_session(&fe, &ee, StrategyKind::LookaheadMinPrune);
-        assert_same_session(&fe, &ee, StrategyKind::LocalGeneral);
+        for scope in [AtomScope::CrossRelation, AtomScope::AllPairs] {
+            let Some((fe, ee)) = both(&[&a, &b, &c], scope) else { continue };
+            assert_same_state(&fe, &ee, &format!("{scope:?} ternary construction"));
+            assert_same_session(&fe, &ee, StrategyKind::LookaheadMinPrune);
+            assert_same_session(&fe, &ee, StrategyKind::LocalGeneral);
+        }
+    }
+
+    /// 3- and 4-occurrence self-joins over one shared relation, the
+    /// shape whose occurrences share one block partition.
+    #[test]
+    fn shared_self_joins_of_three_and_four_occurrences_match(
+        rows in rows_strategy(4),
+        occurrences in 3usize..=4,
+    ) {
+        let r = relation("r", 2, &rows).into_shared();
+        let rels = vec![r; occurrences];
+        for scope in [AtomScope::CrossRelation, AtomScope::AllPairs] {
+            let Some((fe, ee)) = both_shared(&rels, scope) else { continue };
+            let context = format!("{occurrences}-occurrence {scope:?} self-join");
+            assert_same_state(&fe, &ee, &context);
+            assert_same_session(&fe, &ee, StrategyKind::LocalGeneral);
+        }
     }
 
     /// Self-joins (the same relation twice, duplicate rows allowed) share
@@ -129,7 +163,8 @@ proptest! {
         let mut doubled = rows.clone();
         doubled.extend(rows.iter().cloned());
         let r = relation("r", 2, &doubled);
-        let Some((fe, ee)) = both(&[&r, &r], AtomScope::CrossRelation) else { return Ok(()) };
+        let r = r.into_shared();
+        let Some((fe, ee)) = both_shared(&[r.clone(), r], AtomScope::CrossRelation) else { return Ok(()) };
         assert_same_state(&fe, &ee, "self-join construction");
         for kind in StrategyKind::heuristics(5) {
             assert_same_session(&fe, &ee, kind);

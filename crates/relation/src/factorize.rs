@@ -5,32 +5,39 @@
 //! product just to discover those groups. This module computes the
 //! signature-group partition **directly from the base relations**:
 //!
-//! 1. Rows of each component relation are partitioned into
-//!    **value-equivalence blocks**: two rows land in one block iff they agree
-//!    on every attribute that participates in a joinable pair — after
-//!    *collapsing* values that appear in no partner attribute (such values
-//!    can never satisfy a cross atom, so only their within-row equality
-//!    pattern matters, captured by per-row sentinels).
+//! 1. Every value of a *distinguishing* column (one that takes part in some
+//!    joinable pair) is interned once to a dense `u32` code. The rows of each
+//!    relation occurrence are then partitioned into **value-equivalence
+//!    blocks**: two rows land in one block iff their codes agree on every
+//!    distinguishing column — after *collapsing* values that appear in no
+//!    partner column (such values can never satisfy a cross atom, so only
+//!    their within-row equality pattern matters, kept by per-row sentinel
+//!    codes). Occurrences of one shared relation with the same columns and
+//!    collapse sets share one code set and one block partition.
 //! 2. Every product tuple's signature is a function of its block vector
 //!    alone, so the distinct signatures of the product are exactly the
-//!    distinct patterns over block combinations. The sweep enumerates block
-//!    combinations — densely (mixed-radix, any arity) or sparsely for binary
-//!    products (an inverted value index yields only block pairs that share a
-//!    value; all remaining pairs take the no-cross-atom default pattern) —
-//!    and aggregates per pattern a **count**, the **minimum** [`ProductId`]
-//!    and a bounded sample of witness ids.
+//!    distinct patterns over block combinations. One sweep serves any number
+//!    of occurrences. It walks the block combinations of the first n−1
+//!    occurrences in mixed radix and computes each one's pattern once. An
+//!    inverted code index over the last occurrence's blocks yields the
+//!    blocks that share a value with that prefix; only those are paired
+//!    with it one by one. Every other block can hold no atom with the
+//!    prefix, so it joins the prefix's pattern by subtraction, one
+//!    intra-pattern class at a time. Per pattern (a bitmask over the
+//!    joinable pairs) the sweep aggregates a **count**, the **minimum**
+//!    [`ProductId`] and a bounded sample of witness ids.
 //!
-//! The sweep never materializes the product: cost scales with the number of
-//! blocks and their value overlap (for event-log-shaped data, the number of
-//! *distinct* rows), not with `Product::size()`. A [`FactorizeOptions::max_sweep`]
-//! guard rejects instances whose block structure is no smaller than the
-//! product, so callers can fall back to sampling.
+//! The sweep never materializes the product. Its cost is the relations'
+//! rows plus, per prefix combination, the matched blocks and one walk per
+//! class: Π_{i<n} bᵢ · (classes + matches) for bᵢ blocks per occurrence,
+//! not `Product::size()`. [`FactorizeOptions::max_sweep`] bounds that work.
 
 use crate::product::{Product, ProductId};
 use crate::schema::{GlobalAttr, JoinSchema};
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Tuning knobs for [`factorize`].
 #[derive(Debug, Clone, Copy)]
@@ -38,9 +45,11 @@ pub struct FactorizeOptions {
     /// Only consider atoms between *different* relation occurrences
     /// (mirrors the engine's default atom scope).
     pub cross_only: bool,
-    /// Upper bound on sweep work (dense: number of block combinations;
-    /// sparse: candidate block pairs sharing a value). Exceeding it returns
-    /// [`FactorizeError::SweepTooLarge`] so the caller can fall back.
+    /// Upper bound on sweep work: per block combination of the first n−1
+    /// occurrences, the last occurrence's blocks that share a value with it
+    /// plus one walk per intra-pattern class. The sweep counts as it goes
+    /// and returns [`FactorizeError::SweepTooLarge`] as soon as the count
+    /// passes the bound, so refusing an instance costs at most the bound.
     pub max_sweep: u64,
     /// Maximum number of witness ids carried per signature group (at least
     /// one — the minimum id is always a witness).
@@ -64,9 +73,10 @@ pub enum FactorizeError {
     /// is no signature structure to factorize.
     NoJoinablePairs,
     /// The block structure is too rich: sweeping it would cost more than
-    /// `max_sweep`. Callers should fall back to sampling.
+    /// `max_sweep`.
     SweepTooLarge {
-        /// The estimated sweep cost.
+        /// The sweep work counted when the bound was passed (a lower bound
+        /// on the whole sweep's cost).
         cost: u64,
         /// The configured bound.
         limit: u64,
@@ -111,25 +121,15 @@ pub struct Factorized {
     pub groups: Vec<SigGroup>,
     /// Number of value-equivalence blocks per relation occurrence.
     pub blocks_per_occurrence: Vec<usize>,
-    /// Block combinations (dense) or candidate block pairs (sparse) visited.
+    /// Sweep work done, counted as [`FactorizeOptions::max_sweep`] counts it.
     pub swept: u64,
 }
 
-/// A collapsed block-key entry: either a value that can participate in some
-/// joinable pair, or a per-row sentinel for values that cannot (numbered by
-/// first appearance within the row so within-row equality is preserved).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum KeyVal {
-    Val(Value),
-    Bot(u32),
-}
-
-/// One value-equivalence block of a relation occurrence.
-struct Block {
-    key: Vec<KeyVal>,
-    count: u64,
-    min_row: usize,
-    witness_rows: Vec<usize>,
+/// Code of the `j`-th distinct collapsed value of a row: counted down from
+/// `u32::MAX`, far above every interned value's code, so a sentinel matches
+/// another only within one row's key.
+fn sentinel(j: usize) -> u32 {
+    u32::MAX - j as u32
 }
 
 /// A joinable attribute pair resolved to occurrence + key positions.
@@ -142,23 +142,201 @@ struct PairInfo {
     pos_b: usize,
 }
 
+/// The value-equivalence blocks of one relation occurrence.
+struct Partition {
+    /// Codes per block key (the occurrence's distinguishing columns).
+    width: usize,
+    /// Block keys, `width` codes per block, in one flat arena.
+    keys: Vec<u32>,
+    /// `rows[starts[b]..starts[b + 1]]` are block `b`'s rows, ascending.
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Partition {
+    /// Group rows into blocks by their interned keys. `columns[k]` holds
+    /// the codes of key position `k` in row order; `live[k]` the codes that
+    /// some partner column holds (all others collapse to sentinels).
+    fn new(columns: &[&[u32]], live: &[Vec<u64>], rows: usize) -> Partition {
+        let width = columns.len();
+        let mut by_key: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut keys: Vec<u32> = Vec::new();
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut block_of: Vec<u32> = Vec::with_capacity(rows);
+        let mut key: Vec<u32> = Vec::with_capacity(width);
+        let mut collapsed: Vec<u32> = Vec::new();
+        for row in 0..rows {
+            key.clear();
+            collapsed.clear();
+            for (codes, live) in columns.iter().zip(live) {
+                let code = codes[row];
+                if has_bit(live, code as usize) {
+                    key.push(code);
+                } else {
+                    let j = collapsed
+                        .iter()
+                        .position(|&c| c == code)
+                        .unwrap_or_else(|| {
+                            collapsed.push(code);
+                            collapsed.len() - 1
+                        });
+                    key.push(sentinel(j));
+                }
+            }
+            let block = match by_key.get(key.as_slice()) {
+                Some(&block) => block,
+                None => {
+                    let block = sizes.len() as u32;
+                    by_key.insert(key.clone(), block);
+                    keys.extend_from_slice(&key);
+                    sizes.push(0);
+                    block
+                }
+            };
+            sizes[block as usize] += 1;
+            block_of.push(block);
+        }
+        // Counting sort by block; rows stay ascending within each block.
+        let mut starts = Vec::with_capacity(sizes.len() + 1);
+        let mut end = 0u32;
+        starts.push(end);
+        for &size in &sizes {
+            end += size;
+            starts.push(end);
+        }
+        let mut next: Vec<u32> = starts[..sizes.len()].to_vec();
+        let mut grouped = vec![0u32; rows];
+        for (row, &block) in block_of.iter().enumerate() {
+            grouped[next[block as usize] as usize] = row as u32;
+            next[block as usize] += 1;
+        }
+        Partition {
+            width,
+            keys,
+            starts,
+            rows: grouped,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn key(&self, block: usize) -> &[u32] {
+        &self.keys[block * self.width..(block + 1) * self.width]
+    }
+
+    fn rows_of(&self, block: usize) -> &[u32] {
+        &self.rows[self.starts[block] as usize..self.starts[block + 1] as usize]
+    }
+
+    fn count(&self, block: usize) -> u64 {
+        u64::from(self.starts[block + 1] - self.starts[block])
+    }
+
+    fn min_row(&self, block: usize) -> u64 {
+        u64::from(self.rows[self.starts[block] as usize])
+    }
+}
+
+fn has_bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+fn or_into(into: &mut [u64], from: &[u64]) {
+    for (x, y) in into.iter_mut().zip(from) {
+        *x |= y;
+    }
+}
+
+/// Last-occurrence blocks with one intra-occurrence pattern.
+struct Class {
+    /// The intra pairs that hold, as pattern bits.
+    bits: Vec<u64>,
+    /// Rows across the member blocks.
+    rows: u64,
+    /// Member blocks, ascending (so by minimum row).
+    members: Vec<u32>,
+}
+
 /// Per-pattern aggregation during the sweep.
 #[derive(Default)]
 struct Acc {
     count: u64,
-    /// The `max_witnesses` smallest block combinations, as
-    /// `(combo minimum id, block index per occurrence)`, ascending.
-    entries: Vec<(u64, Vec<u32>)>,
+    /// The `cap` smallest block combinations seen, as (combination's
+    /// minimum id, its last-occurrence block), ascending.
+    entries: Vec<(u64, u32)>,
 }
 
 impl Acc {
-    fn add(&mut self, count: u64, min_id: u64, combo: &[u32], cap: usize) {
-        self.count += count;
-        let pos = self.entries.partition_point(|(id, _)| *id < min_id);
-        if pos < cap {
-            self.entries.insert(pos, (min_id, combo.to_vec()));
-            self.entries.truncate(cap);
+    /// Keep a combination if it is among the `cap` smallest so far.
+    fn offer(&mut self, min_id: u64, last_block: u32, cap: usize) -> bool {
+        if self.entries.len() == cap {
+            if self.entries[cap - 1].0 < min_id {
+                return false;
+            }
+            self.entries.pop();
         }
+        let pos = self.entries.partition_point(|&(id, _)| id < min_id);
+        self.entries.insert(pos, (min_id, last_block));
+        true
+    }
+}
+
+/// Entries of [`Accumulators`]' direct-mapped pattern cache.
+const CACHE_SLOTS: usize = 256;
+
+/// The accumulators keyed by pattern. A visited combination probes a small
+/// direct-mapped cache of recent patterns first, and the map (the standard
+/// hasher) only on a miss; a pattern is copied only when it opens a group.
+struct Accumulators {
+    words: usize,
+    slots: HashMap<Vec<u64>, usize>,
+    accs: Vec<Acc>,
+    /// `CACHE_SLOTS` patterns of `words` words each, with their slots
+    /// (`usize::MAX` while a cache entry is empty).
+    cached: Vec<u64>,
+    cached_slot: Vec<usize>,
+}
+
+impl Accumulators {
+    fn new(words: usize) -> Self {
+        Accumulators {
+            words,
+            slots: HashMap::new(),
+            accs: Vec::new(),
+            cached: vec![0; CACHE_SLOTS * words],
+            cached_slot: vec![usize::MAX; CACHE_SLOTS],
+        }
+    }
+
+    fn get(&mut self, pattern: &[u64]) -> &mut Acc {
+        let fold = pattern
+            .iter()
+            .fold(0u64, |h, &w| (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let line = (fold >> 56) as usize % CACHE_SLOTS;
+        let cached = &mut self.cached[line * self.words..(line + 1) * self.words];
+        let slot = match self.cached_slot[line] {
+            slot if slot != usize::MAX && cached == pattern => slot,
+            _ => {
+                let slot = match self.slots.get(pattern) {
+                    Some(&slot) => slot,
+                    None => {
+                        self.slots.insert(pattern.to_vec(), self.accs.len());
+                        self.accs.push(Acc::default());
+                        self.accs.len() - 1
+                    }
+                };
+                cached.copy_from_slice(pattern);
+                self.cached_slot[line] = slot;
+                slot
+            }
+        };
+        &mut self.accs[slot]
     }
 }
 
@@ -190,48 +368,38 @@ pub fn factorize(
     product: &Product,
     options: &FactorizeOptions,
 ) -> Result<Factorized, FactorizeError> {
-    factorize_with(product, options, false)
-}
-
-/// [`factorize`], taking the dense sweep for binary products too when
-/// `always_dense` is set, so tests can pin both sweeps to brute force.
-fn factorize_with(
-    product: &Product,
-    options: &FactorizeOptions,
-    always_dense: bool,
-) -> Result<Factorized, FactorizeError> {
     let schema = product.schema();
-    let n = schema.num_relations();
+    let relations = product.relations();
+    let n = relations.len();
     let pair_attrs = joinable_pairs(schema, options.cross_only);
     if pair_attrs.is_empty() {
         return Err(FactorizeError::NoJoinablePairs);
     }
     let cap = options.max_witnesses.max(1);
 
-    // Distinguishing attributes per occurrence: locals that appear in some
-    // joinable pair, with their position in the block key.
-    let mut distinguishing: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut pos_of: HashMap<GlobalAttr, (usize, usize)> = HashMap::new();
+    // Distinguishing columns per occurrence (relation locals, ascending:
+    // the block key layout), and each pair's occurrences and key positions.
+    let mut locals: Vec<Vec<usize>> = vec![Vec::new(); n];
     for &(a, b) in &pair_attrs {
         for attr in [a, b] {
             let (occ, local) = schema.locate(attr).expect("attr in range");
-            if !distinguishing[occ].contains(&local) {
-                distinguishing[occ].push(local);
+            if !locals[occ].contains(&local) {
+                locals[occ].push(local);
             }
         }
     }
-    for (occ, locals) in distinguishing.iter_mut().enumerate() {
-        locals.sort_unstable();
-        for (pos, &local) in locals.iter().enumerate() {
-            let attr = schema.global(occ, local).expect("local in range");
-            pos_of.insert(attr, (occ, pos));
-        }
+    for l in &mut locals {
+        l.sort_unstable();
     }
+    let position = |attr: GlobalAttr| {
+        let (occ, local) = schema.locate(attr).expect("attr in range");
+        let pos = locals[occ].binary_search(&local).expect("distinguishing");
+        (occ, pos)
+    };
     let pairs: Vec<PairInfo> = pair_attrs
         .iter()
         .map(|&(a, b)| {
-            let (occ_a, pos_a) = pos_of[&a];
-            let (occ_b, pos_b) = pos_of[&b];
+            let ((occ_a, pos_a), (occ_b, pos_b)) = (position(a), position(b));
             PairInfo {
                 a,
                 b,
@@ -243,96 +411,382 @@ fn factorize_with(
         })
         .collect();
 
-    // Value sets per distinguishing attribute, then partner attrs per attr:
-    // a value collapses iff no joinable partner attribute ever holds it.
-    let mut value_sets: HashMap<GlobalAttr, HashSet<Value>> = HashMap::new();
-    for (occ, locals) in distinguishing.iter().enumerate() {
-        let rel = &product.relations()[occ];
-        for &local in locals {
-            let attr = schema.global(occ, local).expect("local in range");
-            let set = value_sets.entry(attr).or_default();
-            for row in rel.rows() {
-                set.insert(row[local].clone());
+    // Rows, codes and sentinels share one `u32` space; keep them apart.
+    let cells: u64 = (0..n)
+        .map(|occ| relations[occ].len() as u64 * (locals[occ].len() as u64 + 1))
+        .sum();
+    if cells > u64::from(u32::MAX / 2) {
+        return Err(FactorizeError::SweepTooLarge {
+            cost: cells,
+            limit: options.max_sweep,
+        });
+    }
+
+    // Intern every distinguishing column once per shared relation: equal
+    // values (by `Value`'s own `Eq`) get one dense code across columns.
+    let source: Vec<usize> = (0..n)
+        .map(|occ| {
+            (0..occ)
+                .find(|&j| Arc::ptr_eq(&relations[j], &relations[occ]))
+                .unwrap_or(occ)
+        })
+        .collect();
+    let mut by_value: HashMap<&Value, u32> = HashMap::new();
+    let mut columns: Vec<Vec<u32>> = Vec::new();
+    let mut interned: Vec<((usize, usize), usize)> = Vec::new();
+    let mut column_at: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for occ in 0..n {
+        for &local in &locals[occ] {
+            let id = (source[occ], local);
+            let column = match interned.iter().find(|(k, _)| *k == id) {
+                Some(&(_, column)) => column,
+                None => {
+                    let codes = relations[occ]
+                        .rows()
+                        .iter()
+                        .map(|row| {
+                            let next = by_value.len() as u32;
+                            *by_value.entry(&row[local]).or_insert(next)
+                        })
+                        .collect();
+                    columns.push(codes);
+                    interned.push((id, columns.len() - 1));
+                    columns.len() - 1
+                }
+            };
+            column_at[occ].push(column);
+        }
+    }
+    let n_codes = by_value.len();
+    drop(by_value);
+    let real = |code: u32| (code as usize) < n_codes;
+
+    // A value stays live at a position iff some partner column holds it.
+    let code_words = n_codes.div_ceil(64);
+    let present: Vec<Vec<u64>> = columns
+        .iter()
+        .map(|codes| {
+            let mut bits = vec![0u64; code_words];
+            for &code in codes {
+                set_bit(&mut bits, code as usize);
+            }
+            bits
+        })
+        .collect();
+    let mut live: Vec<Vec<Vec<u64>>> = locals
+        .iter()
+        .map(|l| vec![vec![0u64; code_words]; l.len()])
+        .collect();
+    for p in &pairs {
+        or_into(
+            &mut live[p.occ_a][p.pos_a],
+            &present[column_at[p.occ_b][p.pos_b]],
+        );
+        or_into(
+            &mut live[p.occ_b][p.pos_b],
+            &present[column_at[p.occ_a][p.pos_a]],
+        );
+    }
+
+    // Block partitions, one per distinct (relation, columns, live sets).
+    let mut partitions: Vec<Partition> = Vec::new();
+    let mut part_of: Vec<usize> = Vec::with_capacity(n);
+    for occ in 0..n {
+        let shared = (0..occ).find(|&j| {
+            source[j] == source[occ] && locals[j] == locals[occ] && live[j] == live[occ]
+        });
+        match shared {
+            Some(j) => part_of.push(part_of[j]),
+            None => {
+                let cols: Vec<&[u32]> = column_at[occ]
+                    .iter()
+                    .map(|&c| columns[c].as_slice())
+                    .collect();
+                partitions.push(Partition::new(&cols, &live[occ], relations[occ].len()));
+                part_of.push(partitions.len() - 1);
             }
         }
     }
-    let mut partners: HashMap<GlobalAttr, Vec<GlobalAttr>> = HashMap::new();
-    for &(a, b) in &pair_attrs {
-        partners.entry(a).or_default().push(b);
-        partners.entry(b).or_default().push(a);
+    let blocks_per_occurrence: Vec<usize> = part_of.iter().map(|&p| partitions[p].len()).collect();
+    if product.size() == 0 {
+        return Ok(Factorized {
+            groups: Vec::new(),
+            blocks_per_occurrence,
+            swept: 0,
+        });
+    }
+    let part = |occ: usize| &partitions[part_of[occ]];
+
+    // Pairs by where they live: inside the prefix (the first n−1
+    // occurrences), inside the last occurrence, or across the two.
+    let last = n - 1;
+    let words = pairs.len().div_ceil(64);
+    let (mut prefix_pairs, mut intra_last, mut cross_last) = (Vec::new(), Vec::new(), Vec::new());
+    for (bit, p) in pairs.iter().enumerate() {
+        if p.occ_b < last {
+            prefix_pairs.push(bit);
+        } else if p.occ_a == last {
+            intra_last.push(bit);
+        } else {
+            cross_last.push(bit);
+        }
     }
 
-    // Block partition per occurrence.
-    let mut blocks: Vec<Vec<Block>> = Vec::with_capacity(n);
-    for (occ, locals) in distinguishing.iter().enumerate() {
-        let rel = &product.relations()[occ];
-        let mut by_key: HashMap<Vec<KeyVal>, u32> = HashMap::new();
-        let mut occ_blocks: Vec<Block> = Vec::new();
-        let mut bots: Vec<&Value> = Vec::new();
-        for (row_idx, row) in rel.rows().iter().enumerate() {
-            bots.clear();
-            let mut key = Vec::with_capacity(locals.len());
-            for &local in locals {
-                let attr = schema.global(occ, local).expect("local in range");
-                let v = &row[local];
-                let joins = partners[&attr].iter().any(|p| value_sets[p].contains(v));
-                if joins {
-                    key.push(KeyVal::Val(v.clone()));
-                } else {
-                    let j = bots.iter().position(|w| *w == v).unwrap_or_else(|| {
-                        bots.push(v);
-                        bots.len() - 1
-                    });
-                    key.push(KeyVal::Bot(j as u32));
-                }
+    // The last occurrence's blocks by intra pattern (one class under
+    // cross-only scope).
+    let lp = part(last);
+    let mut classes: Vec<Class> = Vec::new();
+    let mut class_of: Vec<usize> = Vec::with_capacity(lp.len());
+    let mut class_slots: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut bits = vec![0u64; words];
+    for block in 0..lp.len() {
+        bits.fill(0);
+        let key = lp.key(block);
+        for &bit in &intra_last {
+            let p = &pairs[bit];
+            if key[p.pos_a] == key[p.pos_b] {
+                set_bit(&mut bits, bit);
             }
-            if let Some(&i) = by_key.get(&key) {
-                let b = &mut occ_blocks[i as usize];
-                b.count += 1;
-                if b.witness_rows.len() < cap {
-                    b.witness_rows.push(row_idx);
-                }
-            } else {
-                by_key.insert(key.clone(), occ_blocks.len() as u32);
-                occ_blocks.push(Block {
-                    key,
-                    count: 1,
-                    min_row: row_idx,
-                    witness_rows: vec![row_idx],
+        }
+        let class = match class_slots.get(bits.as_slice()) {
+            Some(&class) => class,
+            None => {
+                class_slots.insert(bits.clone(), classes.len());
+                classes.push(Class {
+                    bits: bits.clone(),
+                    rows: 0,
+                    members: Vec::new(),
                 });
+                classes.len() - 1
+            }
+        };
+        classes[class].rows += lp.count(block);
+        classes[class].members.push(block as u32);
+        class_of.push(class);
+    }
+
+    // Every prefix combination walks each class at least once: refuse an
+    // instance whose prefix alone passes the bound before sweeping it.
+    let floor = (0..last)
+        .fold(1u64, |acc, occ| acc.saturating_mul(part(occ).len() as u64))
+        .saturating_mul(classes.len() as u64);
+    if floor > options.max_sweep {
+        return Err(FactorizeError::SweepTooLarge {
+            cost: floor,
+            limit: options.max_sweep,
+        });
+    }
+
+    // Inverted index: real code -> last-occurrence blocks holding it.
+    let mut index_starts = vec![0u32; n_codes + 1];
+    for block in 0..lp.len() {
+        let key = lp.key(block);
+        for (i, &code) in key.iter().enumerate() {
+            if real(code) && !key[..i].contains(&code) {
+                index_starts[code as usize + 1] += 1;
             }
         }
-        blocks.push(occ_blocks);
     }
-    let blocks_per_occurrence: Vec<usize> = blocks.iter().map(Vec::len).collect();
-
-    let mut accs: HashMap<Vec<u32>, Acc> = HashMap::new();
-    let swept = if n == 2 && !always_dense {
-        sweep_sparse(product, &pairs, &blocks, options.max_sweep, cap, &mut accs)?
-    } else {
-        sweep_dense(product, &pairs, &blocks, options.max_sweep, cap, &mut accs)?
+    for i in 1..index_starts.len() {
+        index_starts[i] += index_starts[i - 1];
+    }
+    let mut index = vec![0u32; index_starts[n_codes] as usize];
+    let mut fill = index_starts.clone();
+    for block in 0..lp.len() {
+        let key = lp.key(block);
+        for (i, &code) in key.iter().enumerate() {
+            if real(code) && !key[..i].contains(&code) {
+                index[fill[code as usize] as usize] = block as u32;
+                fill[code as usize] += 1;
+            }
+        }
+    }
+    let blocks_with = |code: u32| {
+        &index[index_starts[code as usize] as usize..index_starts[code as usize + 1] as usize]
     };
 
-    // Finalize: expand witness entries and sort groups by minimum id.
-    let mut groups: Vec<SigGroup> = accs
+    // Rank strides (last occurrence fastest); they fit because the
+    // product's size does.
+    let mut stride = vec![1u64; n];
+    for occ in (0..last).rev() {
+        stride[occ] = stride[occ + 1] * relations[occ + 1].len() as u64;
+    }
+
+    let mut accs = Accumulators::new(words);
+    let mut sel = vec![0usize; last];
+    let mut prefix_bits = vec![0u64; words];
+    let mut pattern = vec![0u64; words];
+    // Per class: the prefix's pattern plus the class's intra pairs.
+    let mut bases = vec![0u64; classes.len() * words];
+    let mut code_stamp = vec![0u64; n_codes];
+    let mut block_stamp = vec![0u64; lp.len()];
+    let mut matched: Vec<u32> = Vec::new();
+    let mut matched_rows = vec![0u64; classes.len()];
+    // (pattern word, bit mask, last-occurrence key position, prefix code)
+    // per cross pair whose prefix side holds a real code — the only ones
+    // that can hold.
+    let mut probes: Vec<(usize, u64, usize, u32)> = Vec::new();
+    let mut swept: u64 = 0;
+    let mut stamp = 0u64;
+    loop {
+        stamp += 1;
+        let key = |occ: usize| part(occ).key(sel[occ]);
+        prefix_bits.fill(0);
+        for &bit in &prefix_pairs {
+            let p = &pairs[bit];
+            let (ka, kb) = (key(p.occ_a)[p.pos_a], key(p.occ_b)[p.pos_b]);
+            if ka == kb && (p.occ_a == p.occ_b || real(ka)) {
+                set_bit(&mut prefix_bits, bit);
+            }
+        }
+        let (mut count, mut rank) = (1u64, 0u64);
+        for occ in 0..last {
+            count *= part(occ).count(sel[occ]);
+            rank += part(occ).min_row(sel[occ]) * stride[occ];
+        }
+        probes.clear();
+        for &bit in &cross_last {
+            let p = &pairs[bit];
+            let code = key(p.occ_a)[p.pos_a];
+            if real(code) {
+                probes.push((bit / 64, 1 << (bit % 64), p.pos_b, code));
+            }
+        }
+        matched.clear();
+        for occ in 0..last {
+            for &code in key(occ) {
+                if !real(code) || code_stamp[code as usize] == stamp {
+                    continue;
+                }
+                code_stamp[code as usize] = stamp;
+                for &block in blocks_with(code) {
+                    if block_stamp[block as usize] != stamp {
+                        block_stamp[block as usize] = stamp;
+                        matched.push(block);
+                    }
+                }
+            }
+        }
+        swept += (matched.len() + classes.len()) as u64;
+        if swept > options.max_sweep {
+            return Err(FactorizeError::SweepTooLarge {
+                cost: swept,
+                limit: options.max_sweep,
+            });
+        }
+
+        // Blocks sharing a value with the prefix: their own patterns.
+        for (c, class) in classes.iter().enumerate() {
+            let base = &mut bases[c * words..(c + 1) * words];
+            base.copy_from_slice(&prefix_bits);
+            or_into(base, &class.bits);
+        }
+        matched_rows.fill(0);
+        for &block in &matched {
+            let b = block as usize;
+            let class = class_of[b];
+            pattern.copy_from_slice(&bases[class * words..(class + 1) * words]);
+            let key_b = lp.key(b);
+            for &(word, mask, pos, code) in &probes {
+                if key_b[pos] == code {
+                    pattern[word] |= mask;
+                }
+            }
+            let rows = lp.count(b);
+            let acc = accs.get(&pattern);
+            acc.count += count * rows;
+            acc.offer(rank + lp.min_row(b), block, cap);
+            matched_rows[class] += rows;
+        }
+        // Every other block holds no atom with the prefix: the prefix
+        // pattern plus its class's, by subtraction. For a fixed prefix a
+        // combination's minimum id grows with its block's minimum row, so
+        // the class's first `cap` unmatched blocks are the only candidates
+        // for the K smallest.
+        for (c, class) in classes.iter().enumerate() {
+            let unmatched = class.rows - matched_rows[c];
+            if unmatched == 0 {
+                continue;
+            }
+            let acc = accs.get(&bases[c * words..(c + 1) * words]);
+            acc.count += count * unmatched;
+            let mut offered = 0usize;
+            for &block in &class.members {
+                if block_stamp[block as usize] == stamp {
+                    continue;
+                }
+                offered += 1;
+                if !acc.offer(rank + lp.min_row(block as usize), block, cap) || offered >= cap {
+                    break;
+                }
+            }
+        }
+
+        // Mixed-radix increment over the prefix, last prefix occurrence
+        // fastest.
+        let mut k = last;
+        loop {
+            if k == 0 {
+                return Ok(finish(
+                    product,
+                    &pairs,
+                    lp,
+                    accs,
+                    cap,
+                    blocks_per_occurrence,
+                    swept,
+                ));
+            }
+            k -= 1;
+            sel[k] += 1;
+            if sel[k] < part(k).len() {
+                break;
+            }
+            sel[k] = 0;
+        }
+    }
+}
+
+/// Expand each pattern's smallest combinations into witness ids (the
+/// combination's minimum rows, then its last block's first rows — exactly
+/// its smallest ranks) and sort the groups by minimum id.
+fn finish(
+    product: &Product,
+    pairs: &[PairInfo],
+    lp: &Partition,
+    accs: Accumulators,
+    cap: usize,
+    blocks_per_occurrence: Vec<usize>,
+    swept: u64,
+) -> Factorized {
+    let Accumulators { slots, accs, .. } = accs;
+    let mut groups: Vec<SigGroup> = slots
         .into_iter()
-        .map(|(pattern, acc)| {
+        .filter_map(|(bits, slot)| {
+            let acc = &accs[slot];
+            let &(min_id, _) = acc.entries.first()?;
             let mut witnesses: Vec<ProductId> = Vec::new();
-            for (_, combo) in &acc.entries {
-                witnesses.extend(expand_combo(product, &blocks, combo, cap));
+            for &(id, block) in &acc.entries {
+                let rows = lp.rows_of(block as usize);
+                let base = id - u64::from(rows[0]);
+                witnesses.extend(
+                    rows.iter()
+                        .take(cap)
+                        .map(|&row| ProductId(base + u64::from(row))),
+                );
             }
             witnesses.sort_unstable();
             witnesses.dedup();
             witnesses.truncate(cap);
-            SigGroup {
-                pattern: pattern
-                    .iter()
-                    .map(|&i| (pairs[i as usize].a, pairs[i as usize].b))
+            Some(SigGroup {
+                pattern: (0..pairs.len())
+                    .filter(|&bit| has_bit(&bits, bit))
+                    .map(|bit| (pairs[bit].a, pairs[bit].b))
                     .collect(),
                 count: acc.count,
-                min_id: ProductId(acc.entries[0].0),
+                min_id: ProductId(min_id),
                 witnesses,
-            }
+            })
         })
         .collect();
     groups.sort_unstable_by_key(|g| g.min_id);
@@ -341,282 +795,11 @@ fn factorize_with(
         product.size(),
         "groups must exactly cover the product"
     );
-    Ok(Factorized {
+    Factorized {
         groups,
         blocks_per_occurrence,
         swept,
-    })
-}
-
-/// The smallest member ids of one block combination: the per-block minimum
-/// rows, then varying the last (fastest-varying) occurrence over its block's
-/// witness rows — those are exactly the combination's smallest ranks.
-fn expand_combo(
-    product: &Product,
-    blocks: &[Vec<Block>],
-    combo: &[u32],
-    cap: usize,
-) -> Vec<ProductId> {
-    let mut rows: Vec<usize> = combo
-        .iter()
-        .zip(blocks)
-        .map(|(&i, occ)| occ[i as usize].min_row)
-        .collect();
-    let last_block = &blocks[blocks.len() - 1][combo[combo.len() - 1] as usize];
-    let mut out = Vec::with_capacity(last_block.witness_rows.len().min(cap));
-    for &w in last_block.witness_rows.iter().take(cap) {
-        *rows.last_mut().expect("non-empty combo") = w;
-        out.push(product.encode(&rows).expect("block rows in range"));
     }
-    out
-}
-
-/// Does the joinable pair hold between the given block keys?
-fn pair_holds(p: &PairInfo, keys: &[&Vec<KeyVal>]) -> bool {
-    let ka = &keys[p.occ_a][p.pos_a];
-    let kb = &keys[p.occ_b][p.pos_b];
-    if p.occ_a == p.occ_b {
-        // Within one row sentinels compare meaningfully.
-        ka == kb
-    } else {
-        // Across occurrences only real (partner-domain) values can match.
-        matches!((ka, kb), (KeyVal::Val(x), KeyVal::Val(y)) if x == y)
-    }
-}
-
-/// Dense sweep: enumerate every block combination in mixed-radix order
-/// (last occurrence fastest) and evaluate all pairs per combination.
-fn sweep_dense(
-    product: &Product,
-    pairs: &[PairInfo],
-    blocks: &[Vec<Block>],
-    max_sweep: u64,
-    cap: usize,
-    accs: &mut HashMap<Vec<u32>, Acc>,
-) -> Result<u64, FactorizeError> {
-    let mut combos: u64 = 1;
-    for occ in blocks {
-        combos = combos
-            .checked_mul(occ.len() as u64)
-            .ok_or(FactorizeError::SweepTooLarge {
-                cost: u64::MAX,
-                limit: max_sweep,
-            })?;
-    }
-    if combos == 0 {
-        return Ok(0);
-    }
-    if combos > max_sweep {
-        return Err(FactorizeError::SweepTooLarge {
-            cost: combos,
-            limit: max_sweep,
-        });
-    }
-    let n = blocks.len();
-    let mut sel = vec![0u32; n];
-    let mut rows = vec![0usize; n];
-    loop {
-        let keys: Vec<&Vec<KeyVal>> = sel
-            .iter()
-            .zip(blocks)
-            .map(|(&i, occ)| &occ[i as usize].key)
-            .collect();
-        let pattern: Vec<u32> = pairs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| pair_holds(p, &keys).then_some(i as u32))
-            .collect();
-        let mut count: u64 = 1;
-        for (slot, (&i, occ)) in rows.iter_mut().zip(sel.iter().zip(blocks)) {
-            let b = &occ[i as usize];
-            count *= b.count;
-            *slot = b.min_row;
-        }
-        let min_id = product.encode(&rows).expect("block rows in range");
-        accs.entry(pattern)
-            .or_default()
-            .add(count, min_id.rank(), &sel, cap);
-        // Mixed-radix increment, last occurrence fastest.
-        let mut k = n;
-        loop {
-            if k == 0 {
-                return Ok(combos);
-            }
-            k -= 1;
-            sel[k] += 1;
-            if (sel[k] as usize) < blocks[k].len() {
-                break;
-            }
-            sel[k] = 0;
-        }
-    }
-}
-
-/// Sparse sweep for binary products: an inverted value index over the second
-/// occurrence's blocks yields, per first-occurrence block, exactly the
-/// partner blocks that share a value (the only ones where any cross atom can
-/// hold); every remaining partner block contributes to the no-cross-atom
-/// default pattern by subtraction, per intra-pattern class.
-fn sweep_sparse(
-    product: &Product,
-    pairs: &[PairInfo],
-    blocks: &[Vec<Block>],
-    max_sweep: u64,
-    cap: usize,
-    accs: &mut HashMap<Vec<u32>, Acc>,
-) -> Result<u64, FactorizeError> {
-    debug_assert_eq!(blocks.len(), 2);
-    let (a_blocks, b_blocks) = (&blocks[0], &blocks[1]);
-
-    // Inverted index: real value -> B blocks containing it (dedup per block).
-    let mut index: HashMap<&Value, Vec<u32>> = HashMap::new();
-    for (i, b) in b_blocks.iter().enumerate() {
-        let mut seen: Vec<&Value> = Vec::new();
-        for kv in &b.key {
-            if let KeyVal::Val(v) = kv {
-                if !seen.contains(&v) {
-                    seen.push(v);
-                    index.entry(v).or_default().push(i as u32);
-                }
-            }
-        }
-    }
-
-    // Intra-pattern classes of B blocks (a single class under cross-only
-    // scope, where no intra pair exists).
-    let intra_of = |occ: usize, key: &Vec<KeyVal>| -> Vec<u32> {
-        pairs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| {
-                (p.occ_a == occ && p.occ_b == occ && pair_holds(p, &[key, key])).then_some(i as u32)
-            })
-            .collect()
-    };
-    let mut class_of: Vec<u32> = Vec::with_capacity(b_blocks.len());
-    let mut class_index: HashMap<Vec<u32>, u32> = HashMap::new();
-    // Per class: (intra pattern, total rows, member blocks ascending by min_row).
-    let mut classes: Vec<(Vec<u32>, u64, Vec<u32>)> = Vec::new();
-    for (i, b) in b_blocks.iter().enumerate() {
-        let pattern = intra_of(1, &b.key);
-        let c = *class_index.entry(pattern.clone()).or_insert_with(|| {
-            classes.push((pattern, 0, Vec::new()));
-            (classes.len() - 1) as u32
-        });
-        classes[c as usize].1 += b.count;
-        classes[c as usize].2.push(i as u32);
-        class_of.push(c);
-    }
-
-    // Cost guard: candidate pairs sharing a value, plus the per-A-block
-    // class walks (one class under cross-only scope).
-    let mut cost: u64 = 0;
-    for a in a_blocks {
-        let mut seen: Vec<&Value> = Vec::new();
-        for kv in &a.key {
-            if let KeyVal::Val(v) = kv {
-                if !seen.contains(&v) {
-                    seen.push(v);
-                    cost = cost.saturating_add(index.get(v).map_or(0, |l| l.len() as u64));
-                }
-            }
-        }
-        cost = cost.saturating_add(classes.len() as u64);
-    }
-    if cost > max_sweep {
-        return Err(FactorizeError::SweepTooLarge {
-            cost,
-            limit: max_sweep,
-        });
-    }
-
-    let cross: Vec<(usize, &PairInfo)> = pairs
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.occ_a != p.occ_b)
-        .collect();
-    let mut swept: u64 = 0;
-    let mut candidates: Vec<u32> = Vec::new();
-    let mut matched: HashSet<u32> = HashSet::new();
-    let mut matched_rows: Vec<u64> = Vec::new();
-    for (ai, a) in a_blocks.iter().enumerate() {
-        let intra_a = intra_of(0, &a.key);
-        candidates.clear();
-        for kv in &a.key {
-            if let KeyVal::Val(v) = kv {
-                if let Some(l) = index.get(v) {
-                    candidates.extend_from_slice(l);
-                }
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        matched.clear();
-        matched_rows.clear();
-        matched_rows.resize(classes.len(), 0);
-        for &bi in &candidates {
-            let b = &b_blocks[bi as usize];
-            let keys = [&a.key, &b.key];
-            let mut pattern = intra_a.clone();
-            pattern.extend(classes[class_of[bi as usize] as usize].0.iter().copied());
-            for &(i, p) in &cross {
-                if pair_holds(p, &keys) {
-                    pattern.push(i as u32);
-                }
-            }
-            pattern.sort_unstable();
-            let min_id = product
-                .encode(&[a.min_row, b.min_row])
-                .expect("block rows in range");
-            accs.entry(pattern).or_default().add(
-                a.count * b.count,
-                min_id.rank(),
-                &[ai as u32, bi],
-                cap,
-            );
-            matched.insert(bi);
-            matched_rows[class_of[bi as usize] as usize] += b.count;
-            swept += 1;
-        }
-        // Unmatched B blocks take the default (no cross atom) pattern.
-        for (c, (intra_b, total, members)) in classes.iter().enumerate() {
-            let unmatched = total - matched_rows[c];
-            if unmatched == 0 {
-                continue;
-            }
-            let mut pattern = intra_a.clone();
-            pattern.extend(intra_b.iter().copied());
-            pattern.sort_unstable();
-            let acc = accs.entry(pattern).or_default();
-            acc.count += a.count * unmatched;
-            // Witness entries: the first `cap` unmatched blocks (ascending
-            // min_row) under this A block. Earlier A blocks dominate the
-            // rank order, so per-A candidates suffice for the global K-min.
-            let mut offered = 0usize;
-            for &bi in members {
-                if matched.contains(&bi) {
-                    continue;
-                }
-                let b = &b_blocks[bi as usize];
-                let min_id = product
-                    .encode(&[a.min_row, b.min_row])
-                    .expect("block rows in range");
-                let pos = acc.entries.partition_point(|(id, _)| *id < min_id.rank());
-                if pos < cap {
-                    acc.entries
-                        .insert(pos, (min_id.rank(), vec![ai as u32, bi]));
-                    acc.entries.truncate(cap);
-                } else {
-                    break;
-                }
-                offered += 1;
-                if offered >= cap {
-                    break;
-                }
-            }
-        }
-    }
-    Ok(swept)
 }
 
 #[cfg(test)]
@@ -625,8 +808,10 @@ mod tests {
     use crate::relation::Relation;
     use crate::schema::RelationSchema;
     use crate::tup;
+    use crate::tuple::Tuple;
     use crate::value::DataType;
     use crate::IntoSharedRelation;
+    use proptest::prelude::*;
 
     /// Count and tuple ids of one brute-forced signature group.
     type PatternEntry = (u64, Vec<ProductId>);
@@ -660,37 +845,61 @@ mod tests {
 
     fn check(product: &Product, options: &FactorizeOptions) {
         let expect = brute(product, options.cross_only);
-        for always_dense in [false, true] {
-            let got = factorize_with(product, options, always_dense).expect("factorize succeeds");
-            assert_eq!(got.groups.len(), expect.len(), "group count");
-            for (g, e) in got.groups.iter().zip(&expect) {
-                let mut gp = g.pattern.clone();
-                let mut ep = e.pattern.clone();
-                gp.sort_unstable();
-                ep.sort_unstable();
-                assert_eq!(gp, ep, "pattern at {:?}", g.min_id);
-                assert_eq!(g.count, e.count, "count at {:?}", g.min_id);
-                assert_eq!(g.min_id, e.min_id, "min id");
-                assert!(!g.witnesses.is_empty());
-                assert_eq!(g.witnesses[0], g.min_id, "min id is first witness");
-                let expected_len = (e.count as usize).min(options.max_witnesses.max(1));
-                assert!(
-                    g.witnesses.len() <= options.max_witnesses.max(1)
-                        && !g.witnesses.is_empty()
-                        && g.witnesses.len() <= expected_len,
-                    "witness count {} vs count {}",
-                    g.witnesses.len(),
-                    e.count
-                );
-                let mut sorted = g.witnesses.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(sorted, g.witnesses, "witnesses ascending and distinct");
-                for w in &g.witnesses {
-                    assert!(e.witnesses.contains(w), "witness {w} is a member");
-                }
+        let got = factorize(product, options).expect("factorize succeeds");
+        assert_eq!(got.groups.len(), expect.len(), "group count");
+        for (g, e) in got.groups.iter().zip(&expect) {
+            let mut gp = g.pattern.clone();
+            let mut ep = e.pattern.clone();
+            gp.sort_unstable();
+            ep.sort_unstable();
+            assert_eq!(gp, ep, "pattern at {:?}", g.min_id);
+            assert_eq!(g.count, e.count, "count at {:?}", g.min_id);
+            assert_eq!(g.min_id, e.min_id, "min id");
+            assert!(!g.witnesses.is_empty());
+            assert_eq!(g.witnesses[0], g.min_id, "min id is first witness");
+            let expected_len = (e.count as usize).min(options.max_witnesses.max(1));
+            assert!(
+                g.witnesses.len() <= options.max_witnesses.max(1)
+                    && !g.witnesses.is_empty()
+                    && g.witnesses.len() <= expected_len,
+                "witness count {} vs count {}",
+                g.witnesses.len(),
+                e.count
+            );
+            let mut sorted = g.witnesses.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted, g.witnesses, "witnesses ascending and distinct");
+            for w in &g.witnesses {
+                assert!(e.witnesses.contains(w), "witness {w} is a member");
             }
         }
+    }
+
+    /// [`check`] in both atom scopes.
+    fn check_both_scopes(product: &Product) {
+        for cross_only in [true, false] {
+            check(
+                product,
+                &FactorizeOptions {
+                    cross_only,
+                    ..Default::default()
+                },
+            );
+        }
+    }
+
+    fn ints(name: &str, arity: usize, rows: &[Vec<i64>]) -> Relation {
+        let cols: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
+        let attrs: Vec<(&str, DataType)> =
+            cols.iter().map(|c| (c.as_str(), DataType::Int)).collect();
+        Relation::new(
+            RelationSchema::of(name, &attrs).unwrap(),
+            rows.iter()
+                .map(|r| Tuple::new(r.iter().map(|&v| Value::Int(v)).collect()))
+                .collect(),
+        )
+        .unwrap()
     }
 
     fn flights() -> Relation {
@@ -729,71 +938,49 @@ mod tests {
     #[test]
     fn matches_brute_force_on_the_paper_instance() {
         let p = Product::new(vec![&flights(), &hotels()]).unwrap();
-        check(&p, &FactorizeOptions::default());
-        check(
-            &p,
-            &FactorizeOptions {
-                cross_only: false,
-                ..Default::default()
-            },
-        );
+        check_both_scopes(&p);
     }
 
     #[test]
     fn self_join_with_duplicate_rows() {
-        let rel = Relation::new(
-            RelationSchema::of("e", &[("src", DataType::Int), ("dst", DataType::Int)]).unwrap(),
-            vec![
-                tup![1, 2],
-                tup![2, 3],
-                tup![1, 2],
-                tup![3, 1],
-                tup![2, 3],
-                tup![2, 3],
+        let rel = ints(
+            "e",
+            2,
+            &[
+                vec![1, 2],
+                vec![2, 3],
+                vec![1, 2],
+                vec![3, 1],
+                vec![2, 3],
+                vec![2, 3],
             ],
-        )
-        .unwrap();
+        );
         let shared = rel.into_shared();
         let p = Product::new(vec![shared.clone(), shared]).unwrap();
-        check(&p, &FactorizeOptions::default());
-        check(
-            &p,
-            &FactorizeOptions {
-                cross_only: false,
-                ..Default::default()
-            },
-        );
+        check_both_scopes(&p);
     }
 
     #[test]
     fn empty_relation_yields_no_groups() {
         let empty = Relation::empty(RelationSchema::of("a", &[("x", DataType::Int)]).unwrap());
-        let other = Relation::new(
-            RelationSchema::of("b", &[("y", DataType::Int)]).unwrap(),
-            vec![tup![1], tup![2]],
-        )
-        .unwrap();
-        let p = Product::new(vec![&empty, &other]).unwrap();
-        let f = factorize(&p, &FactorizeOptions::default()).unwrap();
-        assert!(f.groups.is_empty());
-        let dense = factorize_with(&p, &FactorizeOptions::default(), true).unwrap();
-        assert!(dense.groups.is_empty());
+        let other = ints("b", 1, &[vec![1], vec![2]]);
+        for p in [
+            Product::new(vec![&empty, &other]).unwrap(),
+            Product::new(vec![&other, &empty]).unwrap(),
+            Product::new(vec![&other, &empty, &other]).unwrap(),
+        ] {
+            let f = factorize(&p, &FactorizeOptions::default()).unwrap();
+            assert!(f.groups.is_empty());
+            assert_eq!(f.swept, 0);
+        }
     }
 
     #[test]
     fn all_rows_in_one_block_when_values_never_join() {
         // Every From/To value is disjoint from every City value, so all
         // flight rows collapse into one block per distinct sentinel layout.
-        let a = Relation::new(
-            RelationSchema::of("a", &[("x", DataType::Int)]).unwrap(),
-            vec![tup![100], tup![200], tup![300]],
-        )
-        .unwrap();
-        let b = Relation::new(
-            RelationSchema::of("b", &[("y", DataType::Int)]).unwrap(),
-            vec![tup![1], tup![2]],
-        )
-        .unwrap();
+        let a = ints("a", 1, &[vec![100], vec![200], vec![300]]);
+        let b = ints("b", 1, &[vec![1], vec![2]]);
         let p = Product::new(vec![&a, &b]).unwrap();
         let f = factorize(&p, &FactorizeOptions::default()).unwrap();
         assert_eq!(f.blocks_per_occurrence, vec![1, 1]);
@@ -804,31 +991,48 @@ mod tests {
     }
 
     #[test]
-    fn three_way_products_use_the_dense_sweep() {
-        let a = Relation::new(
-            RelationSchema::of("a", &[("x", DataType::Int)]).unwrap(),
-            vec![tup![1], tup![2], tup![1]],
-        )
-        .unwrap();
-        let b = Relation::new(
-            RelationSchema::of("b", &[("y", DataType::Int)]).unwrap(),
-            vec![tup![1], tup![3]],
-        )
-        .unwrap();
-        let c = Relation::new(
-            RelationSchema::of("c", &[("z", DataType::Int)]).unwrap(),
-            vec![tup![2], tup![1], tup![3]],
-        )
-        .unwrap();
+    fn three_way_products_match_brute_force() {
+        let a = ints("a", 1, &[vec![1], vec![2], vec![1]]);
+        let b = ints("b", 1, &[vec![1], vec![3]]);
+        let c = ints("c", 1, &[vec![2], vec![1], vec![3]]);
         let p = Product::new(vec![&a, &b, &c]).unwrap();
-        check(&p, &FactorizeOptions::default());
-        check(
-            &p,
-            &FactorizeOptions {
-                cross_only: false,
-                ..Default::default()
-            },
+        check_both_scopes(&p);
+    }
+
+    #[test]
+    fn ternary_products_with_intra_pairs_and_duplicate_rows() {
+        // Two int columns per relation: under all-pairs scope every
+        // occurrence has an intra pair, so the last occurrence splits into
+        // several classes; duplicate rows fold into shared blocks.
+        let a = ints("a", 2, &[vec![1, 1], vec![1, 2], vec![1, 1], vec![3, 3]]);
+        let b = ints("b", 2, &[vec![2, 2], vec![1, 3], vec![2, 2]]);
+        let c = ints(
+            "c",
+            2,
+            &[vec![3, 1], vec![4, 4], vec![1, 1], vec![4, 4], vec![5, 6]],
         );
+        for rels in [[&a, &b, &c], [&c, &a, &b], [&b, &c, &a]] {
+            let p = Product::new(rels.to_vec()).unwrap();
+            check_both_scopes(&p);
+        }
+    }
+
+    #[test]
+    fn self_joins_of_one_relation_share_their_blocks() {
+        // The shape `Database::join_view` produces for a self-join: every
+        // occurrence is the same `Arc`.
+        let rel = ints(
+            "e",
+            2,
+            &[vec![1, 2], vec![2, 3], vec![1, 2], vec![3, 1], vec![2, 2]],
+        )
+        .into_shared();
+        for n in [3, 4] {
+            let p = Product::new(vec![rel.clone(); n]).unwrap();
+            let f = factorize(&p, &FactorizeOptions::default()).unwrap();
+            assert_eq!(f.blocks_per_occurrence, vec![4; n]);
+            check_both_scopes(&p);
+        }
     }
 
     #[test]
@@ -850,17 +1054,8 @@ mod tests {
         )
         .unwrap();
         let p = Product::new(vec![&a, &b]).unwrap();
-        check(&p, &FactorizeOptions::default());
-        check(
-            &p,
-            &FactorizeOptions {
-                cross_only: false,
-                ..Default::default()
-            },
-        );
+        check_both_scopes(&p);
     }
-
-    use crate::tuple::Tuple;
 
     #[test]
     fn sweep_guard_trips_and_reports_cost() {
@@ -878,12 +1073,53 @@ mod tests {
     }
 
     #[test]
-    fn no_joinable_pairs_is_an_error() {
-        let a = Relation::new(
-            RelationSchema::of("a", &[("x", DataType::Int)]).unwrap(),
-            vec![tup![1]],
+    fn sweep_guard_stops_at_the_bound() {
+        // `x` distinct, `y` constant and outside `x`'s values: every block
+        // of the second occurrence shares `y` with every block of the
+        // first, so the sweep visits 200 · (200 + 1) combinations.
+        let rows: Vec<Vec<i64>> = (0..200).map(|i| vec![i, 1_000]).collect();
+        let rel = ints("t", 2, &rows).into_shared();
+        let p = Product::new(vec![rel.clone(), rel]).unwrap();
+        let full = factorize(&p, &FactorizeOptions::default()).unwrap();
+        assert_eq!(full.swept, 200 * 201);
+        let limit = 1_000;
+        let err = factorize(
+            &p,
+            &FactorizeOptions {
+                max_sweep: limit,
+                ..Default::default()
+            },
         )
-        .unwrap();
+        .unwrap_err();
+        // Refused within one prefix's work past the bound.
+        match err {
+            FactorizeError::SweepTooLarge { cost, limit: l } => {
+                assert_eq!(l, limit);
+                assert!(cost > limit && cost <= limit + 201, "cost {cost}");
+            }
+            other => panic!("expected SweepTooLarge, got {other:?}"),
+        }
+        // A prefix that alone passes the bound is refused before the sweep.
+        let err = factorize(
+            &p,
+            &FactorizeOptions {
+                max_sweep: 100,
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            FactorizeError::SweepTooLarge {
+                cost: 200,
+                limit: 100
+            }
+        );
+    }
+
+    #[test]
+    fn no_joinable_pairs_is_an_error() {
+        let a = ints("a", 1, &[vec![1]]);
         let b = Relation::new(
             RelationSchema::of("b", &[("y", DataType::Text)]).unwrap(),
             vec![tup!["z"]],
@@ -900,20 +1136,48 @@ mod tests {
     fn duplicate_heavy_log_compresses_to_few_blocks() {
         // An event-log-shaped relation: many duplicate edges over a tiny
         // domain. Blocks (and sweep cost) depend on distinct rows only.
-        let rows: Vec<Tuple> = (0..500)
-            .map(|i| tup![(i % 4) as i64, ((i / 4) % 3) as i64])
-            .collect();
-        let rel = Relation::new(
-            RelationSchema::of("e", &[("src", DataType::Int), ("dst", DataType::Int)]).unwrap(),
-            rows,
-        )
-        .unwrap();
-        let shared = rel.into_shared();
+        let rows: Vec<Vec<i64>> = (0..500).map(|i| vec![i % 4, (i / 4) % 3]).collect();
+        let shared = ints("e", 2, &rows).into_shared();
         let p = Product::new(vec![shared.clone(), shared]).unwrap();
         assert_eq!(p.size(), 250_000);
         let f = factorize(&p, &FactorizeOptions::default()).unwrap();
         assert!(f.blocks_per_occurrence[0] <= 12);
         assert_eq!(f.groups.iter().map(|g| g.count).sum::<u64>(), 250_000);
         check(&p, &FactorizeOptions::default());
+    }
+
+    /// 2–4 occurrences; each either reuses an earlier occurrence's relation
+    /// (a self-join over one `Arc`) or brings its own rows.
+    fn occurrences() -> impl Strategy<Value = (Vec<usize>, Vec<Vec<Vec<i64>>>)> {
+        (2usize..=4).prop_flat_map(|n| {
+            (
+                proptest::collection::vec(0usize..4, n),
+                proptest::collection::vec(
+                    proptest::collection::vec(proptest::collection::vec(0i64..3, 2), 0..4),
+                    n,
+                ),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random 2–4-occurrence products, shared relations and duplicate
+        /// rows included, match brute force in both scopes.
+        #[test]
+        fn random_products_match_brute_force(instance in occurrences()) {
+            let (reuse, rows) = instance;
+            let mut relations: Vec<Arc<Relation>> = Vec::new();
+            for (occ, rows) in rows.iter().enumerate() {
+                let relation = match reuse[occ] {
+                    j if j < occ => relations[j].clone(),
+                    _ => ints(&format!("r{occ}"), 2, rows).into_shared(),
+                };
+                relations.push(relation);
+            }
+            let p = Product::new(relations).unwrap();
+            check_both_scopes(&p);
+        }
     }
 }

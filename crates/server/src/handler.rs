@@ -21,7 +21,9 @@ pub struct ServerLimits {
     /// The most product tuples a session may enumerate **or sample**. A
     /// client `max_product` is clamped to this; products larger than the
     /// effective limit open through factorized construction at full
-    /// fidelity (or a uniform sample of this size under `force_sample`).
+    /// fidelity (or a uniform sample of this size under `force_sample`),
+    /// and products within it factorize when that is cheaper than
+    /// enumerating them.
     pub max_product: u64,
     /// The most labels one `AnswerBatch` may carry. Validation is O(batch)
     /// and the batch is held in memory while the session lock is taken,
@@ -196,14 +198,19 @@ impl Handler {
             Some(l) => l.min(self.limits.max_product),
         };
         // The origin records the *effective* knobs (post-clamp limit, the
-        // seed actually used, the construction mode), so a resume rebuilds
-        // the identical engine even if server ceilings changed in between.
-        // Too-large products open at full fidelity through factorized
-        // construction (`Engine::from_factorized` — the partition is
-        // computed from the base relations, never the product); a uniform
-        // sample (`Product::sample` → `Engine::from_ids`) is the explicit
-        // opt-in via `force_sample`, and the fallback when factorization
-        // exceeds its sweep budget.
+        // seed actually used, the construction that ran), so a resume
+        // rebuilds the identical engine even if server ceilings changed in
+        // between. Every construction goes through
+        // `journal::engine_from_product`:
+        // - products over the limit open at full fidelity through
+        //   factorized construction (`Engine::from_factorized`: the
+        //   partition is computed from the base relations, never the
+        //   product);
+        // - products within it take the cheaper exact method, factorized
+        //   or enumerated;
+        // - a uniform sample (`Product::sample` → `Engine::from_ids`) is
+        //   the explicit opt-in via `force_sample`, and the fallback when
+        //   factorization exceeds its sweep budget.
         let oversized = product.size() > limit;
         let mut origin = SessionOrigin {
             source,
@@ -213,25 +220,26 @@ impl Handler {
             sampled: oversized && force_sample,
             factorized: oversized && !force_sample,
         };
-        let engine = match journal::engine_from_product(product, &origin) {
-            Ok(e) => e,
-            Err(message) if origin.factorized && message.contains("factorization too large") => {
-                // The block structure was too rich to sweep: fall back to
-                // sampling, and flip the origin so the journal records the
-                // construction that actually ran.
+        // Only an oversized factorization can fall back; the retry samples
+        // a clone instead of parsing the source again.
+        let fallback = origin.factorized.then(|| product.clone());
+        let engine = match (journal::engine_from_product(product, &origin), fallback) {
+            (Ok(e), _) => e,
+            (Err(message), Some(product)) if message.contains("factorization too large") => {
+                // The block structure was too rich to sweep: sample
+                // instead.
                 origin.factorized = false;
                 origin.sampled = true;
-                let product = match journal::build_product(&origin.source) {
-                    Ok(p) => p,
-                    Err(message) => return error(message),
-                };
                 match journal::engine_from_product(product, &origin) {
                     Ok(e) => e,
                     Err(message) => return error(message),
                 }
             }
-            Err(message) => return error(message),
+            (Err(message), _) => return error(message),
         };
+        // Record the construction that ran before the journal header is
+        // written: a product within the limit may have factorized.
+        origin.factorized = engine.is_factorized();
         if origin.factorized {
             let metrics = self.store.metrics();
             metrics.factorized_sessions.inc();
@@ -629,9 +637,11 @@ fn columns_of(engine: &Engine) -> Vec<Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalStore;
     use crate::store::StoreConfig;
     use jim_core::{CandidateView, Strategy};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn handler() -> Handler {
         Handler::new(Arc::new(SessionStore::new(StoreConfig::default())))
@@ -860,6 +870,89 @@ mod tests {
         let s = send(&h, &format!(r#"{{"op":"Stats","session":{id}}}"#));
         assert_eq!(s.get("sampled").unwrap().as_bool(), Some(true));
         assert_eq!(s.get("factorized").unwrap().as_bool(), Some(false));
+    }
+
+    #[test]
+    fn over_budget_factorization_falls_back_to_a_sample() {
+        // A self-join of t(x, y): x distinct, y one constant outside x's
+        // values. Every block of the second occurrence shares y with every
+        // block of the first, so the sweep needs 2,100 · 2,101 ≈ 4.4M
+        // visits, past its 4M budget.
+        let mut csv = String::from("x,y\\n");
+        for x in 0..2_100 {
+            csv.push_str(&format!("{x},9999\\n"));
+        }
+        let dir = std::env::temp_dir().join(format!("jim-handler-fallback-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ttl = Duration::from_secs(60);
+        let h = Handler::new(Arc::new(SessionStore::with_journal(
+            StoreConfig {
+                max_sessions: 8,
+                ttl,
+            },
+            JournalStore::open(&dir).unwrap(),
+        )));
+        let r = send(
+            &h,
+            &format!(
+                r#"{{"op":"CreateSession","source":{{"relations":[{{"name":"t","csv":"{csv}"}}],"view":["t","t"]}},"strategy":"local-general","max_product":1000}}"#
+            ),
+        );
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r}");
+        assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true), "{r}");
+        assert_eq!(r.get("factorized").unwrap().as_bool(), Some(false), "{r}");
+        assert_eq!(r.get("tuples").unwrap().as_u64(), Some(1000), "{r}");
+        let id = r.get("session").unwrap().as_u64().unwrap();
+        let (origin, _) = h.store().journal().unwrap().peek_meta(id).unwrap().unwrap();
+        assert!(origin.sampled && !origin.factorized, "{origin:?}");
+        let first = send(&h, &format!(r#"{{"op":"NextQuestion","session":{id}}}"#));
+        let first = first.get("tuple").unwrap().as_u64().unwrap();
+
+        // Evicted to disk, the session resumes over the same sample.
+        assert_eq!(h.store().sweep_at(Instant::now() + ttl * 2), vec![id]);
+        assert!(h.store().peek(id).is_none());
+        let r = send(&h, &format!(r#"{{"op":"ResumeSession","session":{id}}}"#));
+        assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true), "{r}");
+        assert_eq!(r.get("tuples").unwrap().as_u64(), Some(1000), "{r}");
+        let again = send(&h, &format!(r#"{{"op":"NextQuestion","session":{id}}}"#));
+        assert_eq!(again.get("tuple").unwrap().as_u64(), Some(first));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_product_within_the_limit_reports_the_construction_that_ran() {
+        // customer × orders joined on a key, 40,000 tuples under the
+        // default limit: factorizing it is cheaper than enumerating.
+        let mut customer = String::from("ck,name\\n");
+        for c in 0..100 {
+            customer.push_str(&format!("{c},c{c}\\n"));
+        }
+        let mut orders = String::from("ok,ck\\n");
+        for o in 0..400 {
+            orders.push_str(&format!("o{o},{}\\n", (o * 7) % 100));
+        }
+        let h = handler();
+        let r = send(
+            &h,
+            &format!(
+                r#"{{"op":"CreateSession","source":{{"relations":[{{"name":"customer","csv":"{customer}"}},{{"name":"orders","csv":"{orders}"}}]}}}}"#
+            ),
+        );
+        assert_eq!(r.get("factorized").unwrap().as_bool(), Some(true), "{r}");
+        assert_eq!(r.get("sampled").unwrap().as_bool(), Some(false), "{r}");
+        assert_eq!(r.get("tuples").unwrap().as_u64(), Some(40_000), "{r}");
+        let id = r.get("session").unwrap().as_u64().unwrap();
+        let s = send(&h, &format!(r#"{{"op":"Stats","session":{id}}}"#));
+        assert_eq!(s.get("factorized").unwrap().as_bool(), Some(true), "{s}");
+        let m = send(&h, r#"{"op":"Metrics"}"#);
+        let store = m.get("store").unwrap();
+        assert_eq!(store.get("factorized_sessions").unwrap().as_u64(), Some(1));
+        let transcript = send(&h, &format!(r#"{{"op":"Transcript","session":{id}}}"#));
+        let origin = transcript
+            .get("transcript")
+            .and_then(|t| t.get("origin"))
+            .unwrap();
+        assert_eq!(origin.get("factorized").unwrap().as_bool(), Some(true));
     }
 
     #[test]

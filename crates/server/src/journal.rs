@@ -34,7 +34,8 @@
 use crate::protocol::parse_strategy;
 use crate::scenario;
 use jim_core::{
-    Engine, EngineOptions, Label, OriginSource, SessionOrigin, Strategy, StrategyKind, Transcript,
+    Engine, EngineOptions, InferenceError, Label, OriginSource, SessionOrigin, Strategy,
+    StrategyKind, Transcript,
 };
 use jim_json::Json;
 use jim_relation::{csv, Database, Product, ProductId};
@@ -46,6 +47,17 @@ use std::path::{Path, PathBuf};
 
 /// Journal format version written in headers.
 const JOURNAL_VERSION: u64 = 1;
+
+/// How many enumerated tuples one unit of factorization work must save
+/// before a product that fits `max_product` is factorized (see
+/// [`engine_from_product`]). Measured per unit on a 2-vCPU x86-64 host:
+/// `Engine::new` spends 60–90 ns per enumerated tuple (TPC-H customer ×
+/// orders, 8.4·10⁵ tuples); factorization spends 35–45 ns per visited
+/// combination and 60–130 ns per partitioned row on two-column keys, up
+/// to ~540 ns on TPC-H's four-column keys. A unit is thus worth at most
+/// ~8 tuples, and the further factor of 8 keeps a try that runs out of
+/// budget to about an eighth of the enumeration that follows it.
+const TUPLES_PER_SWEEP_UNIT: u64 = 64;
 
 /// A loaded journal: the origin plus the applied batches, ready to
 /// rebuild the session.
@@ -141,7 +153,17 @@ pub fn build_engine(origin: &SessionOrigin) -> Result<Engine, String> {
 }
 
 /// [`build_engine`] over an already-built product (the create path has
-/// one in hand for the size check).
+/// one in hand for the size check). Create, resume and the benchmark's
+/// traced replica all construct through here, so they run one method:
+///
+/// * a factorized origin factorizes (products over `max_product` are
+///   recorded so at create, and a resume repeats what the create ran);
+/// * a sampled origin re-draws its recorded sample;
+/// * any other origin takes the cheaper exact method: factorization with
+///   a sweep budget of `size / TUPLES_PER_SWEEP_UNIT`, tried only when
+///   that budget covers the rows the block partition must read, and
+///   enumeration when the try is skipped or runs out of budget. The
+///   engine's [`Engine::is_factorized`] says which one ran.
 pub fn engine_from_product(product: Product, origin: &SessionOrigin) -> Result<Engine, String> {
     let options = EngineOptions {
         max_product: origin.max_product,
@@ -156,9 +178,27 @@ pub fn engine_from_product(product: Product, origin: &SessionOrigin) -> Result<E
         let ids = product.sample(&mut rng, origin.max_product as usize);
         Engine::from_ids(product, &ids, &options)
     } else {
-        Engine::new(product, &options)
+        cheaper_exact(product, &options)
     };
     built.map_err(|e| e.to_string())
+}
+
+/// Factorize `product` when that is cheaper than enumerating it, else
+/// enumerate (see [`engine_from_product`]).
+fn cheaper_exact(product: Product, options: &EngineOptions) -> Result<Engine, InferenceError> {
+    let budget = product.size() / TUPLES_PER_SWEEP_UNIT;
+    let rows: u64 = product.relations().iter().map(|r| r.len() as u64).sum();
+    if product.size() <= options.max_product && budget >= rows {
+        let sweep = EngineOptions {
+            max_combos: budget,
+            ..options.clone()
+        };
+        match Engine::from_factorized(product.clone(), &sweep) {
+            Err(InferenceError::FactorizationTooLarge { .. }) => {}
+            built => return built,
+        }
+    }
+    Engine::new(product, options)
 }
 
 /// The on-disk journal directory: one `session-<id>.jsonl` per session.
@@ -523,6 +563,93 @@ mod tests {
         let b = build_engine(&origin).unwrap();
         assert_eq!(a.stats().total_tuples, 40);
         assert_eq!(a.visible_ids(false), b.visible_ids(false));
+    }
+
+    /// An inline customer × orders source joined on a key: 100 × 400 =
+    /// 40,000 tuples, each customer's orders in one block, so the sweep
+    /// visits 200 block combinations against a budget of 625.
+    fn key_joined_origin() -> SessionOrigin {
+        let mut customer = String::from("ck,name\n");
+        for c in 0..100 {
+            customer.push_str(&format!("{c},c{c}\n"));
+        }
+        let mut orders = String::from("ok,ck\n");
+        for o in 0..400 {
+            orders.push_str(&format!("o{o},{}\n", (o * 7) % 100));
+        }
+        SessionOrigin {
+            source: OriginSource::Inline {
+                relations: vec![("customer".into(), customer), ("orders".into(), orders)],
+                view: None,
+            },
+            strategy: Some("local-general".into()),
+            max_product: 5_000_000,
+            sample_seed: 0,
+            sampled: false,
+            factorized: false,
+        }
+    }
+
+    #[test]
+    fn a_product_within_the_limit_factorizes_when_cheaper_and_replays() {
+        let mut origin = key_joined_origin();
+        let mut live = build_engine(&origin).unwrap();
+        assert!(live.is_factorized(), "the rule factorizes the key join");
+        assert_eq!(live.stats().total_tuples, 40_000);
+        let enumerated = Engine::new(
+            build_product(&origin.source).unwrap(),
+            &EngineOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(live.stats(), enumerated.stats());
+        assert_eq!(
+            live.candidates().candidates(),
+            enumerated.candidates().candidates()
+        );
+
+        // Create, label, evict (nothing is written) and replay.
+        origin.factorized = live.is_factorized();
+        let store = JournalStore::open(tmpdir("cheaper")).unwrap();
+        store.create(11, &origin).unwrap();
+        let (mut strategy, _) = StoredSession {
+            id: 11,
+            origin: origin.clone(),
+            batches: Vec::new(),
+        }
+        .rebuild_strategy()
+        .unwrap();
+        for step in 0..3 {
+            let view = live.candidates();
+            let Some(id) = strategy.choose(&live, &view) else {
+                break;
+            };
+            let batch = [(id, Label::from_bool(step % 2 == 0))];
+            live.label_batch(&batch).unwrap();
+            store.append(11, &batch).unwrap();
+        }
+        let stored = store.load(11).unwrap().unwrap();
+        assert!(stored.origin.factorized);
+        let replayed = stored.rebuild_engine().unwrap();
+        assert!(replayed.is_factorized());
+        assert_eq!(replayed.stats(), live.stats());
+        assert_eq!(replayed.generation(), live.generation());
+        assert_eq!(
+            replayed.candidates().candidates(),
+            live.candidates().candidates()
+        );
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn small_products_keep_enumerating() {
+        // Scenario sizes: a factorization budget of size / 64 is below the
+        // rows the partition reads, so the try is skipped.
+        for name in ["flights", "setgame", "social", "random", "tpch"] {
+            let mut origin = flights_origin();
+            origin.source = OriginSource::Scenario { name: name.into() };
+            let engine = build_engine(&origin).unwrap();
+            assert!(!engine.is_factorized(), "{name}");
+        }
     }
 
     #[test]

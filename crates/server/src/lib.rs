@@ -24,10 +24,12 @@
 //!   `ListSessions`, `CloseSession`.
 //! * [`handler`] — transport-independent dispatch: one request line in,
 //!   one response line out. Products larger than the (clamped) limit are
-//!   factorized, at full fidelity, instead of rejected; only when
-//!   factorization's sweep budget runs out (or the client asks for
-//!   `force_sample`) is the product uniformly sampled, and responses say
-//!   which with `factorized` and `sampled` flags.
+//!   factorized, at full fidelity, instead of rejected, and products
+//!   within it are factorized when that is cheaper than enumerating them;
+//!   only when factorization's sweep budget runs out on an oversized
+//!   product (or the client asks for `force_sample`) is the product
+//!   uniformly sampled, and responses say which with `factorized` and
+//!   `sampled` flags.
 //! * [`serve`] — the TCP front ends: a portable thread-per-connection
 //!   transport and an epoll-driven event-loop transport (linux, via the
 //!   in-repo `jim-aio` readiness shim — see [`reactor`]'s module docs),
