@@ -19,10 +19,11 @@
 //! * [`Waker`] — an `eventfd` the *other* threads (worker pool, shutdown
 //!   signal) use to pop a reactor out of [`Poller::wait`].
 //!
-//! **Platform gating:** epoll is linux-only. The crate compiles
-//! everywhere; on non-linux targets [`SUPPORTED`] is `false` and
-//! [`Poller::new`]/[`Waker::new`] return [`std::io::ErrorKind::Unsupported`],
-//! which is what `jim-serve` keys its default `--transport` on.
+//! **Platform gating:** epoll is linux-only, and so is `jim-serve`'s TCP
+//! front end built on it. The crate compiles everywhere, so `jim-server`
+//! (and the in-process `jim` REPL) still build off linux; there
+//! [`Poller::new`]/[`Waker::new`] return
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! This is the only crate in the workspace allowed to use `unsafe`; the
 //! server itself stays `#![forbid(unsafe_code)]`.
@@ -37,9 +38,6 @@ use std::time::Duration;
 /// `std::os::fd::RawFd` on unix; defined here so the crate (and its
 /// dependents' cfg-free signatures) compile on every platform.
 pub type RawFd = std::os::raw::c_int;
-
-/// Whether this build carries a working epoll backend.
-pub const SUPPORTED: bool = cfg!(target_os = "linux");
 
 /// Readiness a registration subscribes to. Error/full-hangup conditions
 /// are always reported regardless of interest (epoll semantics); peer
@@ -355,7 +353,7 @@ impl Poller {
 fn unsupported() -> io::Error {
     io::Error::new(
         io::ErrorKind::Unsupported,
-        "jim-aio: epoll is linux-only; use the threads transport",
+        "jim-aio: epoll is linux-only; run sessions in-process with `jim`",
     )
 }
 
@@ -690,7 +688,7 @@ mod tests {
 
     #[test]
     fn supported_on_this_platform() {
-        assert!(SUPPORTED && Poller::new().is_ok());
+        assert!(Poller::new().is_ok());
     }
 
     #[test]

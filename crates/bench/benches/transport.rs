@@ -1,42 +1,37 @@
-//! Criterion bench for the TCP front ends: requests/sec over one live
-//! connection and the cost of *idle* connections, threads vs epoll.
-//!
-//! Two arms per transport:
+//! Criterion bench for the TCP front end (the epoll reactor): requests
+//! per second over one live connection, the cost of *idle*
+//! connections, and the reactor-count sweep.
 //!
 //! * `round_trip` — one client, one persistent connection, one cheap
 //!   request (`ListSessions`) per iteration, and the same with a
 //!   session-touching request (`Stats`). This is the protocol's serving
-//!   latency floor: framing + dispatch + store lookup + response write.
-//!   On the epoll transport each round trip additionally crosses the
-//!   reactor→worker→reactor handoff; the bench shows what that costs.
+//!   latency floor: framing + dispatch + store lookup + response write,
+//!   including the reactor→worker→reactor handoff each request crosses.
 //! * `round_trip_with_idle_conns` — the same round trip while
 //!   `IDLE_CONNS` other connections sit parked. This is the workload the
 //!   event loop exists for (many mostly-idle interactive sessions): the
-//!   threads transport pays a stack per parked socket, the reactor pays
-//!   a buffer. The bench also prints the measured per-idle-connection
-//!   RSS/VSZ delta from `/proc/self/status` (linux) next to the timing.
-//!
-//! * `reactor_sweep` — the epoll transport at 1, 2 and 4 reactors under
-//!   pipelined multi-connection traffic (16 connections, each writing
-//!   32-request bursts, which the server runs one request per connection
-//!   at a time, so at most 16 are in flight), plus a self-timed
-//!   aggregate req/s print per reactor count. **Honesty caveat:**
-//!   reactor scaling is core scaling; on a
+//!   reactor pays a buffer per parked socket, not a thread stack. The
+//!   bench also prints the measured per-idle-connection RSS/VSZ delta
+//!   from `/proc/self/status` next to the timing.
+//! * `reactor_sweep` — 1, 2 and 4 reactors under pipelined
+//!   multi-connection traffic (16 connections, each writing 32-request
+//!   bursts, which the server runs one request per connection at a time,
+//!   so at most 16 are in flight), plus a self-timed aggregate req/s
+//!   print per reactor count. Reactor scaling needs cores: on a
 //!   single-core host every reactor thread shares the one CPU and the
-//!   sweep shows flat numbers (it then proves extra reactors cost
-//!   nothing). Run on an N-core machine to see the 1→N rps climb.
+//!   sweep shows flat numbers, and the sweep's client threads compete
+//!   for the same cores as the reactors.
 //!
-//! Both transports serve the identical handler and store, so any
-//! difference is pure transport overhead. Client and server share the
-//! process, so pin it to one CPU (`taskset -c 0 cargo bench -p jim-bench
-//! --bench transport`) to time round trips without cross-CPU wakeups,
-//! whose latency swings with the host's load.
+//! Client and server share the process, so pin it to one CPU (`taskset
+//! -c 0 cargo bench -p jim-bench --bench transport`) to time round trips
+//! without cross-CPU wakeups, whose latency swings with the host's load;
+//! run the reactor sweep unpinned, since it measures the use of cores.
 
 #![forbid(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use jim_server::handler::Handler;
-use jim_server::serve::{serve_with, Shutdown, Transport, TransportLimits};
+use jim_server::serve::{serve_with, Shutdown, TransportLimits};
 use jim_server::store::{SessionStore, StoreConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,11 +61,11 @@ struct BenchServer {
 }
 
 impl BenchServer {
-    fn start(transport: Transport) -> BenchServer {
-        BenchServer::start_with_limits(transport, TransportLimits::default())
+    fn start() -> BenchServer {
+        BenchServer::start_with_limits(TransportLimits::default())
     }
 
-    fn start_with_limits(transport: Transport, limits: TransportLimits) -> BenchServer {
+    fn start_with_limits(limits: TransportLimits) -> BenchServer {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind bench port");
         let addr = listener.local_addr().expect("local addr");
         let store = Arc::new(SessionStore::new(StoreConfig {
@@ -80,9 +75,8 @@ impl BenchServer {
         let handler = Arc::new(Handler::new(store));
         let shutdown = Shutdown::new();
         let serve_shutdown = shutdown.clone();
-        let thread = std::thread::spawn(move || {
-            serve_with(listener, handler, transport, serve_shutdown, limits)
-        });
+        let thread =
+            std::thread::spawn(move || serve_with(listener, handler, serve_shutdown, limits));
         BenchServer {
             addr,
             shutdown,
@@ -137,14 +131,6 @@ impl Conn {
     }
 }
 
-fn transports() -> Vec<Transport> {
-    let mut all = vec![Transport::Threads];
-    if jim_aio::SUPPORTED {
-        all.push(Transport::Epoll);
-    }
-    all
-}
-
 /// `(VmRSS, VmSize)` in KiB, when the platform exposes them.
 fn memory_kib() -> Option<(u64, u64)> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -160,22 +146,18 @@ fn memory_kib() -> Option<(u64, u64)> {
 fn bench_round_trip(c: &mut Criterion) {
     let mut group = c.benchmark_group("transport");
     group.sample_size(ROUND_TRIPS);
-    for transport in transports() {
-        let server = BenchServer::start(transport);
-        let mut conn = Conn::open(server.addr);
-        let r = conn.round_trip(
-            r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
-        );
-        assert!(r > 0);
-        for (arm, line) in [
-            ("round_trip", r#"{"op":"ListSessions"}"#),
-            ("stats_round_trip", r#"{"op":"Stats","session":1}"#),
-        ] {
-            conn.warm_up(line);
-            group.bench_function(format!("{arm}/{transport}"), |b| {
-                b.iter(|| conn.round_trip(line))
-            });
-        }
+    let server = BenchServer::start();
+    let mut conn = Conn::open(server.addr);
+    let r = conn.round_trip(
+        r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
+    );
+    assert!(r > 0);
+    for (arm, line) in [
+        ("round_trip", r#"{"op":"ListSessions"}"#),
+        ("stats_round_trip", r#"{"op":"Stats","session":1}"#),
+    ] {
+        conn.warm_up(line);
+        group.bench_function(arm, |b| b.iter(|| conn.round_trip(line)));
     }
     group.finish();
 }
@@ -183,34 +165,30 @@ fn bench_round_trip(c: &mut Criterion) {
 fn bench_idle_connections(c: &mut Criterion) {
     let mut group = c.benchmark_group("transport_idle");
     group.sample_size(ROUND_TRIPS);
-    for transport in transports() {
-        let server = BenchServer::start(transport);
-        let mut conn = Conn::open(server.addr);
-        conn.round_trip(
-            r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
-        );
+    let server = BenchServer::start();
+    let mut conn = Conn::open(server.addr);
+    conn.round_trip(
+        r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
+    );
 
-        let before = memory_kib();
-        let idle: Vec<Conn> = (0..IDLE_CONNS).map(|_| Conn::open(server.addr)).collect();
-        // One round trip *after* the idle fleet proves they are all
-        // accepted (accepts are FIFO) before memory is sampled.
-        conn.round_trip(r#"{"op":"ListSessions"}"#);
-        if let (Some((rss0, vsz0)), Some((rss1, vsz1))) = (before, memory_kib()) {
-            println!(
-                "bench transport_idle/{transport}: {IDLE_CONNS} idle conns cost \
-                 ~{} KiB RSS, ~{} KiB VSZ per connection (process: {rss0}->{rss1} RSS, \
-                 {vsz0}->{vsz1} VSZ)",
-                rss1.saturating_sub(rss0) / IDLE_CONNS as u64,
-                vsz1.saturating_sub(vsz0) / IDLE_CONNS as u64,
-            );
-        }
-        conn.warm_up(r#"{"op":"ListSessions"}"#);
-        group.bench_function(
-            format!("round_trip_with_{IDLE_CONNS}_idle/{transport}"),
-            |b| b.iter(|| conn.round_trip(r#"{"op":"ListSessions"}"#)),
+    let before = memory_kib();
+    let idle: Vec<Conn> = (0..IDLE_CONNS).map(|_| Conn::open(server.addr)).collect();
+    // One round trip *after* the idle fleet proves they are all accepted
+    // (accepts are FIFO) before memory is sampled.
+    conn.round_trip(r#"{"op":"ListSessions"}"#);
+    if let (Some((rss0, vsz0)), Some((rss1, vsz1))) = (before, memory_kib()) {
+        println!(
+            "bench transport_idle: {IDLE_CONNS} idle conns cost ~{} KiB RSS, ~{} KiB VSZ \
+             per connection (process: {rss0}->{rss1} RSS, {vsz0}->{vsz1} VSZ)",
+            rss1.saturating_sub(rss0) / IDLE_CONNS as u64,
+            vsz1.saturating_sub(vsz0) / IDLE_CONNS as u64,
         );
-        drop(idle);
     }
+    conn.warm_up(r#"{"op":"ListSessions"}"#);
+    group.bench_function(format!("round_trip_with_{IDLE_CONNS}_idle"), |b| {
+        b.iter(|| conn.round_trip(r#"{"op":"ListSessions"}"#))
+    });
+    drop(idle);
     group.finish();
 }
 
@@ -234,20 +212,14 @@ fn pipelined_burst(conn: &mut Conn, depth: usize) {
 }
 
 fn bench_reactor_scaling(c: &mut Criterion) {
-    if !jim_aio::SUPPORTED {
-        return;
-    }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut group = c.benchmark_group("transport_reactors");
     group.sample_size(60);
     for reactors in [1usize, 2, 4] {
-        let server = BenchServer::start_with_limits(
-            Transport::Epoll,
-            TransportLimits {
-                reactors,
-                ..TransportLimits::default()
-            },
-        );
+        let server = BenchServer::start_with_limits(TransportLimits {
+            reactors,
+            ..TransportLimits::default()
+        });
         // The aggregate sweep: SWEEP_CONNS concurrent clients, each
         // pushing SWEEP_ROUNDS bursts of PIPELINE_DEPTH pipelined
         // requests. Self-timed (criterion times one closure on one

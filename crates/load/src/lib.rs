@@ -38,7 +38,7 @@ use jim_json::Json;
 use jim_metrics::{Histogram, HistogramSnapshot};
 use jim_server::{
     serve_with, spawn_sweeper, Handler, JournalStore, Op, SessionStore, Shutdown, StoreConfig,
-    Transport, TransportLimits,
+    TransportLimits,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,8 +56,6 @@ const SCENARIOS: [(&str, u32); 3] = [("flights", 40), ("social", 40), ("setgame"
 pub struct Config {
     /// Server address; `None` spawns an in-process server.
     pub addr: Option<String>,
-    /// Transport for the spawned server (`None` = platform default).
-    pub transport: Option<Transport>,
     /// Worker threads = concurrent client connections.
     pub concurrency: usize,
     /// Total sessions driven across all workers.
@@ -91,7 +89,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             addr: None,
-            transport: None,
             concurrency: 100,
             sessions: 200,
             max_turns: 20,
@@ -496,7 +493,8 @@ pub struct Report {
     pub config: Config,
     /// Address actually driven.
     pub addr: String,
-    /// Transport label for the report (spawned server or "external").
+    /// Front end driven: `epoll` for the spawned server, `external` for
+    /// an `--addr` one.
     pub transport: String,
     /// Wall-clock for the traffic phase.
     pub elapsed: Duration,
@@ -703,14 +701,11 @@ impl SpawnedServer {
             .map_err(|e| format!("local_addr: {e}"))?
             .to_string();
         let shutdown = Shutdown::new();
-        let transport = config
-            .transport
-            .unwrap_or_else(Transport::default_for_platform);
         let sweeper = spawn_sweeper(&store, Duration::from_secs(5), shutdown.clone());
         let serve_shutdown = shutdown.clone();
         let limits = config.limits.clone();
         let serve_thread = std::thread::spawn(move || {
-            if let Err(e) = serve_with(listener, handler, transport, serve_shutdown, limits) {
+            if let Err(e) = serve_with(listener, handler, serve_shutdown, limits) {
                 eprintln!("jim-load: spawned server failed: {e}");
             }
         });
@@ -749,11 +744,11 @@ pub fn run(config: Config) -> Result<Report, String> {
         .addr
         .clone()
         .unwrap_or_else(|| spawned.as_ref().expect("spawned").addr.clone());
-    let transport = match (&config.addr, &config.transport) {
-        (Some(_), _) => "external".to_string(),
-        (None, Some(t)) => t.to_string(),
-        (None, None) => Transport::default_for_platform().to_string(),
-    };
+    let transport = match config.addr {
+        Some(_) => "external",
+        None => "epoll",
+    }
+    .to_string();
 
     // Deal sessions round-robin so every worker gets within one of the
     // same share.
@@ -1086,7 +1081,7 @@ pub fn cli_main() {
     }
 }
 
-const USAGE: &str = "usage: jim-load [--addr HOST:PORT] [--transport threads|epoll] \
+const USAGE: &str = "usage: jim-load [--addr HOST:PORT] \
     [--concurrency N] [--sessions N] [--max-turns N] [--seed N] [--out PATH] \
     [--reactors N] [--max-connections N] [--idle-timeout SECS] \
     [--check-baseline PATH] [--exclusive] [--smoke] [--connections]";
@@ -1107,9 +1102,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            "--addr" | "--transport" | "--concurrency" | "--sessions" | "--max-turns"
-            | "--seed" | "--out" | "--reactors" | "--max-connections" | "--idle-timeout"
-            | "--check-baseline" => {
+            "--addr" | "--concurrency" | "--sessions" | "--max-turns" | "--seed" | "--out"
+            | "--reactors" | "--max-connections" | "--idle-timeout" | "--check-baseline" => {
                 let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
                 parsed.push((flag, value));
             }
@@ -1125,7 +1119,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
     for (flag, value) in parsed {
         match flag.as_str() {
             "--addr" => config.addr = Some(value),
-            "--transport" => config.transport = Some(value.parse()?),
             "--concurrency" => {
                 config.concurrency = value
                     .parse()

@@ -343,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_evaluators_agree() {
+    fn hash_and_nested_loop_evaluators_agree() {
         let f = flights();
         let h = hotels();
         let p = Product::new(vec![&f, &h]).unwrap();

@@ -3,9 +3,8 @@
 //! ```text
 //! jim-serve [--port N] [--host ADDR] [--max-sessions N] [--ttl-secs N]
 //!           [--max-product N] [--max-batch N] [--data-dir PATH]
-//!           [--transport threads|epoll] [--metrics-interval SECS]
-//!           [--reactors N] [--max-connections N] [--idle-timeout SECS]
-//!           [--max-per-ip N]
+//!           [--metrics-interval SECS] [--reactors N]
+//!           [--max-connections N] [--idle-timeout SECS] [--max-per-ip N]
 //! ```
 //!
 //! With `--data-dir`, every session is journaled to disk (write-ahead,
@@ -13,21 +12,18 @@
 //! resumable by id, and a restarted server over the same directory picks
 //! them all up. Without it (the default), sessions are memory-only.
 //!
-//! `--transport` picks the front end: `epoll` (the default on linux) is
-//! a non-blocking event loop — `--reactors N` reactor threads (default
-//! `min(cores, 4)`, also `JIM_REACTORS`), each with its own poller and
-//! worker pool, fed round-robin by an accept thread, so ten thousand
-//! idle sessions don't cost ten thousand stacks; `threads` (the default
-//! elsewhere, where `jim-aio` has no backend) is the portable
-//! thread-per-connection fallback. Both drive the same connection core
-//! behind the same admission gate, so the wire behavior is identical,
-//! including the guardrails: `--max-connections` sheds over-cap
-//! connects with a typed `overloaded` error, `--idle-timeout` reaps
-//! peers that complete no request line in SECS seconds (0 disables),
-//! and `--max-per-ip` sheds a single address's connections past N with
-//! the same `overloaded` error (0 disables, the default). On both, a
-//! connection has one request in flight at a time, so its requests run
-//! in the order sent; a pipelining peer gets every response, in order.
+//! The front end is a non-blocking event loop (linux only): `--reactors
+//! N` reactor threads (default `min(cores, 4)`, also `JIM_REACTORS`),
+//! each with its own poller and worker pool, fed round-robin by an accept
+//! thread, so ten thousand idle sessions don't cost ten thousand stacks.
+//! Its guardrails: `--max-connections` sheds over-cap connects with a
+//! typed `overloaded` error, `--idle-timeout` reaps peers that complete
+//! no request line in SECS seconds (0 disables), and `--max-per-ip` sheds
+//! a single address's connections past N with the same `overloaded`
+//! error (0 disables, the default). A connection has one request in
+//! flight at a time, so its requests run in the order sent; a pipelining
+//! peer gets every response, in order. `--transport epoll` is still
+//! accepted, as a no-op; any other transport exits 2.
 //!
 //! `--metrics-interval SECS` logs a one-line metrics summary (requests,
 //! errors, latency quantiles, live connections, resident sessions) every
@@ -41,7 +37,7 @@
 
 use jim_server::handler::{Handler, ServerLimits};
 use jim_server::journal::JournalStore;
-use jim_server::serve::{serve_with, spawn_sweeper, Shutdown, Transport, TransportLimits};
+use jim_server::serve::{serve_with, spawn_sweeper, Shutdown, TransportLimits};
 use jim_server::store::{SessionStore, StoreConfig};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -50,8 +46,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: jim-serve [--port N] [--host ADDR] [--max-sessions N] [--ttl-secs N] \
-         [--max-product N] [--max-batch N] [--data-dir PATH] \
-         [--transport threads|epoll] [--metrics-interval SECS] \
+         [--max-product N] [--max-batch N] [--data-dir PATH] [--metrics-interval SECS] \
          [--reactors N] [--max-connections N] [--idle-timeout SECS] [--max-per-ip N]"
     );
     std::process::exit(2);
@@ -63,7 +58,6 @@ fn main() -> std::io::Result<()> {
     let mut config = StoreConfig::default();
     let mut limits = ServerLimits::default();
     let mut data_dir: Option<String> = None;
-    let mut transport = Transport::default_for_platform();
     let mut metrics_interval: Option<Duration> = None;
     let mut transport_limits = TransportLimits::default();
 
@@ -103,10 +97,12 @@ fn main() -> std::io::Result<()> {
                 Ok(secs) if secs > 0 => metrics_interval = Some(Duration::from_secs(secs)),
                 _ => usage(),
             },
-            "--transport" => match value("--transport").parse() {
-                Ok(t) => transport = t,
-                Err(message) => {
-                    eprintln!("jim-serve: {message}");
+            // The epoll reactor is the one front end; the flag stays so
+            // existing launch scripts that name it keep working.
+            "--transport" => match value("--transport").as_str() {
+                "epoll" => {}
+                other => {
+                    eprintln!("jim-serve: unknown transport {other:?} (epoll is the only one)");
                     usage();
                 }
             },
@@ -182,11 +178,10 @@ fn main() -> std::io::Result<()> {
 
     let listener = TcpListener::bind((host.as_str(), port))?;
     eprintln!(
-        "jim-serve: listening on {} via the {} transport ({} reactors, max {} connections, \
+        "jim-serve: listening on {} ({} reactors, max {} connections, \
          idle timeout {}, per-ip cap {}; max {} sessions, \
          ttl {:?}, factorize past {} tuples, answer batches up to {} labels, sessions {})",
         listener.local_addr()?,
-        transport,
         transport_limits.reactors,
         transport_limits.max_connections,
         match transport_limits.idle_timeout {
@@ -206,5 +201,5 @@ fn main() -> std::io::Result<()> {
             None => "in memory only".to_string(),
         }
     );
-    serve_with(listener, handler, transport, shutdown, transport_limits)
+    serve_with(listener, handler, shutdown, transport_limits)
 }

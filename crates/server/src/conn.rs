@@ -1,14 +1,12 @@
-//! The connection core both transports drive, and the admission gate in
-//! front of it.
+//! The connection core the epoll reactor drives, and the admission gate
+//! in front of it.
 //!
 //! [`Conn`] is sans-IO: it owns one connection's buffers and makes every
-//! framing and close decision, but never touches the socket. A transport
+//! framing and close decision, but never touches the socket. The reactor
 //! reads bytes and hands them to [`Conn::receive`], takes a request line
-//! from [`Conn::next_line`], reports its response through
-//! [`Conn::complete`], writes [`Conn::output`], and closes the socket once
-//! [`Conn::finished`] says so. The epoll reactor drives it from readiness
-//! events and its worker pool; the threads transport drives it from
-//! blocking reads and writes. Either way the peer sees the same wire
+//! from [`Conn::next_line`] to its worker pool, reports the response
+//! through [`Conn::complete`], writes [`Conn::output`], and closes the
+//! socket once [`Conn::finished`] says so. The peer sees this wire
 //! behavior:
 //!
 //! * lines end at `\n`; a line longer than [`MAX_LINE_BYTES`] (counted
@@ -157,7 +155,7 @@ impl Conn {
         &self.outbuf[self.outpos..]
     }
 
-    /// The transport wrote the first `n` bytes of [`Conn::output`].
+    /// The reactor wrote the first `n` bytes of [`Conn::output`].
     pub(crate) fn written(&mut self, n: usize) {
         self.outpos += n;
         if self.outpos >= self.outbuf.len() {
@@ -182,7 +180,7 @@ impl Conn {
         self.closing = true;
     }
 
-    /// The idle reaper, run on the transport's timer tick: past the idle
+    /// The idle reaper, run on the reactor's timer tick: past the idle
     /// timeout with nothing in flight, answer `idle_timeout` and close —
     /// or, when the peer has not read what it was already sent, close
     /// at once. Returns whether it reaped the connection.
@@ -207,7 +205,7 @@ impl Conn {
         true
     }
 
-    /// Should the transport read more bytes now?
+    /// Should the reactor read more bytes now?
     pub(crate) fn wants_read(&self) -> bool {
         self.reading && !self.wants_write() && !self.line_buffered()
     }
@@ -217,7 +215,7 @@ impl Conn {
         !self.dead && self.outpos < self.outbuf.len()
     }
 
-    /// Should the transport close the socket now?
+    /// Should the reactor close the socket now?
     pub(crate) fn finished(&self) -> bool {
         self.dead
             || (!self.inflight
@@ -271,10 +269,10 @@ impl Conn {
     }
 }
 
-/// The admission gate both transports' accept loops share: the global
-/// connection cap and the per-address quota of [`TransportLimits`]. Each
-/// transport admits from one accept thread, so checking the live count
-/// and then raising it cannot over-admit.
+/// The admission gate of the accept loop: the global connection cap and
+/// the per-address quota of [`TransportLimits`]. The reactor admits from
+/// one accept thread, so checking the live count and then raising it
+/// cannot over-admit.
 pub(crate) struct Admission {
     max_connections: usize,
     max_per_ip: Option<usize>,
@@ -339,11 +337,6 @@ impl Admission {
             gate: Arc::clone(self),
             ip,
         })
-    }
-
-    /// Connections admitted and not yet closed.
-    pub(crate) fn live(&self) -> usize {
-        self.live.load(Ordering::SeqCst)
     }
 }
 

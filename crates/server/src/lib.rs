@@ -30,15 +30,15 @@
 //!   product (or the client asks for `force_sample`) is the product
 //!   uniformly sampled, and responses say which with `factorized` and
 //!   `sampled` flags.
-//! * [`serve`] — the TCP front ends: a portable thread-per-connection
-//!   transport and an epoll-driven event-loop transport (linux, via the
-//!   in-repo `jim-aio` readiness shim — see [`reactor`]'s module docs),
-//!   selected by `jim-serve --transport`, plus the TTL sweeper thread.
-//!   Both drive one sans-IO connection core (`conn`: framing, the line
-//!   cap, blank lines, the idle clock, one request in flight at a time,
-//!   the close decision) behind one admission gate and accept at once,
-//!   so the wire behavior is the same on both; both observe a graceful
-//!   [`serve::Shutdown`] signal.
+//! * [`serve`] — the TCP front end (linux): an epoll event loop over the
+//!   in-repo `jim-aio` readiness shim — `--reactors N` reactor threads,
+//!   each with its own worker pool, fed by one accept thread (see
+//!   [`reactor`]'s module docs) — plus the TTL sweeper thread. Every
+//!   connection runs one sans-IO connection core (`conn`: framing, the
+//!   line cap, blank lines, the idle clock, one request in flight at a
+//!   time, the close decision) behind one admission gate, and the server
+//!   observes a graceful [`serve::Shutdown`] signal. Off linux there is
+//!   no TCP front end; the `jim` REPL runs its sessions in-process.
 //! * [`metrics`] — the server-wide observability aggregate, one table of
 //!   typed `jim-metrics` fields: per-op request/error counters and latency
 //!   histograms, transport gauges and store/journal counters, exposed
@@ -68,6 +68,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+#[cfg(target_os = "linux")]
 pub(crate) mod conn;
 pub mod handler;
 pub mod journal;
@@ -84,5 +85,5 @@ pub use handler::{Handler, ServerLimits};
 pub use journal::{JournalStore, StoredSession};
 pub use metrics::{Op, OpMetrics, ReactorMetrics, ServerMetrics};
 pub use protocol::{Request, ServerError, Source};
-pub use serve::{serve_with, spawn_sweeper, Shutdown, Transport, TransportLimits};
+pub use serve::{serve_with, spawn_sweeper, Shutdown, TransportLimits};
 pub use store::{QuestionCache, Session, SessionStore, StoreConfig, SweepReport};

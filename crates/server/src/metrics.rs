@@ -2,7 +2,7 @@
 //! layer of the service.
 //!
 //! The aggregate lives on the [`crate::store::SessionStore`] (the one
-//! object the handler, both transports, the sweeper and the binaries all
+//! object the handler, the reactors, the sweeper and the binaries all
 //! already share) and is one table of typed `jim-metrics` fields: a hot
 //! path bumps a field directly, and every reader renders the same fields.
 //!
@@ -169,7 +169,7 @@ impl Default for Started {
 pub struct ServerMetrics {
     started: Started,
     ops: [OpMetrics; Op::ALL.len()],
-    /// Complete request lines handed to the handler (both transports).
+    /// Complete request lines handed to the handler.
     pub dispatched: Counter,
     /// Lines refused at decode: invalid UTF-8 or unparseable JSON.
     pub decode_refused: Counter,
@@ -178,14 +178,14 @@ pub struct ServerMetrics {
     /// Currently open client connections (summed across reactors).
     pub live_connections: Gauge,
     /// Jobs queued at the epoll worker pools right now, summed across
-    /// reactors (0 on threads).
+    /// reactors.
     pub worker_queue_depth: Gauge,
     /// Connections refused at the admission cap with `Overloaded`.
     pub sheds: Counter,
     /// Connections reaped for idling past the timeout.
     pub idle_timeouts: Counter,
     /// Per-reactor breakdowns, one entry per reactor index (allocated by
-    /// the epoll transport on first use; empty on threads).
+    /// the reactor on first use; empty until the server starts).
     reactors: Mutex<Vec<Arc<ReactorMetrics>>>,
     /// Session lookups answered from memory.
     pub store_hits: Counter,

@@ -1,5 +1,5 @@
-//! The epoll event-loop transport (linux only): a multi-reactor front
-//! end with admission control.
+//! The epoll event loop (linux only): the server's one TCP front end, a
+//! multi-reactor loop with admission control.
 //!
 //! ## Thread layout
 //!
@@ -40,8 +40,8 @@
 //!
 //! Every per-connection decision — framing, the line cap, blank lines,
 //! the idle clock, one request in flight at a time, and when to close —
-//! belongs to the sans-IO `Conn` that the threads transport drives too.
-//! A reactor keeps only what is about sockets and threads:
+//! belongs to the sans-IO `Conn`. A reactor keeps only what is about
+//! sockets and threads:
 //!
 //! * readiness: read while the `Conn` wants bytes, write while it has
 //!   output, and arm poller interest to match, so a connection with a
@@ -64,7 +64,7 @@
 //! * the global `live_connections` / `worker_queue_depth` gauges are
 //!   **aggregates**: every reactor moves them symmetrically (increment
 //!   on admit/dispatch, decrement on close/pop — never `set`), so they
-//!   stay correct with N reactors and across transport restarts. An
+//!   stay correct with N reactors and across restarts of `serve_with`. An
 //!   admitted connection's `Ticket` returns its admission slot and
 //!   gauge when dropped, wherever the connection ends.
 

@@ -1,42 +1,37 @@
-//! The TCP front ends: JSON lines over two interchangeable transports.
+//! The TCP front end: JSON lines over the epoll reactor (linux).
 //!
-//! The `Handler`/`protocol` split is transport-agnostic by design, and
-//! so is everything per connection: framing (lines to `\n` under the
-//! 16 MiB cap), blank lines, the idle clock, one request in flight at a
-//! time (so a connection's requests run in the order sent) and the
-//! close decision all live in the sans-IO `Conn`, and admission (the
-//! connection cap and per-address quota) in its `Admission` gate. A
-//! transport's own job is only *scheduling*: who blocks where, and who
-//! calls `accept`, `read` and `write`. Both accept at once: each accept
-//! loop blocks until a peer connects or [`Shutdown`] wakes it.
+//! The `Handler`/`protocol` split keeps dispatch free of sockets, and
+//! everything per connection is sans-IO too: framing (lines to `\n`
+//! under the 16 MiB cap), blank lines, the idle clock, one request in
+//! flight at a time (so a connection's requests run in the order sent)
+//! and the close decision all live in `Conn`, and admission (the
+//! connection cap and per-address quota) in its `Admission` gate. What
+//! is left is *scheduling*, and that is [`crate::reactor`]'s job: an
+//! accept thread that blocks until a peer connects or [`Shutdown`] wakes
+//! it, N reactor threads that multiplex every connection through
+//! `jim-aio` epoll pollers, and per-reactor worker pools that run
+//! [`Handler::handle_line`], so a slow `CreateSession` or journal replay
+//! never stalls a reactor. Thousands of idle connections cost a few
+//! hundred bytes of buffer each instead of a thread stack.
 //!
-//! * [`Transport::Threads`] — one thread per connection, blocking I/O
-//!   with a [`SHUTDOWN_POLL`] timeout on both directions. Simple and
-//!   portable; costs a stack per mostly-idle session, which is exactly
-//!   what the interactive workload produces (one question/answer line
-//!   per human turn).
-//! * [`Transport::Epoll`] — a non-blocking event loop (linux only): N
-//!   reactor threads multiplex every connection through `jim-aio` epoll
-//!   pollers, and per-reactor worker pools run [`Handler::handle_line`]
-//!   so a slow `CreateSession` or journal replay never stalls a reactor.
-//!   Thousands of idle connections cost a few hundred bytes of buffer
-//!   each instead of a thread stack — see [`crate::reactor`].
+//! Off linux there is no TCP front end: [`serve_with`] returns
+//! [`io::ErrorKind::Unsupported`], and the in-process `jim` REPL is the
+//! portable way to run a session.
 //!
-//! Both observe a shared [`Shutdown`] signal: trigger it and the accept
-//! loop stops, in-flight responses drain (for at most [`DRAIN_DEADLINE`]),
-//! and [`serve_with`] returns (the TTL sweeper spawned by
-//! [`spawn_sweeper`] observes the same signal). Both decode request lines
-//! **strictly**: a line that is not valid UTF-8 is refused with a typed
-//! protocol error instead of being lossily mangled into replacement
-//! characters and stored as corrupted relation data.
+//! The server observes a shared [`Shutdown`] signal: trigger it and the
+//! accept loop stops, in-flight responses drain (for at most
+//! [`DRAIN_DEADLINE`]), and [`serve_with`] returns (the TTL sweeper
+//! spawned by [`spawn_sweeper`] observes the same signal). Request lines
+//! are decoded **strictly**: a line that is not valid UTF-8 is refused
+//! with a typed protocol error instead of being lossily mangled into
+//! replacement characters and stored as corrupted relation data.
 
-use crate::conn::{Admission, Conn, READ_CHUNK};
 use crate::handler::Handler;
 use crate::protocol::ServerError;
 use crate::store::SessionStore;
 use crate::sync::{CondvarExt, LockExt};
-use std::io::{self, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -46,12 +41,7 @@ use std::time::{Duration, Instant};
 /// newline must not grow server memory without bound.
 pub const MAX_LINE_BYTES: u64 = 16 << 20;
 
-/// How often the threads transport's blocked read and write calls wake
-/// to observe the shutdown signal and the idle clock; also how long a
-/// shutdown trigger waits at most to wake its blocked `accept`.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
-
-/// How long a shutting-down transport waits for in-flight responses to
+/// How long a shutting-down server waits for in-flight responses to
 /// finish and flush before giving up on them (a peer that never reads
 /// its socket must not pin the process).
 pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
@@ -62,24 +52,22 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 /// Default per-connection idle timeout (see [`TransportLimits::idle_timeout`]).
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
-/// The production-traffic guardrails both transports honor.
+/// The production-traffic guardrails the front end honors.
 ///
-/// One struct, one semantics, one enforcement point: both accept loops
-/// admit through the same `Admission` gate, and both transports run the
-/// same `Conn` idle clock, ticked by the reactor's `poller.wait` timeout
-/// or by the threads transport's [`SHUTDOWN_POLL`] read and write
-/// timeouts. Either way a client sees the identical wire behavior:
-/// connection 257 of a 256-cap server gets a typed
-/// [`ServerError::Overloaded`] line and a close (never a silent queue),
-/// and a peer that goes quiet — or drips bytes without ever finishing a
-/// line — is answered with [`ServerError::IdleTimeout`] and reaped.
+/// The accept thread admits through one `Admission` gate, and every
+/// connection runs the `Conn` idle clock, ticked by the reactor's
+/// `poller.wait` timeout. A client sees it on the wire: connection 257
+/// of a 256-cap server gets a typed [`ServerError::Overloaded`] line and
+/// a close (never a silent queue), and a peer that goes quiet — or
+/// drips bytes without ever finishing a line — is answered with
+/// [`ServerError::IdleTimeout`] and reaped.
 #[derive(Debug, Clone)]
 pub struct TransportLimits {
-    /// Epoll reactor threads (`--reactors` / `JIM_REACTORS`). Ignored by
-    /// the threads transport. Clamped to at least 1.
+    /// Epoll reactor threads (`--reactors` / `JIM_REACTORS`). Clamped
+    /// to at least 1.
     pub reactors: usize,
-    /// Global admission cap across every reactor (or connection thread).
-    /// Connections past it are shed with [`ServerError::Overloaded`].
+    /// Global admission cap across every reactor. Connections past it
+    /// are shed with [`ServerError::Overloaded`].
     pub max_connections: usize,
     /// Reap a connection that completes no request line for this long
     /// (`None` disables). The clock resets on *complete lines*, not raw
@@ -104,7 +92,7 @@ impl Default for TransportLimits {
 }
 
 impl TransportLimits {
-    /// Clamp every knob to something the transports can run with.
+    /// Clamp every knob to something the front end can run with.
     pub fn normalized(mut self) -> TransportLimits {
         self.reactors = self.reactors.clamp(1, 64);
         self.max_connections = self.max_connections.max(1);
@@ -130,52 +118,8 @@ pub fn default_reactors() -> usize {
         .clamp(1, 4)
 }
 
-/// Which TCP front end [`serve_with`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// One blocking thread per connection (portable fallback).
-    Threads,
-    /// One epoll reactor plus a worker pool (linux only).
-    Epoll,
-}
-
-impl Transport {
-    /// The best transport this build supports: epoll where `jim-aio` has
-    /// a backend (linux), threads elsewhere.
-    pub fn default_for_platform() -> Transport {
-        if jim_aio::SUPPORTED {
-            Transport::Epoll
-        } else {
-            Transport::Threads
-        }
-    }
-}
-
-impl std::str::FromStr for Transport {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Transport, String> {
-        match s {
-            "threads" => Ok(Transport::Threads),
-            "epoll" => Ok(Transport::Epoll),
-            other => Err(format!(
-                "unknown transport {other:?} (expected \"threads\" or \"epoll\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Transport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Transport::Threads => "threads",
-            Transport::Epoll => "epoll",
-        })
-    }
-}
-
-/// A cloneable graceful-shutdown signal shared by the accept loop, every
-/// connection, the epoll reactor and the TTL sweeper.
+/// A cloneable graceful-shutdown signal shared by the accept loop, the
+/// epoll reactors and the TTL sweeper.
 ///
 /// [`Shutdown::trigger`] is idempotent and returns immediately; the
 /// server then stops accepting, finishes and flushes any response already
@@ -241,9 +185,8 @@ impl Shutdown {
     }
 
     /// Block until triggered or `timeout` elapses; `true` iff triggered.
-    /// The sweeper's interval sleep and the threads transport's back-off
-    /// after a failed accept both live here, so a trigger interrupts them
-    /// immediately.
+    /// The sweeper's interval sleep lives here, so a trigger interrupts
+    /// it immediately.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut triggered = self.inner.lock.lock_unpoisoned();
@@ -272,114 +215,37 @@ impl Shutdown {
     }
 }
 
-/// Serve the listener with the chosen transport under `limits` until
-/// `shutdown` is triggered (or a fatal listener/reactor error).
-/// [`Transport::Epoll`] off linux returns [`io::ErrorKind::Unsupported`].
+/// Serve the listener on the epoll reactor under `limits` until
+/// `shutdown` is triggered (or a fatal listener/reactor error). Off
+/// linux it returns [`io::ErrorKind::Unsupported`].
 pub fn serve_with(
     listener: TcpListener,
     handler: Arc<Handler>,
-    transport: Transport,
     shutdown: Shutdown,
     limits: TransportLimits,
 ) -> io::Result<()> {
-    let limits = limits.normalized();
-    let admission = Admission::new(&limits, Arc::clone(handler.store().metrics()));
-    match transport {
-        Transport::Threads => serve_threads(listener, handler, shutdown, limits, admission),
-        Transport::Epoll => {
-            #[cfg(target_os = "linux")]
-            {
-                crate::reactor::serve_epoll(listener, handler, shutdown, limits, admission)
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                let _ = (listener, handler, shutdown, limits, admission);
-                Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "the epoll transport is linux-only; use --transport threads",
-                ))
-            }
-        }
+    #[cfg(target_os = "linux")]
+    {
+        let limits = limits.normalized();
+        let metrics = Arc::clone(handler.store().metrics());
+        let admission = crate::conn::Admission::new(&limits, metrics);
+        crate::reactor::serve_epoll(listener, handler, shutdown, limits, admission)
     }
-}
-
-/// The thread-per-connection transport: accept until shutdown, one
-/// blocking thread per admitted connection, then drain — connection
-/// threads observe the signal within one [`SHUTDOWN_POLL`] and give up
-/// on unwritten responses [`DRAIN_DEADLINE`] later, and `serve_with`
-/// waits for them that long, so returning really means drained.
-///
-/// `accept` blocks, so a new connection is served at once. A trigger
-/// wakes it with a throwaway connection to the listener's own address,
-/// which is dropped unserved like any connection accepted after it.
-fn serve_threads(
-    listener: TcpListener,
-    handler: Arc<Handler>,
-    shutdown: Shutdown,
-    limits: TransportLimits,
-    admission: Arc<Admission>,
-) -> io::Result<()> {
-    // An unspecified address (`0.0.0.0`) is not connectable everywhere.
-    let mut wake = listener.local_addr()?;
-    if wake.ip().is_unspecified() {
-        let loopback = match wake {
-            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        };
-        wake.set_ip(loopback);
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (listener, handler, shutdown, limits);
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "jim-serve's TCP front end is linux-only; run sessions in-process with `jim`",
+        ))
     }
-    // A full backlog can stall the connect, but then `accept` has peers
-    // to return anyway: the timeout only keeps `trigger` from blocking.
-    shutdown.on_trigger(move || {
-        let _ = TcpStream::connect_timeout(&wake, SHUTDOWN_POLL);
-    });
-    loop {
-        let accepted = listener.accept();
-        if shutdown.is_triggered() {
-            break;
-        }
-        match accepted {
-            Ok((stream, _)) => {
-                // One write per response line; Nagle would stall the
-                // question/answer ping-pong a delayed-ACK (~40ms) per turn.
-                let _ = stream.set_nodelay(true);
-                let Some(ticket) = admission.admit(&stream) else {
-                    continue;
-                };
-                let handler = Arc::clone(&handler);
-                let shutdown = shutdown.clone();
-                let idle_timeout = limits.idle_timeout;
-                std::thread::spawn(move || {
-                    let _ticket = ticket; // released when the thread exits
-                    if let Err(e) = serve_connection(stream, &handler, &shutdown, idle_timeout) {
-                        // Disconnects are routine; log and move on.
-                        eprintln!("jim-serve: connection ended: {e}");
-                    }
-                });
-            }
-            Err(e) => {
-                // EMFILE and friends: without a pause this arm is a
-                // busy loop until an fd frees up.
-                eprintln!("jim-serve: accept failed: {e}");
-                if shutdown.wait_timeout(SHUTDOWN_POLL) {
-                    break;
-                }
-            }
-        }
-    }
-    drop(listener); // stop the port answering before the drain wait
-    let deadline = Instant::now() + SHUTDOWN_POLL + DRAIN_DEADLINE;
-    while admission.live() > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    Ok(())
 }
 
 /// Decode one complete, non-blank request line and produce its response
-/// line. This is the single decoding path both transports share:
-/// non-UTF-8 bytes are **refused** with a typed protocol error — never
-/// lossily replaced, so a `CreateSession` carrying mangled inline CSV can
-/// never be stored as corrupted relation data.
+/// line, on a reactor's worker: non-UTF-8 bytes are **refused** with a
+/// typed protocol error — never lossily replaced, so a `CreateSession`
+/// carrying mangled inline CSV can never be stored as corrupted relation
+/// data.
 pub(crate) fn respond_to(handler: &Handler, raw: &[u8]) -> String {
     let metrics = handler.store().metrics();
     metrics.dispatched.inc();
@@ -393,60 +259,6 @@ pub(crate) fn respond_to(handler: &Handler, raw: &[u8]) -> String {
             ServerError::InvalidUtf8.response().render()
         }
     }
-}
-
-/// Pump one connection through its `Conn`, one line at a time, until
-/// the `Conn` closes it, the socket fails, or [`DRAIN_DEADLINE`] passes
-/// after `shutdown` triggers with responses still unwritten.
-///
-/// Reads and writes are raw calls with a [`SHUTDOWN_POLL`] timeout, so the
-/// idle clock and the shutdown signal are checked at least once per poll
-/// whatever the peer does: a slowloris dripping bytes mid-line, a chatty
-/// peer that never lets a read time out, and a peer that never reads its
-/// responses are all reached on schedule.
-fn serve_connection(
-    mut stream: TcpStream,
-    handler: &Handler,
-    shutdown: &Shutdown,
-    idle_timeout: Option<Duration>,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
-    stream.set_write_timeout(Some(SHUTDOWN_POLL))?;
-    let mut conn = Conn::new(idle_timeout, Arc::clone(handler.store().metrics()));
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut give_up: Option<Instant> = None;
-    while !conn.finished() {
-        if let Some(line) = conn.next_line() {
-            conn.complete(respond_to(handler, &line));
-        }
-        let io = if conn.wants_write() {
-            stream.write(conn.output()).map(|n| conn.written(n))
-        } else if conn.wants_read() {
-            stream.read(&mut chunk).map(|n| conn.receive(&chunk[..n]))
-        } else {
-            break; // nothing left that this thread could supply
-        };
-        match io {
-            Ok(()) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-        let now = Instant::now();
-        conn.tick(now);
-        if shutdown.is_triggered() {
-            conn.shutdown();
-            if now >= *give_up.get_or_insert(now + DRAIN_DEADLINE) {
-                break;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Start the TTL sweeper thread, evicting expired sessions every

@@ -1,0 +1,146 @@
+//! The `jim-serve` binary, launched the way the benchmark launches it:
+//! the flag set `perfbench`'s `ServeConfig::flags` produces for
+//! `huge-open`, on an OS-assigned port over a fresh data directory. A
+//! flag change that stops the server from starting fails here, not only
+//! in a benchmark run. Linux only, where the TCP front end is.
+
+#![cfg(target_os = "linux")]
+#![forbid(unsafe_code)]
+
+mod support;
+
+use jim_server::serve::DRAIN_DEADLINE;
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, Receiver};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+use support::Client;
+
+/// The benchmark's flags besides `--port` and `--data-dir`.
+const BENCH_FLAGS: [&str; 10] = [
+    "--transport",
+    "epoll",
+    "--reactors",
+    "2",
+    "--max-sessions",
+    "64",
+    "--max-product",
+    "1000000",
+    "--ttl-secs",
+    "3600",
+];
+
+/// A spawned `jim-serve`, killed and reaped, with its data directory
+/// removed, on every path out of the test.
+struct Served {
+    child: Child,
+    stderr: Receiver<String>,
+    reader: Option<JoinHandle<()>>,
+    data_dir: Option<PathBuf>,
+}
+
+impl Served {
+    fn spawn(args: &[&str], data_dir: Option<PathBuf>) -> Served {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_jim-serve"));
+        command
+            .args(args)
+            .stdin(Stdio::null())
+            .stderr(Stdio::piped());
+        if let Some(dir) = &data_dir {
+            command.arg("--data-dir").arg(dir);
+        }
+        let mut child = command.spawn().expect("spawn jim-serve");
+        let pipe = child.stderr.take().expect("piped stderr");
+        let (lines, stderr) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            for line in BufReader::new(pipe).lines().map_while(Result::ok) {
+                if lines.send(line).is_err() {
+                    break;
+                }
+            }
+        });
+        Served {
+            child,
+            stderr,
+            reader: Some(reader),
+            data_dir,
+        }
+    }
+
+    /// The first stderr line containing `needle`, within `timeout`.
+    fn log_line(&self, needle: &str, timeout: Duration) -> String {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.stderr.recv_timeout(left) {
+                Ok(line) if line.contains(needle) => return line,
+                Ok(_) => {}
+                Err(e) => panic!("jim-serve logged no {needle:?} line: {e}"),
+            }
+        }
+    }
+
+    /// The exit status, within `timeout`.
+    fn exit(&mut self, timeout: Duration) -> ExitStatus {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll jim-serve") {
+                return status;
+            }
+            assert!(Instant::now() < deadline, "jim-serve still running");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        // The child is gone, so its stderr pipe is at EOF.
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+        if let Some(dir) = &self.data_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+#[test]
+fn jim_serve_starts_with_the_benchmark_flags_and_drains_on_sigterm() {
+    let dir = std::env::temp_dir().join(format!("jim-launch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut args = vec!["--port", "0"];
+    args.extend(BENCH_FLAGS);
+    let mut server = Served::spawn(&args, Some(dir));
+
+    let line = server.log_line("listening on ", Duration::from_secs(30));
+    let addr: SocketAddr = line
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {line:?}"));
+    Client::connect(addr).send(r#"{"op":"Metrics"}"#); // asserts `ok:true`
+
+    let kill = Command::new("kill")
+        .args(["-TERM", &server.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(kill.success());
+    let margin = Duration::from_secs(5);
+    server.log_line("draining", DRAIN_DEADLINE + margin);
+    let status = server.exit(DRAIN_DEADLINE + margin);
+    assert_eq!(status.code(), Some(0), "{status}");
+}
+
+#[test]
+fn jim_serve_refuses_the_threads_transport() {
+    let mut server = Served::spawn(&["--port", "0", "--transport", "threads"], None);
+    let status = server.exit(Duration::from_secs(30));
+    assert_eq!(status.code(), Some(2), "{status}");
+}

@@ -6,17 +6,18 @@
 
 #![forbid(unsafe_code)]
 
+#[cfg(target_os = "linux")]
 mod support;
 
 use jim_json::Json;
 use jim_server::handler::Handler;
 use jim_server::journal::JournalStore;
-use jim_server::serve::Transport;
 use jim_server::store::{SessionStore, StoreConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use support::{transports, Client, TestServer};
+#[cfg(target_os = "linux")]
+use support::{Client, TestServer};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jim-persist-{tag}-{}", std::process::id()));
@@ -301,9 +302,9 @@ fn wire_transcript_with_origin_is_self_contained() {
 
 // ---------------------------------------------------------------- real TCP
 
-/// A `jim-serve --data-dir <dir> --transport <t>` equivalent on an
-/// OS-assigned port.
-fn start_server_over(dir: &PathBuf, transport: Transport) -> TestServer {
+/// A `jim-serve --data-dir <dir>` equivalent on an OS-assigned port.
+#[cfg(target_os = "linux")]
+fn start_server_over(dir: &PathBuf) -> TestServer {
     let store = SessionStore::with_journal(
         StoreConfig {
             max_sessions: 8,
@@ -311,25 +312,20 @@ fn start_server_over(dir: &PathBuf, transport: Transport) -> TestServer {
         },
         JournalStore::open(dir).expect("journal dir"),
     );
-    TestServer::start(transport, Arc::new(Handler::new(Arc::new(store))))
+    TestServer::start(Arc::new(Handler::new(Arc::new(store))))
 }
 
 #[test]
+#[cfg(target_os = "linux")]
 fn kill_and_restart_resumes_to_resolution_over_tcp() {
-    for transport in transports() {
-        kill_and_restart(transport);
-    }
-}
-
-fn kill_and_restart(transport: Transport) {
-    let dir = tmpdir(&format!("restart-{transport}"));
+    let dir = tmpdir("restart");
 
     // Process 1: create a durable session, give the paper's first label,
     // then "die" — a **graceful shutdown** here, so the first server's
     // accept loop and sweeper are gone before the second server starts
     // (this used to leak both for the process lifetime).
     let session = {
-        let server = start_server_over(&dir, transport);
+        let server = start_server_over(&dir);
         let mut client = Client::connect(server.addr);
         let r = client.send(
             r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
@@ -346,7 +342,7 @@ fn kill_and_restart(transport: Transport) {
     // Process 2: a fresh store over the same directory. The session is
     // listed as on-disk, resumes with its label replayed, and the
     // remaining questions drive it to the paper's Q2.
-    let server = start_server_over(&dir, transport);
+    let server = start_server_over(&dir);
     let mut client = Client::connect(server.addr);
     let list = client.send(r#"{"op":"ListSessions"}"#);
     let sessions = list.get("sessions").unwrap().as_array().unwrap();
@@ -393,18 +389,13 @@ fn kill_and_restart(transport: Transport) {
 }
 
 /// An instance whose inline CSV is over 2 MiB opens, answers, is evicted
-/// to its journal by the store cap and resumes, on both transports. The
-/// request line, the journal header read back on resume, and the resume
-/// itself all decode a multi-megabyte JSON string.
+/// to its journal by the store cap and resumes. The request line, the
+/// journal header read back on resume, and the resume itself all decode
+/// a multi-megabyte JSON string.
 #[test]
+#[cfg(target_os = "linux")]
 fn multi_mib_inline_instance_opens_evicts_and_resumes_over_tcp() {
-    for transport in transports() {
-        multi_mib_round_trip(transport);
-    }
-}
-
-fn multi_mib_round_trip(transport: Transport) {
-    let dir = tmpdir(&format!("multi-mib-{transport}"));
+    let dir = tmpdir("multi-mib");
     // One resident session: opening a second evicts the first.
     let store = SessionStore::with_journal(
         StoreConfig {
@@ -413,7 +404,7 @@ fn multi_mib_round_trip(transport: Transport) {
         },
         JournalStore::open(&dir).expect("journal dir"),
     );
-    let server = TestServer::start(transport, Arc::new(Handler::new(Arc::new(store))));
+    let server = TestServer::start(Arc::new(Handler::new(Arc::new(store))));
     let mut client = Client::connect(server.addr);
 
     // Long notes with CSV-doubled quotes, a backslash and multi-byte

@@ -1,42 +1,23 @@
 //! Shared harness for the real-TCP integration suites: a [`TestServer`]
-//! that runs `serve()` on an OS-assigned port with an explicit graceful
-//! [`Shutdown`] (triggered and joined on drop, so test servers no longer
-//! leak accept/sweeper threads for the process lifetime), plus the
-//! transport matrix every wire test runs against.
+//! that runs `serve_with()` on an OS-assigned port with an explicit
+//! graceful [`Shutdown`] (triggered and joined on drop, so test servers
+//! no longer leak accept/sweeper threads for the process lifetime), and
+//! a JSON-lines [`Client`].
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use jim_json::Json;
 use jim_server::handler::Handler;
-use jim_server::serve::{serve_with, spawn_sweeper, Shutdown, Transport, TransportLimits};
+use jim_server::serve::{serve_with, spawn_sweeper, Shutdown, TransportLimits};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The transports this run exercises. Defaults to **both** so every
-/// wire test pins threads/epoll behavioral parity in one `cargo test`;
-/// CI narrows with `JIM_TEST_TRANSPORT=threads|epoll` to prove each
-/// passes the whole suite on its own. Epoll is skipped where `jim-aio`
-/// has no backend.
-pub fn transports() -> Vec<Transport> {
-    let requested = std::env::var("JIM_TEST_TRANSPORT").unwrap_or_default();
-    let all = match requested.as_str() {
-        "threads" => vec![Transport::Threads],
-        "epoll" => vec![Transport::Epoll],
-        "" | "both" => vec![Transport::Threads, Transport::Epoll],
-        other => panic!("JIM_TEST_TRANSPORT={other:?}: expected threads|epoll|both"),
-    };
-    all.into_iter()
-        .filter(|t| *t != Transport::Epoll || jim_aio::SUPPORTED)
-        .collect()
-}
-
-/// A `jim-serve`-equivalent server over one transport, shut down (and
-/// its serve + sweeper threads joined) when dropped.
+/// A `jim-serve`-equivalent server, shut down (and its serve + sweeper
+/// threads joined) when dropped.
 pub struct TestServer {
     pub addr: SocketAddr,
-    pub transport: Transport,
     shutdown: Shutdown,
     serve_thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
     sweeper: Option<std::thread::JoinHandle<()>>,
@@ -46,23 +27,18 @@ impl TestServer {
     /// Serve `handler` on an OS-assigned port, with a TTL sweeper and
     /// the default [`TransportLimits`] (these honor `JIM_REACTORS`, so
     /// the CI reactor matrix reaches every test through this path).
-    pub fn start(transport: Transport, handler: Arc<Handler>) -> TestServer {
-        TestServer::start_with_sweep(transport, handler, Duration::from_millis(200))
+    pub fn start(handler: Arc<Handler>) -> TestServer {
+        TestServer::start_with_sweep(handler, Duration::from_millis(200))
     }
 
     /// [`TestServer::start`] with an explicit sweep interval.
-    pub fn start_with_sweep(
-        transport: Transport,
-        handler: Arc<Handler>,
-        sweep: Duration,
-    ) -> TestServer {
-        TestServer::start_with_limits(transport, handler, sweep, TransportLimits::default())
+    pub fn start_with_sweep(handler: Arc<Handler>, sweep: Duration) -> TestServer {
+        TestServer::start_with_limits(handler, sweep, TransportLimits::default())
     }
 
     /// [`TestServer::start`] with explicit [`TransportLimits`] — the
     /// admission-cap / idle-timeout / reactor-count tests pin theirs.
     pub fn start_with_limits(
-        transport: Transport,
         handler: Arc<Handler>,
         sweep: Duration,
         limits: TransportLimits,
@@ -72,12 +48,10 @@ impl TestServer {
         let shutdown = Shutdown::new();
         let sweeper = spawn_sweeper(handler.store(), sweep, shutdown.clone());
         let serve_shutdown = shutdown.clone();
-        let serve_thread = std::thread::spawn(move || {
-            serve_with(listener, handler, transport, serve_shutdown, limits)
-        });
+        let serve_thread =
+            std::thread::spawn(move || serve_with(listener, handler, serve_shutdown, limits));
         TestServer {
             addr,
-            transport,
             shutdown,
             serve_thread: Some(serve_thread),
             sweeper: Some(sweeper),

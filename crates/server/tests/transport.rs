@@ -1,43 +1,42 @@
-//! Hostile-peer and scale behavior of the TCP front ends, end to end on
-//! **both** transports: strict UTF-8 framing (no lossy decode can ever
-//! store corrupted relation data), slowloris partial lines (tolerated
-//! below the idle timeout, reaped past it), the 16 MiB
-//! answered-then-dropped cap, the max-connections admission cap (typed
-//! `overloaded` shed, never a hang), pipelined request ordering (one
-//! request in flight per connection), a new connection answered at
-//! once, graceful shutdown that drains in-flight responses, and the things
-//! only the epoll event loop can do — holding hundreds of idle
-//! connections without a thread per socket, and spreading them across
-//! multiple reactors.
+//! Hostile-peer and scale behavior of the TCP front end, end to end:
+//! strict UTF-8 framing (no lossy decode can ever store corrupted
+//! relation data), slowloris partial lines (tolerated below the idle
+//! timeout, reaped past it), the 16 MiB answered-then-dropped cap, the
+//! max-connections admission cap (typed `overloaded` shed, never a
+//! hang), pipelined request ordering (one request in flight per
+//! connection), a new connection answered at once, graceful shutdown
+//! that drains in-flight responses, hundreds of idle connections held
+//! without a thread per socket, and connections spread across multiple
+//! reactors. Linux only, where the TCP front end is.
 
+#![cfg(target_os = "linux")]
 #![forbid(unsafe_code)]
 
 mod support;
 
 use jim_json::Json;
 use jim_server::handler::Handler;
-use jim_server::serve::{Transport, TransportLimits};
+use jim_server::serve::TransportLimits;
 use jim_server::store::{SessionStore, StoreConfig};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use support::{transports, Client, TestServer};
+use support::{Client, TestServer};
 
-fn start(transport: Transport) -> TestServer {
+fn start() -> TestServer {
     let store = Arc::new(SessionStore::new(StoreConfig {
         max_sessions: 512,
         ttl: Duration::from_secs(600),
     }));
-    TestServer::start(transport, Arc::new(Handler::new(store)))
+    TestServer::start(Arc::new(Handler::new(store)))
 }
 
-fn start_with_limits(transport: Transport, limits: TransportLimits) -> TestServer {
+fn start_with_limits(limits: TransportLimits) -> TestServer {
     let store = Arc::new(SessionStore::new(StoreConfig {
         max_sessions: 512,
         ttl: Duration::from_secs(600),
     }));
     TestServer::start_with_limits(
-        transport,
         Arc::new(Handler::new(store)),
         Duration::from_secs(600),
         limits,
@@ -52,106 +51,100 @@ fn code(response: &Json) -> Option<&str> {
 
 #[test]
 fn invalid_utf8_request_is_refused_without_session_corruption() {
-    for transport in transports() {
-        let server = start(transport);
-        let mut client = Client::connect(server.addr);
+    let server = start();
+    let mut client = Client::connect(server.addr);
 
-        // A CreateSession whose inline CSV carries invalid UTF-8. A lossy
-        // decode would turn the bytes into U+FFFD and happily store them
-        // as relation data; the server must refuse the line instead.
-        let mut raw: Vec<u8> = Vec::new();
-        raw.extend_from_slice(
-            br#"{"op":"CreateSession","source":{"relations":[{"name":"r","csv":"City"#,
-        );
-        raw.extend_from_slice(b"\\n"); // JSON-escaped newline inside the csv
-        raw.extend_from_slice(&[0xC3, 0x28, 0xFF]); // not UTF-8
-        raw.extend_from_slice(b"\\n\"}]}}\n");
-        client.writer.write_all(&raw).expect("write request");
-        client.writer.flush().expect("flush request");
+    // A CreateSession whose inline CSV carries invalid UTF-8. A lossy
+    // decode would turn the bytes into U+FFFD and happily store them
+    // as relation data; the server must refuse the line instead.
+    let mut raw: Vec<u8> = Vec::new();
+    raw.extend_from_slice(
+        br#"{"op":"CreateSession","source":{"relations":[{"name":"r","csv":"City"#,
+    );
+    raw.extend_from_slice(b"\\n"); // JSON-escaped newline inside the csv
+    raw.extend_from_slice(&[0xC3, 0x28, 0xFF]); // not UTF-8
+    raw.extend_from_slice(b"\\n\"}]}}\n");
+    client.writer.write_all(&raw).expect("write request");
+    client.writer.flush().expect("flush request");
 
-        let r = client.read_response();
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(false), "{r}");
-        assert!(
-            r.get("error").unwrap().as_str().unwrap().contains("UTF-8"),
-            "typed decode error: {r}"
-        );
+    let r = client.read_response();
+    assert_eq!(r.get("ok").unwrap().as_bool(), Some(false), "{r}");
+    assert!(
+        r.get("error").unwrap().as_str().unwrap().contains("UTF-8"),
+        "typed decode error: {r}"
+    );
 
-        // No session was created from the mangled line, the connection
-        // survived, and a clean request still works on it.
-        let list = client.send(r#"{"op":"ListSessions"}"#);
-        assert_eq!(
-            list.get("sessions").unwrap().as_array().unwrap().len(),
-            0,
-            "nothing stored from a refused line: {list}"
-        );
-        let ok = client.send(
-            r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
-        );
-        assert_eq!(ok.get("tuples").unwrap().as_u64(), Some(12));
-    }
+    // No session was created from the mangled line, the connection
+    // survived, and a clean request still works on it.
+    let list = client.send(r#"{"op":"ListSessions"}"#);
+    assert_eq!(
+        list.get("sessions").unwrap().as_array().unwrap().len(),
+        0,
+        "nothing stored from a refused line: {list}"
+    );
+    let ok = client.send(
+        r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
+    );
+    assert_eq!(ok.get("tuples").unwrap().as_u64(), Some(12));
 }
 
 #[test]
 fn slowloris_partial_line_blocks_nobody() {
-    for transport in transports() {
-        let server = start(transport);
+    let server = start();
 
-        // The slowloris peer: half a request, no newline, then silence.
-        let mut slow = Client::connect(server.addr);
-        slow.writer
-            .write_all(br#"{"op":"ListSes"#)
-            .expect("write partial");
-        slow.writer.flush().expect("flush partial");
+    // The slowloris peer: half a request, no newline, then silence.
+    let mut slow = Client::connect(server.addr);
+    slow.writer
+        .write_all(br#"{"op":"ListSes"#)
+        .expect("write partial");
+    slow.writer.flush().expect("flush partial");
 
-        // Other connections are served while it stalls.
-        let mut busy = Client::connect(server.addr);
-        let r = busy.send(
-            r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
-        );
-        let session = r.get("session").unwrap().as_u64().unwrap();
-        let q = busy.send(&format!(r#"{{"op":"NextQuestion","session":{session}}}"#));
-        assert_eq!(q.get("resolved").unwrap().as_bool(), Some(false));
+    // Other connections are served while it stalls.
+    let mut busy = Client::connect(server.addr);
+    let r = busy.send(
+        r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
+    );
+    let session = r.get("session").unwrap().as_u64().unwrap();
+    let q = busy.send(&format!(r#"{{"op":"NextQuestion","session":{session}}}"#));
+    assert_eq!(q.get("resolved").unwrap().as_bool(), Some(false));
 
-        // The stalled line is still assembled once the peer finishes it.
-        slow.writer
-            .write_all(b"sions\"}\n")
-            .expect("write completion");
-        slow.writer.flush().expect("flush completion");
-        let list = slow.read_response();
-        assert_eq!(list.get("ok").unwrap().as_bool(), Some(true), "{list}");
-        assert_eq!(list.get("sessions").unwrap().as_array().unwrap().len(), 1);
-    }
+    // The stalled line is still assembled once the peer finishes it.
+    slow.writer
+        .write_all(b"sions\"}\n")
+        .expect("write completion");
+    slow.writer.flush().expect("flush completion");
+    let list = slow.read_response();
+    assert_eq!(list.get("ok").unwrap().as_bool(), Some(true), "{list}");
+    assert_eq!(list.get("sessions").unwrap().as_array().unwrap().len(), 1);
 }
 
 #[test]
 fn oversized_line_is_answered_then_dropped_without_unbounded_buffering() {
     use jim_server::serve::MAX_LINE_BYTES;
-    for transport in transports() {
-        let server = start(transport);
-        let mut client = Client::connect(server.addr);
+    let server = start();
+    let mut client = Client::connect(server.addr);
 
-        // Stream past the cap with no newline; the server must stop
-        // accumulating, answer the typed error and hang up.
-        let chunk = vec![b'y'; 1 << 20];
-        let mut sent: u64 = 0;
-        while sent <= MAX_LINE_BYTES {
-            client.writer.write_all(&chunk).expect("server reading");
-            sent += chunk.len() as u64;
-        }
-        client.writer.flush().ok();
-        let r = client.read_response();
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
-        assert!(r.get("error").unwrap().as_str().unwrap().contains("16 MiB"));
-        let mut rest = String::new();
-        match client.reader.read_line(&mut rest) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("connection survived the cap ({n} more bytes)"),
-        }
-
-        // The server itself is fine: fresh connections work.
-        let mut next = Client::connect(server.addr);
-        next.send(r#"{"op":"ListSessions"}"#);
+    // Stream past the cap with no newline; the server must stop
+    // accumulating, answer the typed error and hang up.
+    let chunk = vec![b'y'; 1 << 20];
+    let mut sent: u64 = 0;
+    while sent <= MAX_LINE_BYTES {
+        client.writer.write_all(&chunk).expect("server reading");
+        sent += chunk.len() as u64;
     }
+    client.writer.flush().ok();
+    let r = client.read_response();
+    assert_eq!(r.get("ok").unwrap().as_bool(), Some(false));
+    assert!(r.get("error").unwrap().as_str().unwrap().contains("16 MiB"));
+    let mut rest = String::new();
+    match client.reader.read_line(&mut rest) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("connection survived the cap ({n} more bytes)"),
+    }
+
+    // The server itself is fine: fresh connections work.
+    let mut next = Client::connect(server.addr);
+    next.send(r#"{"op":"ListSessions"}"#);
 }
 
 #[test]
@@ -161,69 +154,63 @@ fn half_closed_peer_still_gets_its_response_then_the_conn_closes() {
     // and must not be able to spin the reactor (peer half-close is a
     // level-triggered condition that cannot be read away; the epoll
     // layer only subscribes to it alongside read interest).
-    for transport in transports() {
-        let server = start(transport);
-        let mut client = Client::connect(server.addr);
-        client
-            .writer
-            .write_all(b"{\"op\":\"ListSessions\"}\n")
-            .expect("write request");
-        client.writer.flush().expect("flush");
-        client
-            .writer
-            .shutdown(std::net::Shutdown::Write)
-            .expect("half-close");
-        let r = client.read_response();
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r}");
-        let mut rest = String::new();
-        match client.reader.read_line(&mut rest) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("connection outlived the half-close ({n} bytes)"),
-        }
+    let server = start();
+    let mut client = Client::connect(server.addr);
+    client
+        .writer
+        .write_all(b"{\"op\":\"ListSessions\"}\n")
+        .expect("write request");
+    client.writer.flush().expect("flush");
+    client
+        .writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let r = client.read_response();
+    assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r}");
+    let mut rest = String::new();
+    match client.reader.read_line(&mut rest) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("connection outlived the half-close ({n} bytes)"),
     }
 }
 
 #[test]
-fn graceful_shutdown_drains_and_joins_both_transports() {
-    for transport in transports() {
-        let server = start(transport);
-        let addr = server.addr;
-        let mut client = Client::connect(addr);
-        client.send(
-            r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
-        );
+fn graceful_shutdown_drains_and_joins_serve_and_the_sweeper() {
+    let server = start();
+    let addr = server.addr;
+    let mut client = Client::connect(addr);
+    client.send(
+        r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
+    );
 
-        // Trigger the signal: serve() and the sweeper must both return
-        // (shutdown() joins them — this hangs forever if either leaks).
-        server.shutdown().expect("serve returned cleanly");
+    // Trigger the signal: serve() and the sweeper must both return
+    // (shutdown() joins them — this hangs forever if either leaks).
+    server.shutdown().expect("serve returned cleanly");
 
-        // The established connection is closed out...
-        let mut rest = String::new();
-        match client.reader.read_line(&mut rest) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("connection outlived shutdown ({n} bytes)"),
-        }
-        // ...and the listener is gone: new connects are refused (or, in
-        // a race with kernel accept queues, closed without service).
-        match std::net::TcpStream::connect(addr) {
-            Err(_) => {}
-            Ok(stream) => {
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(5)))
-                    .unwrap();
-                let mut one = [0u8; 1];
-                match std::io::Read::read(&mut { stream }, &mut one) {
-                    Ok(0) | Err(_) => {}
-                    Ok(_) => panic!("a dead server answered"),
-                }
+    // The established connection is closed out...
+    let mut rest = String::new();
+    match client.reader.read_line(&mut rest) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("connection outlived shutdown ({n} bytes)"),
+    }
+    // ...and the listener is gone: new connects are refused (or, in
+    // a race with kernel accept queues, closed without service).
+    match std::net::TcpStream::connect(addr) {
+        Err(_) => {}
+        Ok(stream) => {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut one = [0u8; 1];
+            match std::io::Read::read(&mut { stream }, &mut one) {
+                Ok(0) | Err(_) => {}
+                Ok(_) => panic!("a dead server answered"),
             }
         }
     }
 }
 
-/// Threads currently alive in this process, from /proc (linux only —
-/// exactly where the epoll transport exists).
-#[cfg(target_os = "linux")]
+/// Threads currently alive in this process, from /proc.
 fn process_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
     status
@@ -233,12 +220,11 @@ fn process_threads() -> usize {
         .expect("Threads: line")
 }
 
-/// The scale claim only the event loop can make: hundreds of idle
-/// connections served by a **bounded** thread count (one reactor plus a
-/// small worker pool) — thread-per-connection would add one stack per
-/// socket and blow straight past the bound.
+/// The event loop's scale claim: hundreds of idle connections served by
+/// a **bounded** thread count (one reactor plus a small worker pool) —
+/// thread-per-connection would add one stack per socket and blow
+/// straight past the bound.
 #[test]
-#[cfg(target_os = "linux")]
 fn many_idle_connections_need_no_thread_per_connection() {
     const IDLE_CONNS: usize = 256;
     // Reactor + workers ≤ ~10 threads; the slack absorbs unrelated tests
@@ -246,7 +232,7 @@ fn many_idle_connections_need_no_thread_per_connection() {
     // add ≥ IDLE_CONNS and fail regardless.
     const THREAD_BOUND: usize = 128;
 
-    let server = start(Transport::Epoll);
+    let server = start();
     let before = process_threads();
 
     let mut conns: Vec<Client> = (0..IDLE_CONNS)
@@ -261,7 +247,7 @@ fn many_idle_connections_need_no_thread_per_connection() {
     let after = process_threads();
     assert!(
         after.saturating_sub(before) < THREAD_BOUND,
-        "epoll transport grew {before} -> {after} threads for {IDLE_CONNS} idle connections"
+        "the server grew {before} -> {after} threads for {IDLE_CONNS} idle connections"
     );
 
     // Still responsive with everything connected, front to back.
@@ -305,213 +291,185 @@ fn connect_probe(addr: std::net::SocketAddr) -> Result<Client, Option<Json>> {
 
 #[test]
 fn idle_peer_is_answered_then_reaped_after_the_timeout() {
-    for transport in transports() {
-        let server = start_with_limits(
-            transport,
-            TransportLimits {
-                idle_timeout: Some(Duration::from_millis(300)),
-                ..Default::default()
-            },
-        );
-        let mut client = Client::connect(server.addr);
-        client.send(r#"{"op":"ListSessions"}"#); // live — then silent
-        let waiting = Instant::now();
-        let r = client.read_response(); // blocks until the reaper speaks
-        assert_eq!(code(&r), Some("idle_timeout"), "{r}");
-        let waited = waiting.elapsed();
-        assert!(
-            waited >= Duration::from_millis(200),
-            "reaped too early ({waited:?}) — the timeout clock must reset on complete lines"
-        );
-        assert!(
-            waited < Duration::from_secs(10),
-            "reaped too late ({waited:?})"
-        );
-        let mut rest = String::new();
-        match client.reader.read_line(&mut rest) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("connection outlived its idle reap ({n} more bytes)"),
-        }
-        // The server itself is fine, and a *busy* connection with the
-        // same limits is never reaped.
-        let mut busy = Client::connect(server.addr);
-        for _ in 0..5 {
-            busy.send(r#"{"op":"ListSessions"}"#);
-            std::thread::sleep(Duration::from_millis(120));
-        }
-        busy.send(r#"{"op":"ListSessions"}"#);
+    let server = start_with_limits(TransportLimits {
+        idle_timeout: Some(Duration::from_millis(300)),
+        ..Default::default()
+    });
+    let mut client = Client::connect(server.addr);
+    client.send(r#"{"op":"ListSessions"}"#); // live — then silent
+    let waiting = Instant::now();
+    let r = client.read_response(); // blocks until the reaper speaks
+    assert_eq!(code(&r), Some("idle_timeout"), "{r}");
+    let waited = waiting.elapsed();
+    assert!(
+        waited >= Duration::from_millis(200),
+        "reaped too early ({waited:?}) — the timeout clock must reset on complete lines"
+    );
+    assert!(
+        waited < Duration::from_secs(10),
+        "reaped too late ({waited:?})"
+    );
+    let mut rest = String::new();
+    match client.reader.read_line(&mut rest) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("connection outlived its idle reap ({n} more bytes)"),
     }
+    // The server itself is fine, and a *busy* connection with the
+    // same limits is never reaped.
+    let mut busy = Client::connect(server.addr);
+    for _ in 0..5 {
+        busy.send(r#"{"op":"ListSessions"}"#);
+        std::thread::sleep(Duration::from_millis(120));
+    }
+    busy.send(r#"{"op":"ListSessions"}"#);
 }
 
 #[test]
 fn slowloris_dripping_mid_line_is_disconnected() {
-    for transport in transports() {
-        let server = start_with_limits(
-            transport,
-            TransportLimits {
-                idle_timeout: Some(Duration::from_millis(300)),
-                ..Default::default()
-            },
-        );
-        let mut client = Client::connect(server.addr);
-        client
+    let server = start_with_limits(TransportLimits {
+        idle_timeout: Some(Duration::from_millis(300)),
+        ..Default::default()
+    });
+    let mut client = Client::connect(server.addr);
+    client
+        .writer
+        .write_all(br#"{"op":"Li"#)
+        .expect("write partial");
+    client.writer.flush().expect("flush partial");
+    // Drip one byte every 30ms, never finishing the line — stretches
+    // far past the idle timeout. Raw bytes must not count as
+    // progress; writes start failing once the server hangs up.
+    for _ in 0..30 {
+        std::thread::sleep(Duration::from_millis(30));
+        if client
             .writer
-            .write_all(br#"{"op":"Li"#)
-            .expect("write partial");
-        client.writer.flush().expect("flush partial");
-        // Drip one byte every 30ms, never finishing the line — stretches
-        // far past the idle timeout. Raw bytes must not count as
-        // progress; writes start failing once the server hangs up.
-        for _ in 0..30 {
-            std::thread::sleep(Duration::from_millis(30));
-            if client
-                .writer
-                .write_all(b"x")
-                .and_then(|_| client.writer.flush())
-                .is_err()
-            {
-                break;
-            }
+            .write_all(b"x")
+            .and_then(|_| client.writer.flush())
+            .is_err()
+        {
+            break;
         }
-        // By now (~900ms of dripping vs a 300ms timeout) the connection
-        // must be dead: either the typed reap notice or a reset/EOF (a
-        // reset can race the notice away once our drips hit the closed
-        // socket). What it must NOT be is alive.
-        let reading = Instant::now();
-        let mut line = String::new();
-        match client.reader.read_line(&mut line) {
-            Ok(0) | Err(_) => {}
-            Ok(_) => {
-                let r = Json::parse(line.trim()).expect("valid JSON response");
-                assert_eq!(code(&r), Some("idle_timeout"), "{r}");
-            }
-        }
-        assert!(
-            reading.elapsed() < Duration::from_secs(10),
-            "slowloris connection was never reaped"
-        );
-        // Fresh connections are unaffected.
-        let mut next = Client::connect(server.addr);
-        next.send(r#"{"op":"ListSessions"}"#);
     }
+    // By now (~900ms of dripping vs a 300ms timeout) the connection
+    // must be dead: either the typed reap notice or a reset/EOF (a
+    // reset can race the notice away once our drips hit the closed
+    // socket). What it must NOT be is alive.
+    let reading = Instant::now();
+    let mut line = String::new();
+    match client.reader.read_line(&mut line) {
+        Ok(0) | Err(_) => {}
+        Ok(_) => {
+            let r = Json::parse(line.trim()).expect("valid JSON response");
+            assert_eq!(code(&r), Some("idle_timeout"), "{r}");
+        }
+    }
+    assert!(
+        reading.elapsed() < Duration::from_secs(10),
+        "slowloris connection was never reaped"
+    );
+    // Fresh connections are unaffected.
+    let mut next = Client::connect(server.addr);
+    next.send(r#"{"op":"ListSessions"}"#);
 }
 
 #[test]
 fn over_cap_connect_is_shed_with_typed_overloaded_and_slots_free_on_close() {
-    for transport in transports() {
-        let server = start_with_limits(
-            transport,
-            TransportLimits {
-                max_connections: 4,
-                ..Default::default()
-            },
-        );
-        // Fill the cap and prove every admitted connection serves.
-        let mut admitted: Vec<Client> = (0..4).map(|_| Client::connect(server.addr)).collect();
-        for c in admitted.iter_mut() {
-            c.send(r#"{"op":"ListSessions"}"#);
-        }
-        // Connection 5 of a 4-cap server: a typed answer and a close —
-        // not a hang, not a queue slot.
-        match connect_probe(server.addr) {
-            Ok(_) => panic!("connection over the cap was admitted"),
-            Err(Some(r)) => {
-                assert_eq!(code(&r), Some("overloaded"), "{r}");
-                assert!(
-                    r.get("error")
-                        .unwrap()
-                        .as_str()
-                        .unwrap()
-                        .contains("max-connections"),
-                    "{r}"
-                );
-            }
-            Err(None) => panic!("shed without the typed notice"),
-        }
-        // Shedding disturbed nobody: the admitted connections still serve.
-        for c in admitted.iter_mut() {
-            c.send(r#"{"op":"ListSessions"}"#);
-        }
-        // Closing one frees its slot (admission is a live count, not a
-        // lifetime quota) — within the server's close-detection latency.
-        drop(admitted.remove(0));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut readmitted = loop {
-            match connect_probe(server.addr) {
-                Ok(client) => break client,
-                Err(_) => {
-                    assert!(Instant::now() < deadline, "freed slot never re-admitted");
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-        };
-        readmitted.send(r#"{"op":"ListSessions"}"#);
+    let server = start_with_limits(TransportLimits {
+        max_connections: 4,
+        ..Default::default()
+    });
+    // Fill the cap and prove every admitted connection serves.
+    let mut admitted: Vec<Client> = (0..4).map(|_| Client::connect(server.addr)).collect();
+    for c in admitted.iter_mut() {
+        c.send(r#"{"op":"ListSessions"}"#);
     }
+    // Connection 5 of a 4-cap server: a typed answer and a close —
+    // not a hang, not a queue slot.
+    match connect_probe(server.addr) {
+        Ok(_) => panic!("connection over the cap was admitted"),
+        Err(Some(r)) => {
+            assert_eq!(code(&r), Some("overloaded"), "{r}");
+            assert!(
+                r.get("error")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .contains("max-connections"),
+                "{r}"
+            );
+        }
+        Err(None) => panic!("shed without the typed notice"),
+    }
+    // Shedding disturbed nobody: the admitted connections still serve.
+    for c in admitted.iter_mut() {
+        c.send(r#"{"op":"ListSessions"}"#);
+    }
+    // Closing one frees its slot (admission is a live count, not a
+    // lifetime quota) — within the server's close-detection latency.
+    drop(admitted.remove(0));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut readmitted = loop {
+        match connect_probe(server.addr) {
+            Ok(client) => break client,
+            Err(_) => {
+                assert!(Instant::now() < deadline, "freed slot never re-admitted");
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    };
+    readmitted.send(r#"{"op":"ListSessions"}"#);
 }
 
 #[test]
 fn per_ip_quota_sheds_the_greedy_peer_and_frees_on_close() {
-    for transport in transports() {
-        // Every test client comes from 127.0.0.1, so a per-ip cap of 2
-        // bites on the third connection while the global cap (default
-        // 1024) never does — proving the shed is the quota's.
-        let server = start_with_limits(
-            transport,
-            TransportLimits {
-                max_per_ip: Some(2),
-                ..Default::default()
-            },
-        );
-        let mut admitted: Vec<Client> = (0..2).map(|_| Client::connect(server.addr)).collect();
-        for c in admitted.iter_mut() {
-            c.send(r#"{"op":"ListSessions"}"#);
-        }
-        // Connection 3 from the same address: the same typed answer as
-        // the global cap — a notice and a close, never a queue slot.
-        match connect_probe(server.addr) {
-            Ok(_) => panic!("third connection from one address was admitted past the quota"),
-            Err(Some(r)) => assert_eq!(code(&r), Some("overloaded"), "{r}"),
-            Err(None) => panic!("shed without the typed notice"),
-        }
-        // The quota disturbed nobody already admitted.
-        for c in admitted.iter_mut() {
-            c.send(r#"{"op":"ListSessions"}"#);
-        }
-        // Closing one returns the slot to that address (a live count per
-        // ip, not a lifetime quota) — within close-detection latency.
-        drop(admitted.remove(0));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut readmitted = loop {
-            match connect_probe(server.addr) {
-                Ok(client) => break client,
-                Err(_) => {
-                    assert!(
-                        Instant::now() < deadline,
-                        "freed per-ip slot never re-admitted"
-                    );
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-        };
-        readmitted.send(r#"{"op":"ListSessions"}"#);
+    // Every test client comes from 127.0.0.1, so a per-ip cap of 2
+    // bites on the third connection while the global cap (default
+    // 1024) never does — proving the shed is the quota's.
+    let server = start_with_limits(TransportLimits {
+        max_per_ip: Some(2),
+        ..Default::default()
+    });
+    let mut admitted: Vec<Client> = (0..2).map(|_| Client::connect(server.addr)).collect();
+    for c in admitted.iter_mut() {
+        c.send(r#"{"op":"ListSessions"}"#);
     }
+    // Connection 3 from the same address: the same typed answer as
+    // the global cap — a notice and a close, never a queue slot.
+    match connect_probe(server.addr) {
+        Ok(_) => panic!("third connection from one address was admitted past the quota"),
+        Err(Some(r)) => assert_eq!(code(&r), Some("overloaded"), "{r}"),
+        Err(None) => panic!("shed without the typed notice"),
+    }
+    // The quota disturbed nobody already admitted.
+    for c in admitted.iter_mut() {
+        c.send(r#"{"op":"ListSessions"}"#);
+    }
+    // Closing one returns the slot to that address (a live count per
+    // ip, not a lifetime quota) — within close-detection latency.
+    drop(admitted.remove(0));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut readmitted = loop {
+        match connect_probe(server.addr) {
+            Ok(client) => break client,
+            Err(_) => {
+                assert!(
+                    Instant::now() < deadline,
+                    "freed per-ip slot never re-admitted"
+                );
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    };
+    readmitted.send(r#"{"op":"ListSessions"}"#);
 }
 
-/// The ISSUE-sized version: connection 257 of a 256-cap server (epoll
-/// only — the threads transport would need 256 OS threads to stage it).
+/// Connection 257 of a 256-cap server, at production scale.
 #[test]
-#[cfg(target_os = "linux")]
 fn connection_257_of_a_256_cap_server_gets_overloaded() {
-    if !jim_aio::SUPPORTED {
-        return;
-    }
-    let server = start_with_limits(
-        Transport::Epoll,
-        TransportLimits {
-            max_connections: 256,
-            ..Default::default()
-        },
-    );
+    let server = start_with_limits(TransportLimits {
+        max_connections: 256,
+        ..Default::default()
+    });
     let mut conns: Vec<Client> = (0..256).map(|_| Client::connect(server.addr)).collect();
     // Prove the fleet is live, not just accepted (every 32nd round-trips).
     for i in (0..256).step_by(32) {
@@ -527,7 +485,7 @@ fn connection_257_of_a_256_cap_server_gets_overloaded() {
     conns[255].send(r#"{"op":"ListSessions"}"#);
 }
 
-/// Trials of the same-session case below: a transport that ran one
+/// Trials of the same-session case below: a front end that ran one
 /// connection's lines concurrently on a two-worker pool put the Answer
 /// first in 2 to 75 of 3,000, so the case catches it every run.
 const SAME_SESSION_TRIALS: usize = 3_000;
@@ -538,88 +496,84 @@ fn pipelined_requests_are_answered_in_request_order() {
     // response, in request order, and the requests run in that order:
     // each connection has one request in flight at a time.
     const BURST: usize = 24;
-    for transport in transports() {
-        let server = start(transport);
-        let mut client = Client::connect(server.addr);
-        let mut batch = String::new();
-        for i in 0..BURST {
-            if i % 2 == 0 {
-                batch.push_str("{\"op\":\"ListSessions\"}\n"); // ok:true
-            } else {
-                batch.push_str("{\"op\":\"NextQuestion\",\"session\":999}\n"); // ok:false
-            }
+    let server = start();
+    let mut client = Client::connect(server.addr);
+    let mut batch = String::new();
+    for i in 0..BURST {
+        if i % 2 == 0 {
+            batch.push_str("{\"op\":\"ListSessions\"}\n"); // ok:true
+        } else {
+            batch.push_str("{\"op\":\"NextQuestion\",\"session\":999}\n"); // ok:false
         }
+    }
+    client
+        .writer
+        .write_all(batch.as_bytes())
+        .expect("write burst");
+    client.writer.flush().expect("flush burst");
+    for i in 0..BURST {
+        let r = client.read_response();
+        let expect_ok = i % 2 == 0;
+        assert_eq!(
+            r.get("ok").and_then(Json::as_bool),
+            Some(expect_ok),
+            "response {i} out of order: {r}"
+        );
+        if expect_ok {
+            assert!(r.get("sessions").is_some(), "response {i}: {r}");
+        }
+    }
+    // Nothing extra trails the burst, and the connection still works.
+    client.send(r#"{"op":"ListSessions"}"#);
+
+    // One session's requests run in the order sent: an Answer
+    // pipelined behind the NextQuestion it answers always finds that
+    // question pending.
+    for trial in 0..SAME_SESSION_TRIALS {
+        let created = client.send(
+            r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
+        );
+        let session = created.get("session").and_then(Json::as_u64).expect("id");
+        let burst = format!(
+            "{{\"op\":\"NextQuestion\",\"session\":{session}}}\n\
+             {{\"op\":\"Answer\",\"session\":{session},\"label\":\"-\"}}\n\
+             {{\"op\":\"CloseSession\",\"session\":{session}}}\n"
+        );
         client
             .writer
-            .write_all(batch.as_bytes())
+            .write_all(burst.as_bytes())
             .expect("write burst");
-        client.writer.flush().expect("flush burst");
-        for i in 0..BURST {
-            let r = client.read_response();
-            let expect_ok = i % 2 == 0;
+        let responses = [(); 3].map(|_| client.read_response());
+        for r in &responses {
             assert_eq!(
                 r.get("ok").and_then(Json::as_bool),
-                Some(expect_ok),
-                "response {i} out of order: {r}"
+                Some(true),
+                "trial {trial}: {responses:?}"
             );
-            if expect_ok {
-                assert!(r.get("sessions").is_some(), "response {i}: {r}");
-            }
-        }
-        // Nothing extra trails the burst, and the connection still works.
-        client.send(r#"{"op":"ListSessions"}"#);
-
-        // One session's requests run in the order sent: an Answer
-        // pipelined behind the NextQuestion it answers always finds that
-        // question pending.
-        for trial in 0..SAME_SESSION_TRIALS {
-            let created = client.send(
-                r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
-            );
-            let session = created.get("session").and_then(Json::as_u64).expect("id");
-            let burst = format!(
-                "{{\"op\":\"NextQuestion\",\"session\":{session}}}\n\
-                 {{\"op\":\"Answer\",\"session\":{session},\"label\":\"-\"}}\n\
-                 {{\"op\":\"CloseSession\",\"session\":{session}}}\n"
-            );
-            client
-                .writer
-                .write_all(burst.as_bytes())
-                .expect("write burst");
-            let responses = [(); 3].map(|_| client.read_response());
-            for r in &responses {
-                assert_eq!(
-                    r.get("ok").and_then(Json::as_bool),
-                    Some(true),
-                    "{transport} trial {trial}: {responses:?}"
-                );
-            }
         }
     }
 }
 
 #[test]
 fn a_new_connection_is_answered_at_once() {
-    // Both accept loops block until a peer connects, so a connection to
+    // The accept loop blocks until a peer connects, so a connection to
     // a server that has been idle waits for no poll interval. The idle
     // spells are staggered so that no periodic wake-up lines up with
     // every connect.
-    for transport in transports() {
-        let server = start(transport);
-        let mut waits: Vec<Duration> = (0..10)
-            .map(|i| {
-                std::thread::sleep(Duration::from_millis(100 + 7 * i));
-                let started = Instant::now();
-                Client::connect(server.addr).send(r#"{"op":"ListSessions"}"#);
-                started.elapsed()
-            })
-            .collect();
-        waits.sort();
-        assert!(
-            waits[waits.len() / 2] < Duration::from_millis(10),
-            "{transport}: connect to first response {waits:?}"
-        );
-    }
+    let server = start();
+    let mut waits: Vec<Duration> = (0..10)
+        .map(|i| {
+            std::thread::sleep(Duration::from_millis(100 + 7 * i));
+            let started = Instant::now();
+            Client::connect(server.addr).send(r#"{"op":"ListSessions"}"#);
+            started.elapsed()
+        })
+        .collect();
+    waits.sort();
+    assert!(
+        waits[waits.len() / 2] < Duration::from_millis(10),
+        "connect to first response {waits:?}"
+    );
 }
 
 /// Multi-reactor distribution and gauge aggregation, end to end: eight
@@ -628,18 +582,11 @@ fn a_new_connection_is_answered_at_once() {
 /// and the global gauges are the exact sum — the `Metrics` snapshot is
 /// where both live.
 #[test]
-#[cfg(target_os = "linux")]
 fn four_reactors_share_connections_and_gauges_aggregate() {
-    if !jim_aio::SUPPORTED {
-        return;
-    }
-    let server = start_with_limits(
-        Transport::Epoll,
-        TransportLimits {
-            reactors: 4,
-            ..Default::default()
-        },
-    );
+    let server = start_with_limits(TransportLimits {
+        reactors: 4,
+        ..Default::default()
+    });
     let mut conns: Vec<Client> = (0..8).map(|_| Client::connect(server.addr)).collect();
     for c in conns.iter_mut() {
         c.send(r#"{"op":"ListSessions"}"#);
@@ -670,93 +617,85 @@ fn four_reactors_share_connections_and_gauges_aggregate() {
 }
 
 #[test]
-fn whitespace_only_lines_are_blank_on_both_transports() {
-    for transport in transports() {
-        let server = start_with_limits(
-            transport,
-            TransportLimits {
-                reactors: 2,
-                ..Default::default()
-            },
-        );
-        let mut client = Client::connect(server.addr);
-        // A vertical tab and a no-break space: whitespace to `str::trim`,
-        // though not to `u8::is_ascii_whitespace`. Neither is a request,
-        // so the first response must be the Metrics one.
-        client
-            .writer
-            .write_all("\x0B\n\u{A0}\n".as_bytes())
-            .expect("write blank lines");
-        let m = client.send(r#"{"op":"Metrics"}"#);
-        let t = m.get("transport").expect("transport section");
-        assert_eq!(t.get("dispatched").and_then(Json::as_u64), Some(1), "{t}");
-        let reactors = t
-            .get("reactors")
-            .and_then(Json::as_array)
-            .expect("reactors array");
-        if !reactors.is_empty() {
-            let per_reactor: u64 = reactors
-                .iter()
-                .map(|r| r.get("dispatched").and_then(Json::as_u64).unwrap())
-                .sum();
-            assert_eq!(
-                per_reactor, 1,
-                "per-reactor counts must sum to the global: {t}"
-            );
-        }
-        // Nothing stray trails the Metrics response.
-        let list = client.send(r#"{"op":"ListSessions"}"#);
-        assert!(list.get("sessions").is_some(), "{list}");
-    }
+fn whitespace_only_lines_are_blank_and_never_dispatched() {
+    let server = start_with_limits(TransportLimits {
+        reactors: 2,
+        ..Default::default()
+    });
+    let mut client = Client::connect(server.addr);
+    // A vertical tab and a no-break space: whitespace to `str::trim`,
+    // though not to `u8::is_ascii_whitespace`. Neither is a request,
+    // so the first response must be the Metrics one.
+    client
+        .writer
+        .write_all("\x0B\n\u{A0}\n".as_bytes())
+        .expect("write blank lines");
+    let m = client.send(r#"{"op":"Metrics"}"#);
+    let t = m.get("transport").expect("transport section");
+    assert_eq!(t.get("dispatched").and_then(Json::as_u64), Some(1), "{t}");
+    let reactors = t
+        .get("reactors")
+        .and_then(Json::as_array)
+        .expect("reactors array");
+    assert_eq!(reactors.len(), 2, "{t}");
+    let per_reactor: u64 = reactors
+        .iter()
+        .map(|r| r.get("dispatched").and_then(Json::as_u64).unwrap())
+        .sum();
+    assert_eq!(
+        per_reactor, 1,
+        "per-reactor counts must sum to the global: {t}"
+    );
+    // Nothing stray trails the Metrics response.
+    let list = client.send(r#"{"op":"ListSessions"}"#);
+    assert!(list.get("sessions").is_some(), "{list}");
 }
 
 #[test]
 fn chatty_peer_does_not_hold_up_shutdown() {
     use jim_server::serve::DRAIN_DEADLINE;
     use std::sync::atomic::{AtomicBool, Ordering};
-    for transport in transports() {
-        let server = start(transport);
-        let mut client = Client::connect(server.addr);
-        let mut writer = client.writer.try_clone().expect("clone stream");
-        let stop = Arc::new(AtomicBool::new(false));
-        let chatter = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    if writer.write_all(b"{\"op\":\"ListSessions\"}\n").is_err() {
-                        break; // the server closed the connection
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
+    let server = start();
+    let mut client = Client::connect(server.addr);
+    let mut writer = client.writer.try_clone().expect("clone stream");
+    let stop = Arc::new(AtomicBool::new(false));
+    let chatter = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                if writer.write_all(b"{\"op\":\"ListSessions\"}\n").is_err() {
+                    break; // the server closed the connection
                 }
-            })
-        };
-        for _ in 0..5 {
-            let r = client.read_response();
-            assert!(r.get("sessions").is_some(), "{r}");
-        }
-
-        let started = Instant::now();
-        server.shutdown().expect("serve returned cleanly");
-        let took = started.elapsed();
-        // At most one response was answered but unread when the trigger
-        // fired, and at most one more was in flight; then EOF.
-        let mut after = 0;
-        let mut line = String::new();
-        while after <= 2 && client.reader.read_line(&mut line).is_ok_and(|n| n > 0) {
-            line.clear();
-            after += 1;
-        }
-        stop.store(true, Ordering::SeqCst);
-        chatter.join().expect("chatter thread");
-        assert!(
-            took < DRAIN_DEADLINE / 5,
-            "{transport}: serve took {took:?} to return under a chatty peer"
-        );
-        assert!(
-            after <= 2,
-            "{transport}: {after} responses arrived after the last one read before shutdown"
-        );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        })
+    };
+    for _ in 0..5 {
+        let r = client.read_response();
+        assert!(r.get("sessions").is_some(), "{r}");
     }
+
+    let started = Instant::now();
+    server.shutdown().expect("serve returned cleanly");
+    let took = started.elapsed();
+    // At most one response was answered but unread when the trigger
+    // fired, and at most one more was in flight; then EOF.
+    let mut after = 0;
+    let mut line = String::new();
+    while after <= 2 && client.reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+        line.clear();
+        after += 1;
+    }
+    stop.store(true, Ordering::SeqCst);
+    chatter.join().expect("chatter thread");
+    assert!(
+        took < DRAIN_DEADLINE / 5,
+        "serve took {took:?} to return under a chatty peer"
+    );
+    assert!(
+        after <= 2,
+        "{after} responses arrived after the last one read before shutdown"
+    );
 }
 
 #[test]
@@ -764,63 +703,55 @@ fn peer_that_never_reads_is_closed_by_shutdown() {
     use jim_server::serve::DRAIN_DEADLINE;
     use std::io::Read;
     const REQUESTS: usize = 250_000;
-    for transport in transports() {
-        // Whether the idle reaper catches this peer first is timing
-        // dependent on both transports (the kernel keeps widening the
-        // peer's receive window, so a response can trickle out and
-        // restart the clock); the promise checked here is shutdown's.
-        let server = start_with_limits(
-            transport,
-            TransportLimits {
-                idle_timeout: Some(Duration::from_millis(300)),
-                ..Default::default()
-            },
-        );
-        let client = Client::connect(server.addr);
-        let mut writer = client.writer.try_clone().expect("clone stream");
-        let flood = std::thread::spawn(move || {
-            // Blocks once the server stops reading; fails once it closes.
-            let _ = writer.write_all("{\"op\":\"Metrics\"}\n".repeat(REQUESTS).as_bytes());
-        });
-        std::thread::sleep(Duration::from_millis(500));
+    // Whether the idle reaper catches this peer first is timing
+    // dependent (the kernel keeps widening the
+    // peer's receive window, so a response can trickle out and
+    // restart the clock); the promise checked here is shutdown's.
+    let server = start_with_limits(TransportLimits {
+        idle_timeout: Some(Duration::from_millis(300)),
+        ..Default::default()
+    });
+    let client = Client::connect(server.addr);
+    let mut writer = client.writer.try_clone().expect("clone stream");
+    let flood = std::thread::spawn(move || {
+        // Blocks once the server stops reading; fails once it closes.
+        let _ = writer.write_all("{\"op\":\"Metrics\"}\n".repeat(REQUESTS).as_bytes());
+    });
+    std::thread::sleep(Duration::from_millis(500));
 
-        let started = Instant::now();
-        server.shutdown().expect("serve returned cleanly");
-        let took = started.elapsed();
-        assert!(
-            took < DRAIN_DEADLINE + Duration::from_secs(2),
-            "{transport}: serve took {took:?} to return"
-        );
+    let started = Instant::now();
+    server.shutdown().expect("serve returned cleanly");
+    let took = started.elapsed();
+    assert!(
+        took < DRAIN_DEADLINE + Duration::from_secs(2),
+        "serve took {took:?} to return"
+    );
 
-        // The socket is closed: what was already buffered drains, then
-        // EOF (or a reset, since our requests went unread) — the server
-        // does not go on answering once we start reading.
-        let mut stream = client.reader.into_inner();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .expect("set timeout");
-        let reading = Instant::now();
-        let mut sink = vec![0u8; 1 << 16];
-        let closed = loop {
-            match stream.read(&mut sink) {
-                Ok(0) => break true,
-                Ok(_) if reading.elapsed() > Duration::from_secs(5) => break false,
-                Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    break false
-                }
-                Err(_) => break true,
+    // The socket is closed: what was already buffered drains, then
+    // EOF (or a reset, since our requests went unread) — the server
+    // does not go on answering once we start reading.
+    let mut stream = client.reader.into_inner();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("set timeout");
+    let reading = Instant::now();
+    let mut sink = vec![0u8; 1 << 16];
+    let closed = loop {
+        match stream.read(&mut sink) {
+            Ok(0) => break true,
+            Ok(_) if reading.elapsed() > Duration::from_secs(5) => break false,
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                break false
             }
-        };
-        assert!(
-            closed,
-            "{transport}: the connection was still open after shutdown"
-        );
-        flood.join().expect("flood thread");
-    }
+            Err(_) => break true,
+        }
+    };
+    assert!(closed, "the connection was still open after shutdown");
+    flood.join().expect("flood thread");
 }
