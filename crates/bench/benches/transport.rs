@@ -11,13 +11,16 @@
 //!   `IDLE_CONNS` other connections sit parked. This is the workload the
 //!   event loop exists for (many mostly-idle interactive sessions): the
 //!   reactor pays a buffer per parked socket, not a thread stack. The
-//!   bench also prints the measured per-idle-connection RSS/VSZ delta
-//!   from `/proc/self/status` next to the timing.
+//!   bench also prints the per-idle-connection RSS/VSZ delta from
+//!   `/proc/self/status` next to the timing; the client sockets live in
+//!   the same process, so the figure is client and server together.
 //! * `reactor_sweep` — 1, 2 and 4 reactors under pipelined
 //!   multi-connection traffic (16 connections, each writing 32-request
 //!   bursts, which the server runs one request per connection at a time,
-//!   so at most 16 are in flight), plus a self-timed aggregate req/s
-//!   print per reactor count. Reactor scaling needs cores: on a
+//!   so at most 16 are in flight). Self-timed: each reactor count serves
+//!   `SWEEP_SECS` of traffic, `SWEEP_REPS` times with the counts
+//!   interleaved, and the aggregate req/s is printed per count as the
+//!   median and quartiles of its runs. Reactor scaling needs cores: on a
 //!   single-core host every reactor thread shares the one CPU and the
 //!   sweep shows flat numbers, and the sweep's client threads compete
 //!   for the same cores as the reactors.
@@ -52,7 +55,14 @@ const WARMUP_ROUND_TRIPS: usize = 2_000;
 /// connection always has its next request buffered at the server.
 const SWEEP_CONNS: usize = 16;
 const PIPELINE_DEPTH: usize = 32;
-const SWEEP_ROUNDS: usize = 20;
+const SWEEP_REACTORS: [usize; 3] = [1, 2, 4];
+/// Each self-timed sweep run lasts this long, and every reactor count
+/// runs this many times, interleaved with the others, so a drift in the
+/// host's speed spreads over all counts instead of favouring one. Five
+/// runs, so the printed quartiles and median are the sorted runs' 2nd,
+/// 3rd and 4th.
+const SWEEP_SECS: u64 = 2;
+const SWEEP_REPS: usize = 5;
 
 struct BenchServer {
     addr: SocketAddr,
@@ -179,7 +189,8 @@ fn bench_idle_connections(c: &mut Criterion) {
     if let (Some((rss0, vsz0)), Some((rss1, vsz1))) = (before, memory_kib()) {
         println!(
             "bench transport_idle: {IDLE_CONNS} idle conns cost ~{} KiB RSS, ~{} KiB VSZ \
-             per connection (process: {rss0}->{rss1} RSS, {vsz0}->{vsz1} VSZ)",
+             per connection, client and server together \
+             (process: {rss0}->{rss1} RSS, {vsz0}->{vsz1} VSZ)",
             rss1.saturating_sub(rss0) / IDLE_CONNS as u64,
             vsz1.saturating_sub(vsz0) / IDLE_CONNS as u64,
         );
@@ -211,44 +222,62 @@ fn pipelined_burst(conn: &mut Conn, depth: usize) {
     }
 }
 
+/// One self-timed sweep run: `SWEEP_CONNS` concurrent clients push
+/// pipelined bursts until `SWEEP_SECS` have passed; returns the aggregate
+/// req/s. (Criterion times one closure on one thread; reactor scaling
+/// only shows across *many* connections.)
+fn sweep_rps(addr: SocketAddr) -> f64 {
+    let start = Instant::now();
+    let deadline = start + Duration::from_secs(SWEEP_SECS);
+    let clients: Vec<_> = (0..SWEEP_CONNS)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut conn = Conn::open(addr);
+                let mut sent = 0;
+                while Instant::now() < deadline {
+                    pipelined_burst(&mut conn, PIPELINE_DEPTH);
+                    sent += PIPELINE_DEPTH;
+                }
+                sent
+            })
+        })
+        .collect();
+    let total: usize = clients
+        .into_iter()
+        .map(|c| c.join().expect("sweep client"))
+        .sum();
+    total as f64 / start.elapsed().as_secs_f64()
+}
+
 fn bench_reactor_scaling(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut group = c.benchmark_group("transport_reactors");
-    group.sample_size(60);
-    for reactors in [1usize, 2, 4] {
-        let server = BenchServer::start_with_limits(TransportLimits {
+    let servers = SWEEP_REACTORS.map(|reactors| {
+        BenchServer::start_with_limits(TransportLimits {
             reactors,
             ..TransportLimits::default()
-        });
-        // The aggregate sweep: SWEEP_CONNS concurrent clients, each
-        // pushing SWEEP_ROUNDS bursts of PIPELINE_DEPTH pipelined
-        // requests. Self-timed (criterion times one closure on one
-        // thread; reactor scaling only shows across *many* connections).
-        let start = Instant::now();
-        let clients: Vec<_> = (0..SWEEP_CONNS)
-            .map(|_| {
-                let addr = server.addr;
-                std::thread::spawn(move || {
-                    let mut conn = Conn::open(addr);
-                    for _ in 0..SWEEP_ROUNDS {
-                        pipelined_burst(&mut conn, PIPELINE_DEPTH);
-                    }
-                })
-            })
-            .collect();
-        for client in clients {
-            client.join().expect("sweep client");
+        })
+    });
+    let mut runs = vec![Vec::new(); SWEEP_REACTORS.len()];
+    for _ in 0..SWEEP_REPS {
+        for (server, rps) in servers.iter().zip(&mut runs) {
+            rps.push(sweep_rps(server.addr));
         }
-        let elapsed = start.elapsed();
-        let total = (SWEEP_CONNS * SWEEP_ROUNDS * PIPELINE_DEPTH) as f64;
+    }
+    for (reactors, rps) in SWEEP_REACTORS.iter().zip(&mut runs) {
+        rps.sort_by(f64::total_cmp);
         println!(
-            "bench transport_reactors/{reactors}: {SWEEP_CONNS} conns x {SWEEP_ROUNDS} bursts \
-             x {PIPELINE_DEPTH} pipelined = {total} requests in {elapsed:.2?} -> {:.0} req/s \
-             (host has {cores} core(s); rps climbs with reactors only when cores >= reactors)",
-            total / elapsed.as_secs_f64().max(1e-9),
+            "bench transport_reactors/{reactors}: {SWEEP_CONNS} conns x {PIPELINE_DEPTH} \
+             pipelined, {SWEEP_REPS} runs of {SWEEP_SECS} s -> median {:.0} req/s \
+             (quartiles {:.0}-{:.0}; host has {cores} core(s); rps climbs with reactors \
+             only when cores >= reactors)",
+            rps[2], rps[1], rps[3],
         );
-        // The criterion arm: one connection's pipelined burst latency at
-        // this reactor count, for the regression-tracked record.
+    }
+    // The criterion arms: one connection's pipelined burst latency at
+    // each reactor count, for the regression-tracked record.
+    let mut group = c.benchmark_group("transport_reactors");
+    group.sample_size(60);
+    for (reactors, server) in SWEEP_REACTORS.iter().zip(&servers) {
         let mut conn = Conn::open(server.addr);
         group.bench_function(
             format!("pipelined_burst_x{PIPELINE_DEPTH}/reactors_{reactors}"),

@@ -5,6 +5,15 @@
 //! every join predicate), maintains the [`VersionSpace`], absorbs labels,
 //! propagates them (graying out newly-certain tuples) and reports progress.
 //!
+//! ## Construction
+//!
+//! Every engine covers its whole product exactly, built one of two ways:
+//! [`Engine::new`] enumerates every tuple id (up to
+//! [`EngineOptions::max_product`]), and [`Engine::from_factorized`]
+//! computes the same signature groups from the base relations' block
+//! structure (within [`EngineOptions::max_combos`]). A product that
+//! neither can open is refused with a typed error; it is never sampled.
+//!
 //! ## The candidate index
 //!
 //! Strategies rank *informative candidates*: one [`Candidate`] per
@@ -70,10 +79,10 @@ impl Default for EngineOptions {
 
 /// How a signature group's member tuples are represented.
 ///
-/// Enumerated and sampled construction ([`Engine::new`], [`Engine::from_ids`])
-/// store every member id; factorized construction
-/// ([`Engine::from_factorized`]) never materializes the product, so a group
-/// carries only its exact cardinality plus a bounded sample of witness ids.
+/// Enumerated construction ([`Engine::new`]) stores every member id;
+/// factorized construction ([`Engine::from_factorized`]) never materializes
+/// the product, so a group carries only its exact cardinality plus a
+/// bounded sample of witness ids.
 /// Strategies and stats only ever consume `count()` and `rep()`, so both
 /// representations drive inference identically.
 #[derive(Debug, Clone)]
@@ -314,8 +323,8 @@ enum Slot<'s> {
     New(&'s AtomSet),
 }
 
-/// The per-id signature sweep behind construction ([`Engine::from_ids`])
-/// and id lookups. It computes exactly
+/// The per-id signature sweep behind enumerated construction
+/// ([`Engine::new`]) and id lookups. It computes exactly
 /// `universe.signature(&product.tuple(id)?)`, errors included, without
 /// building the tuple: the id decodes into one reused row-index buffer,
 /// the component rows' values are borrowed into one reused buffer in
@@ -396,7 +405,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine over the full cartesian product of `product`.
+    /// Build an engine over the full cartesian product of `product` by
+    /// enumerating it: every id in `0..product.size()` is swept into its
+    /// signature group. Fails with [`InferenceError::ProductTooLarge`]
+    /// past [`EngineOptions::max_product`]; such a product is opened by
+    /// [`Engine::from_factorized`] or not at all.
     pub fn new(product: Product, options: &EngineOptions) -> Result<Self> {
         if product.size() > options.max_product {
             return Err(InferenceError::ProductTooLarge {
@@ -404,20 +417,13 @@ impl Engine {
                 limit: options.max_product,
             });
         }
-        let ids: Vec<ProductId> = (0..product.size()).map(ProductId).collect();
-        Engine::from_ids(product, &ids, options)
-    }
-
-    /// Build an engine over an explicit subset of product tuples (e.g. a
-    /// uniform sample of a product too large to enumerate).
-    pub fn from_ids(product: Product, ids: &[ProductId], options: &EngineOptions) -> Result<Self> {
         let universe = AtomUniverse::new(product.schema().clone(), options.scope)?;
         let vs = VersionSpace::new(universe.clone());
 
         let mut groups: Vec<Group> = Vec::new();
         let mut by_sig: HashMap<AtomSet, usize> = HashMap::new();
         let mut sweep = SignatureSweep::new(&universe, &product);
-        for &id in ids {
+        for id in (0..product.size()).map(ProductId) {
             match sweep.slot(&by_sig, id)? {
                 Slot::Known(g) => groups[g].members.push(id),
                 Slot::New(sig) => {
@@ -433,24 +439,39 @@ impl Engine {
             }
         }
 
+        Ok(Engine::from_groups(
+            product, universe, vs, groups, by_sig, false,
+        ))
+    }
+
+    /// Assemble an engine over the whole of `product` from its signature
+    /// groups, and index them.
+    fn from_groups(
+        product: Product,
+        universe: Arc<AtomUniverse>,
+        vs: VersionSpace,
+        groups: Vec<Group>,
+        by_sig: HashMap<AtomSet, usize>,
+        factorized: bool,
+    ) -> Self {
         let mut engine = Engine {
+            stats: ProgressStats {
+                total_tuples: product.size(),
+                ..Default::default()
+            },
             product,
             universe,
             vs,
             groups,
             by_sig,
             labels: HashMap::new(),
-            stats: ProgressStats {
-                total_tuples: ids.len() as u64,
-                ..Default::default()
-            },
             index: CandidateIndex::default(),
-            factorized: false,
+            factorized,
         };
         let all: Vec<usize> = (0..engine.groups.len()).collect();
         engine.reindex(&all);
         engine.refresh_counters();
-        Ok(engine)
+        engine
     }
 
     /// Build an engine over the **full** cartesian product without ever
@@ -468,8 +489,8 @@ impl Engine {
     ///
     /// Fails with [`InferenceError::FactorizationTooLarge`] as soon as the
     /// block sweep passes [`EngineOptions::max_combos`]; the caller then
-    /// enumerates a product within [`EngineOptions::max_product`], or
-    /// samples one beyond it ([`Product::sample`] + [`Engine::from_ids`]).
+    /// enumerates a product within [`EngineOptions::max_product`], and
+    /// refuses one beyond it.
     pub fn from_factorized(product: Product, options: &EngineOptions) -> Result<Self> {
         let universe = AtomUniverse::new(product.schema().clone(), options.scope)?;
         let vs = VersionSpace::new(universe.clone());
@@ -519,24 +540,9 @@ impl Engine {
             });
         }
 
-        let mut engine = Engine {
-            stats: ProgressStats {
-                total_tuples: product.size(),
-                ..Default::default()
-            },
-            product,
-            universe,
-            vs,
-            groups,
-            by_sig,
-            labels: HashMap::new(),
-            index: CandidateIndex::default(),
-            factorized: true,
-        };
-        let all: Vec<usize> = (0..engine.groups.len()).collect();
-        engine.reindex(&all);
-        engine.refresh_counters();
-        Ok(engine)
+        Ok(Engine::from_groups(
+            product, universe, vs, groups, by_sig, true,
+        ))
     }
 
     /// The product being inferred over.
@@ -1231,18 +1237,6 @@ mod tests {
     }
 
     #[test]
-    fn from_ids_subset() {
-        let (f, h) = (flights(), hotels());
-        let p = Product::new(vec![&f, &h]).unwrap();
-        let ids = [t(1), t(3), t(8)];
-        let e = Engine::from_ids(p, &ids, &EngineOptions::default()).unwrap();
-        assert_eq!(e.stats().total_tuples, 3);
-        assert_eq!(e.num_groups(), 3);
-        // A tuple outside the subset is unknown.
-        assert!(e.classify(t(2)).is_ok() || e.classify(t(2)).is_err());
-    }
-
-    #[test]
     fn informative_groups_merge_after_upper_shrinks() {
         let (f, h) = (flights(), hotels());
         let mut e = engine(&f, &h);
@@ -1266,8 +1260,7 @@ mod tests {
             v
         }
         let (f, h) = (flights(), hotels());
-        let p = Product::new(vec![&f, &h]).unwrap();
-        let mut e = Engine::from_ids(p, &[t(3), t(8), t(12)], &EngineOptions::default()).unwrap();
+        let mut e = engine(&f, &h);
         assert_eq!(
             sorted(e.candidates().candidates().to_vec()),
             sorted(e.recompute_candidates())
@@ -1349,8 +1342,7 @@ mod tests {
         let before_gen = e.generation();
         let before_cands = e.candidates().candidates().to_vec();
 
-        // Unknown id anywhere in the batch (out of range here; an id
-        // outside a sampled subset reports `UnknownTuple` the same way).
+        // An out-of-range id anywhere in the batch.
         let err = e.label_batch(&[(t(3), Label::Positive), (ProductId(99), Label::Negative)]);
         assert!(err.is_err());
         // An id labeled in an earlier interaction.
@@ -1486,14 +1478,10 @@ mod tests {
             .to_string()
             .contains("product id 12 out of range (12 tuples)"));
         let opts = EngineOptions::default();
-        let mut e = Engine::new(p.clone(), &opts).unwrap();
+        let mut e = Engine::new(p, &opts).unwrap();
         assert_eq!(e.classify(ProductId(12)).unwrap_err(), expected);
         assert_eq!(
             e.label(ProductId(12), Label::Positive).unwrap_err(),
-            expected
-        );
-        assert_eq!(
-            Engine::from_ids(p, &[t(1), ProductId(12)], &opts).unwrap_err(),
             expected
         );
     }
@@ -1507,7 +1495,6 @@ mod tests {
         use jim_relation::{DataType, Relation, RelationSchema, Tuple, Value};
         use proptest::prelude::*;
         use rand::rngs::StdRng;
-        use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
 
         /// `(signature, class, members)` per group, in group order.
@@ -1593,19 +1580,10 @@ mod tests {
             #[test]
             fn sweep_groups_match_per_tuple_signatures(seed in any::<u64>()) {
                 let Some((product, options)) = instance(seed) else { return Ok(()) };
-                let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
                 let all: Vec<ProductId> = (0..product.size()).map(ProductId).collect();
-
                 // `Engine::new`: every id, in rank order.
-                let full = Engine::new(product.clone(), &options).unwrap();
+                let full = Engine::new(product, &options).unwrap();
                 prop_assert_eq!(groups_of(&full), oracle(&full, &all));
-
-                // `from_ids` over a shuffled subset.
-                let mut ids = all;
-                ids.shuffle(&mut rng);
-                ids.truncate(rng.gen_range(0..=ids.len()));
-                let e = Engine::from_ids(product, &ids, &options).unwrap();
-                prop_assert_eq!(groups_of(&e), oracle(&e, &ids));
             }
         }
     }

@@ -37,7 +37,8 @@ pub enum InferenceError {
     /// The atom universe is empty (no type-compatible attribute pairs), so
     /// there is nothing to infer.
     EmptyUniverse,
-    /// The instance's cartesian product exceeded the configured bound.
+    /// The instance's cartesian product exceeded the bound on enumeration
+    /// (`EngineOptions::max_product`).
     ProductTooLarge {
         /// Number of tuples in the product.
         size: u64,
@@ -45,8 +46,8 @@ pub enum InferenceError {
         limit: u64,
     },
     /// Factorized construction gave up: the relations' block structure is
-    /// too rich to sweep within the configured budget. Callers should fall
-    /// back to sampling the product.
+    /// too rich to sweep within the configured budget. A product past the
+    /// enumeration bound that fails this way cannot be opened exactly.
     FactorizationTooLarge {
         /// The estimated sweep cost (block combinations or candidate block
         /// pairs).
@@ -93,10 +94,10 @@ impl fmt::Display for InferenceError {
                 f.write_str("no candidate equality atoms: the relations share no type-compatible attribute pairs")
             }
             InferenceError::ProductTooLarge { size, limit } => {
-                write!(f, "cartesian product has {size} tuples, above the limit of {limit}; sample it first")
+                write!(f, "cartesian product has {size} tuples, above the limit of {limit}")
             }
             InferenceError::FactorizationTooLarge { cost, limit } => {
-                write!(f, "factorization too large: sweep cost {cost} exceeds limit {limit}; sample the product instead")
+                write!(f, "factorization too large: sweep cost {cost} exceeds limit {limit}")
             }
             InferenceError::BudgetExceeded { what } => {
                 write!(f, "exact computation of {what} exceeded its budget")

@@ -46,16 +46,19 @@ pub enum OriginSource {
 }
 
 /// The provenance needed to rebuild a session's engine **from nothing**:
-/// the data source, the strategy string, and the effective sampling knobs.
-/// With an origin attached, a [`Transcript`] is a complete, durable
-/// representation of a session — origin rebuilds the instance, the label
-/// log replays the interaction, and the result is the exact version-space
-/// state the session had when it was persisted.
+/// the data source, the strategy string, the effective product limit and
+/// the construction method. With an origin attached, a [`Transcript`] is a
+/// complete, durable representation of a session — origin rebuilds the
+/// instance, the label log replays the interaction, and the result is the
+/// exact version-space state the session had when it was persisted.
 ///
-/// `max_product` and `sample_seed` are recorded as the *effective* values
-/// the engine was built with (after any server-side clamping), so a
-/// resumed sampled session re-draws the identical uniform sample even if
-/// the server's ceilings changed in between.
+/// `max_product` is recorded as the *effective* value the engine was built
+/// with (after any server-side clamping), so a resume takes the same
+/// construction path even if the server's ceilings changed in between.
+///
+/// Every origin describes the whole product. Origins recorded over a
+/// uniform sample are refused when decoded: sampling was removed, and the
+/// sample cannot be rebuilt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOrigin {
     /// The data source.
@@ -65,9 +68,13 @@ pub struct SessionOrigin {
     pub strategy: Option<String>,
     /// The effective product-size limit the engine was built with.
     pub max_product: u64,
-    /// The effective sample RNG seed (meaningful when `sampled`).
+    /// Always `0`: neither written nor read. Kept only because perfbench's
+    /// shadow handler (`perfbench/src/trace.rs`) builds origins as a
+    /// struct literal.
     pub sample_seed: u64,
-    /// Whether the instance is a uniform sample of a larger product.
+    /// Always `false` once decoded, and never written; an origin that says
+    /// `"sampled":true` is refused. Kept only because perfbench's shadow
+    /// handler builds origins as a struct literal.
     pub sampled: bool,
     /// Whether the engine was built by factorized construction
     /// ([`crate::Engine::from_factorized`]) — the full product at exact
@@ -109,15 +116,19 @@ impl SessionOrigin {
             fields.push(("strategy", Json::from(strategy.as_str())));
         }
         fields.push(("max_product", Transcript::int_to_json(self.max_product)));
-        fields.push(("sample_seed", Transcript::int_to_json(self.sample_seed)));
-        fields.push(("sampled", Json::Bool(self.sampled)));
         fields.push(("factorized", Json::Bool(self.factorized)));
         Json::object(fields)
     }
 
-    /// Decode the shape produced by [`SessionOrigin::to_json`].
+    /// Decode the shape produced by [`SessionOrigin::to_json`]. A
+    /// `sample_seed` field is ignored; `"sampled":true` is refused.
     pub fn from_json(json: &Json) -> Result<SessionOrigin> {
         let bad = |message: String| InferenceError::Decode { message };
+        if json.get("sampled").and_then(Json::as_bool) == Some(true) {
+            return Err(bad(
+                "origin: recorded over a sample; sampling was removed".into()
+            ));
+        }
         let source = json
             .get("source")
             .ok_or_else(|| bad("origin: missing `source`".into()))?;
@@ -168,13 +179,10 @@ impl SessionOrigin {
                 .get("max_product")
                 .and_then(Transcript::int_from_json)
                 .ok_or_else(|| bad("origin: missing `max_product`".into()))?,
-            sample_seed: json
-                .get("sample_seed")
-                .and_then(Transcript::int_from_json)
-                .unwrap_or(0),
-            sampled: json.get("sampled").and_then(Json::as_bool).unwrap_or(false),
+            sample_seed: 0,
+            sampled: false,
             // Additive field: origins journaled before factorized
-            // construction existed decode as enumerated/sampled.
+            // construction existed decode as enumerated.
             factorized: json
                 .get("factorized")
                 .and_then(Json::as_bool)
@@ -326,7 +334,7 @@ impl Transcript {
 
     /// Largest integer the wire's number type (`f64`) represents exactly.
     /// Ranks and counts above this are encoded as decimal strings so
-    /// transcripts of sampled engines over astronomically large products
+    /// transcripts of factorized engines over astronomically large products
     /// survive the round trip bit-exactly.
     const MAX_EXACT_WIRE_INT: u64 = 1 << 53;
 
@@ -607,7 +615,7 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_exact_beyond_f64_integers() {
-        // Sampled engines over huge products carry full-u64 ranks; they
+        // Factorized engines over huge products carry full-u64 ranks; they
         // must survive JSON without rounding through f64.
         let t = Transcript {
             schema: "huge × huge".into(),
@@ -643,7 +651,7 @@ mod tests {
         .is_err());
     }
 
-    fn sample_origin() -> SessionOrigin {
+    fn inline_origin() -> SessionOrigin {
         SessionOrigin {
             source: OriginSource::Inline {
                 relations: vec![
@@ -654,7 +662,7 @@ mod tests {
             },
             strategy: Some("lookahead-minprune".into()),
             max_product: 5_000_000,
-            sample_seed: 7,
+            sample_seed: 0,
             sampled: false,
             factorized: false,
         }
@@ -665,12 +673,12 @@ mod tests {
         let (f, h) = paper_instance();
         let mut e = engine(&f, &h);
         e.label(ProductId(2), Label::Positive).unwrap();
-        let t = Transcript::capture(&e).with_origin(sample_origin());
+        let t = Transcript::capture(&e).with_origin(inline_origin());
 
         // JSON wire shape.
         let back = Transcript::parse_json(&t.to_json().render()).unwrap();
         assert_eq!(back, t);
-        assert_eq!(back.origin, Some(sample_origin()));
+        assert_eq!(back.origin, Some(inline_origin()));
 
         // Text shape: the origin rides a `#origin` header line (with the
         // inline CSV's newlines JSON-escaped, so it stays one line).
@@ -687,7 +695,7 @@ mod tests {
             strategy: None,
             max_product: 100,
             sample_seed: 0,
-            sampled: true,
+            sampled: false,
             factorized: false,
         };
         let t = Transcript::capture(&e).with_origin(scenario.clone());
@@ -698,13 +706,29 @@ mod tests {
         // (origins journaled before the field existed stay readable).
         let factorized = SessionOrigin {
             factorized: true,
-            ..scenario
+            ..scenario.clone()
         };
         let back = SessionOrigin::from_json(&factorized.to_json()).unwrap();
         assert_eq!(back, factorized);
         assert!(!back.to_json().render().is_empty());
         let legacy = Json::parse(r#"{"source":{"scenario":"flights"},"max_product":100}"#).unwrap();
         assert!(!SessionOrigin::from_json(&legacy).unwrap().factorized);
+
+        // Origins carry no sampling fields. An exact header written with
+        // them still decodes (its seed is ignored), but one recorded over a
+        // sample is refused with a typed decode error.
+        assert!(!factorized.to_json().render().contains("sample"));
+        let with = |fields: &str| {
+            let text =
+                format!(r#"{{"source":{{"scenario":"flights"}},"max_product":100,{fields}}}"#);
+            SessionOrigin::from_json(&Json::parse(&text).unwrap())
+        };
+        assert_eq!(with(r#""sample_seed":7,"sampled":false"#), Ok(scenario));
+        let err = with(r#""sampled":true"#).unwrap_err();
+        assert!(
+            matches!(&err, InferenceError::Decode { message } if message.contains("sampling was removed")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -313,19 +313,15 @@ fn drive_session(
         2 => r#","strategy":"local-general""#.into(),
         _ => format!(r#","strategy":"random:{}""#, rng.gen_range(1u64..1000)),
     };
-    // Sample setgame down so its 144-tuple product varies across
-    // sessions — `force_sample` keeps the seed meaningful now that
-    // oversized products open factorized (at full fidelity) by default.
-    let sampling = if scenario == "setgame" {
-        format!(
-            r#","max_product":64,"sample_seed":{},"force_sample":true"#,
-            rng.gen_range(0u64..1000)
-        )
+    // Cap setgame's 144-tuple product below its size so every setgame
+    // session exercises the oversized open: it factorizes, exactly.
+    let limit = if scenario == "setgame" {
+        r#","max_product":64"#
     } else {
-        String::new()
+        ""
     };
     let create = format!(
-        r#"{{"op":"CreateSession","source":{{"scenario":"{scenario}"}}{strategy}{sampling}}}"#
+        r#"{{"op":"CreateSession","source":{{"scenario":"{scenario}"}}{strategy}{limit}}}"#
     );
     let r = stats.request(conn, Op::CreateSession, &create)?;
     let Some(sid) = r.get("session").and_then(Json::as_u64) else {

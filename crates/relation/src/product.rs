@@ -4,8 +4,8 @@
 //! product `R1 × … × Rn`. Products are huge (the paper's motivation for
 //! pruning), so they are never materialized: a [`Product`] exposes a linear
 //! id space (mixed-radix encoding, **last relation varies fastest**, which
-//! matches the row order of the paper's Figure 1) plus lazy decoding,
-//! iteration and sampling.
+//! matches the row order of the paper's Figure 1) plus lazy decoding and
+//! iteration.
 //!
 //! A product **owns** its relations behind [`Arc`] handles, so a product —
 //! and everything built on top of it, like `jim-core`'s `Engine` — is a
@@ -16,7 +16,6 @@ use crate::error::{RelationError, Result};
 use crate::relation::Relation;
 use crate::schema::JoinSchema;
 use crate::tuple::Tuple;
-use rand::Rng;
 use std::sync::Arc;
 
 /// Identifier of a tuple in a cartesian product (its mixed-radix rank).
@@ -205,30 +204,6 @@ impl Product {
             next: 0,
         }
     }
-
-    /// Draw `k` *distinct* product ids uniformly at random (all of them if
-    /// `k >= size`). Used to subsample gigantic products before inference.
-    pub fn sample(&self, rng: &mut impl Rng, k: usize) -> Vec<ProductId> {
-        let n = self.size;
-        if n == 0 {
-            return Vec::new();
-        }
-        if (k as u64) >= n {
-            return (0..n).map(ProductId).collect();
-        }
-        // Floyd's algorithm: k distinct values from [0, n).
-        let mut chosen = std::collections::HashSet::with_capacity(k);
-        let mut out = Vec::with_capacity(k);
-        for j in (n - k as u64)..n {
-            let t = rng.gen_range(0..=j);
-            let pick = if chosen.insert(t) { t } else { j };
-            if pick != t {
-                chosen.insert(pick);
-            }
-            out.push(ProductId(pick));
-        }
-        out
-    }
 }
 
 /// Iterator over all tuples of a [`Product`] in rank order.
@@ -347,30 +322,6 @@ mod tests {
         let rows = p.component_rows(ProductId(0)).unwrap();
         assert_eq!(rows[0][0], Value::Int(7));
         assert_eq!(rows[1][0], Value::Int(9));
-    }
-
-    #[test]
-    fn sample_is_distinct_and_in_range() {
-        use rand::SeedableRng;
-        let a = rel("a", "x", &[1, 2, 3, 4, 5]);
-        let b = rel("b", "y", &[1, 2, 3, 4, 5]);
-        let p = Product::new(vec![&a, &b]).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let s = p.sample(&mut rng, 10);
-        assert_eq!(s.len(), 10);
-        let set: std::collections::HashSet<_> = s.iter().collect();
-        assert_eq!(set.len(), 10);
-        assert!(s.iter().all(|id| id.0 < 25));
-    }
-
-    #[test]
-    fn sample_more_than_size_returns_all() {
-        use rand::SeedableRng;
-        let a = rel("a", "x", &[1, 2]);
-        let p = Product::new(vec![&a]).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let s = p.sample(&mut rng, 100);
-        assert_eq!(s.len(), 2);
     }
 
     #[test]

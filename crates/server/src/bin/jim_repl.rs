@@ -16,9 +16,9 @@
 //! `sql`, `transcript`, `sessions`, `metrics` (the server's observability
 //! snapshot), `close`, `quit`.
 //!
-//! `open` and `load` accept sampling knobs as trailing `max=N` (enumerate
-//! or sample at most N product tuples) and `seed=N` (sample RNG seed)
-//! words; the server reports when a session runs over a sample.
+//! `open` and `load` accept a trailing `max=N` word: enumerate at most N
+//! product tuples. A larger product opens factorized, over the whole
+//! product, or is refused.
 
 #![forbid(unsafe_code)]
 
@@ -71,24 +71,16 @@ fn escape(s: &str) -> String {
     Json::from(s).render()
 }
 
-/// Split trailing `max=N` / `seed=N` words off a command line; returns the
-/// remaining words and the extra JSON fields (`,"max_product":N,...`).
-fn sampling_opts<'a>(words: &[&'a str]) -> Result<(Vec<&'a str>, String), String> {
-    let mut rest = Vec::new();
+/// Split trailing `max=N` words off a command line; returns the remaining
+/// words and the extra JSON field (`,"max_product":N`, or nothing).
+fn max_product_opt<'a>(words: &[&'a str]) -> Result<(Vec<&'a str>, String), String> {
+    let (max, rest): (Vec<&str>, _) = words.iter().partition(|w| w.starts_with("max="));
     let mut extra = String::new();
-    for w in words {
-        let (key, field) = match w.split_once('=') {
-            Some(("max", v)) => (v, "max_product"),
-            Some(("seed", v)) => (v, "sample_seed"),
-            _ => {
-                rest.push(*w);
-                continue;
-            }
-        };
-        let n: u64 = key
+    for w in max {
+        let n: u64 = w["max=".len()..]
             .parse()
             .map_err(|_| format!("bad value in `{w}` (want a non-negative integer)"))?;
-        extra.push_str(&format!(r#","{field}":{n}"#));
+        extra = format!(r#","max_product":{n}"#);
     }
     Ok((rest, extra))
 }
@@ -156,7 +148,7 @@ impl Repl {
     }
 
     fn open(&mut self, words: &[&str]) {
-        let (words, extra) = match sampling_opts(words) {
+        let (words, extra) = match max_product_opt(words) {
             Ok(parsed) => parsed,
             Err(e) => {
                 println!("! {e}");
@@ -175,7 +167,7 @@ impl Repl {
     }
 
     fn load(&mut self, words: &[&str]) {
-        let (words, extra) = match sampling_opts(words) {
+        let (words, extra) = match max_product_opt(words) {
             Ok(parsed) => parsed,
             Err(e) => {
                 println!("! {e}");
@@ -183,7 +175,7 @@ impl Repl {
             }
         };
         if words.len() < 2 {
-            println!("! usage: load <left.csv> <right.csv> [strategy] [max=N] [seed=N]");
+            println!("! usage: load <left.csv> <right.csv> [strategy] [max=N]");
             return;
         }
         let mut relations = Vec::new();
@@ -227,16 +219,10 @@ impl Repl {
                         .collect()
                 })
                 .unwrap_or_default();
-            let sampled = if r.get("sampled").and_then(Json::as_bool) == Some(true) {
-                " (a uniform sample of a larger product)"
-            } else {
-                ""
-            };
             println!(
-                "session {} open: {} candidate tuples{}, {} candidate atoms, strategy {}",
+                "session {} open: {} candidate tuples, {} candidate atoms, strategy {}",
                 self.session.unwrap_or(0),
                 r.get("tuples").and_then(Json::as_u64).unwrap_or(0),
-                sampled,
                 r.get("atoms").and_then(Json::as_u64).unwrap_or(0),
                 r.get("strategy").and_then(Json::as_str).unwrap_or("?"),
             );
@@ -389,7 +375,7 @@ impl Repl {
                         "  open [scenario] [strategy]   flights | setgame | tpch | random | social"
                     );
                     println!("  load <l.csv> <r.csv> [strat] infer over your own data");
-                    println!("  ... open/load accept max=N (sample cap) and seed=N (sample seed)");
+                    println!("  ... open/load accept max=N (enumeration cap)");
                     println!("  resume <id>                  rehydrate a journaled session");
                     println!("  ask                          next most-informative question");
                     println!("  y | n                        answer the pending question");

@@ -18,12 +18,12 @@ use std::time::Instant;
 /// Server-side resource ceilings the client cannot raise.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerLimits {
-    /// The most product tuples a session may enumerate **or sample**. A
-    /// client `max_product` is clamped to this; products larger than the
+    /// The most product tuples a session may enumerate. A client
+    /// `max_product` is clamped to this; products larger than the
     /// effective limit open through factorized construction at full
-    /// fidelity (or a uniform sample of this size under `force_sample`),
-    /// and products within it factorize when that is cheaper than
-    /// enumerating them.
+    /// fidelity (or are refused when the factorization sweep passes its
+    /// budget), and products within it factorize when that is cheaper
+    /// than enumerating them.
     pub max_product: u64,
     /// The most labels one `AnswerBatch` may carry. Validation is O(batch)
     /// and the batch is held in memory while the session lock is taken,
@@ -95,13 +95,13 @@ impl Handler {
     /// Dispatch one decoded request.
     pub fn handle(&self, request: Request) -> Json {
         match request {
+            // The sampling fields are always empty: decoding refuses them.
             Request::CreateSession {
                 source,
                 strategy,
                 max_product,
-                sample_seed,
-                force_sample,
-            } => self.create_session(source, strategy, max_product, sample_seed, force_sample),
+                ..
+            } => self.create_session(source, strategy, max_product),
             Request::NextQuestion { session } => self.with_session(session, Self::next_question),
             Request::TopK { session, k } => self.with_session(session, |s| Self::top_k(s, k)),
             Request::Answer {
@@ -176,8 +176,6 @@ impl Handler {
         source: Source,
         strategy: Option<String>,
         max_product: Option<u64>,
-        sample_seed: Option<u64>,
-        force_sample: bool,
     ) -> Json {
         let product = match journal::build_product(&source) {
             Ok(p) => p,
@@ -189,53 +187,30 @@ impl Handler {
             Some(Err(message)) => return error(message),
         };
         // Clients may lower the product-size guard, never raise it: the
-        // engine eagerly enumerates (or samples) up to `limit` tuples, so
-        // an unbounded client-supplied limit would be a remote allocation
-        // bomb.
+        // engine eagerly enumerates up to `limit` tuples, so an unbounded
+        // client-supplied limit would be a remote allocation bomb.
         let limit = match max_product {
             None => self.limits.max_product,
             Some(0) => return error("`max_product` must be positive"),
             Some(l) => l.min(self.limits.max_product),
         };
-        // The origin records the *effective* knobs (post-clamp limit, the
-        // seed actually used, the construction that ran), so a resume
-        // rebuilds the identical engine even if server ceilings changed in
-        // between. Every construction goes through
-        // `journal::engine_from_product`:
-        // - products over the limit open at full fidelity through
-        //   factorized construction (`Engine::from_factorized`: the
-        //   partition is computed from the base relations, never the
-        //   product);
-        // - products within it take the cheaper exact method, factorized
-        //   or enumerated;
-        // - a uniform sample (`Product::sample` → `Engine::from_ids`) is
-        //   the explicit opt-in via `force_sample`, and the fallback when
-        //   factorization exceeds its sweep budget.
-        let oversized = product.size() > limit;
+        // The origin records the *effective* limit and the construction
+        // that ran, so a resume rebuilds the identical engine even if
+        // server ceilings changed in between. `journal::engine_from_product`
+        // alone decides the construction, and it is always exact: a
+        // product over the limit factorizes or is refused with the sweep
+        // budget's error; any other takes the cheaper exact method.
         let mut origin = SessionOrigin {
             source,
             strategy,
             max_product: limit,
-            sample_seed: sample_seed.unwrap_or(0),
-            sampled: oversized && force_sample,
-            factorized: oversized && !force_sample,
+            sample_seed: 0,
+            sampled: false,
+            factorized: false,
         };
-        // Only an oversized factorization can fall back; the retry samples
-        // a clone instead of parsing the source again.
-        let fallback = origin.factorized.then(|| product.clone());
-        let engine = match (journal::engine_from_product(product, &origin), fallback) {
-            (Ok(e), _) => e,
-            (Err(message), Some(product)) if message.contains("factorization too large") => {
-                // The block structure was too rich to sweep: sample
-                // instead.
-                origin.factorized = false;
-                origin.sampled = true;
-                match journal::engine_from_product(product, &origin) {
-                    Ok(e) => e,
-                    Err(message) => return error(message),
-                }
-            }
-            (Err(message), _) => return error(message),
+        let engine = match journal::engine_from_product(product, &origin) {
+            Ok(engine) => engine,
+            Err(message) => return error(message),
         };
         // Record the construction that ran before the journal header is
         // written: a product within the limit may have factorized.
@@ -248,15 +223,10 @@ impl Handler {
         let columns = columns_of(&engine);
         let tuples = engine.stats().total_tuples;
         let atoms = engine.universe().len();
-        let sampled = origin.sampled;
         let factorized = origin.factorized;
-        let (session, evicted) = self.store.create_session(
-            engine,
-            kind.build(),
-            kind.to_string(),
-            sampled,
-            Some(origin),
-        );
+        let (session, evicted) =
+            self.store
+                .create_session(engine, kind.build(), kind.to_string(), false, Some(origin));
         // The store handed this handle out for the first time a moment
         // ago; a fresh mutex cannot be poisoned, so recovery is safe.
         let session = session.lock_unpoisoned();
@@ -265,7 +235,6 @@ impl Handler {
             ("strategy", Json::from(kind.to_string())),
             ("tuples", Json::from(tuples)),
             ("atoms", Json::from(atoms)),
-            ("sampled", Json::Bool(sampled)),
             ("factorized", Json::Bool(factorized)),
             ("persisted", Json::Bool(session.persisted)),
             ("columns", Json::Array(columns)),
@@ -306,7 +275,6 @@ impl Handler {
             ("atoms", Json::from(session.engine.universe().len())),
             ("interactions", Json::from(stats.interactions())),
             ("resolved", Json::Bool(session.engine.is_resolved())),
-            ("sampled", Json::Bool(session.sampled)),
             ("factorized", Json::Bool(session.engine.is_factorized())),
             ("persisted", Json::Bool(session.persisted)),
             ("columns", Json::Array(columns_of(&session.engine))),
@@ -480,7 +448,6 @@ impl Handler {
             ),
             ("resolved_fraction", Json::from(stats.resolved_fraction())),
             ("resolved", Json::Bool(session.engine.is_resolved())),
-            ("sampled", Json::Bool(session.sampled)),
             ("factorized", Json::Bool(session.engine.is_factorized())),
             ("strategy", Json::from(session.strategy_name.as_str())),
             ("summary", Json::from(stats.to_string())),
@@ -561,24 +528,31 @@ impl Handler {
             .collect();
         // Evicted-but-durable sessions, readable straight off their
         // journal headers (label lines are scanned, not decoded) — no
-        // engine rebuild, and (like peek) nothing is resurrected.
+        // engine rebuild, and (like peek) nothing is resurrected. A
+        // journal that cannot be read is listed with its reason, so it
+        // stays findable (and closable) and matches Metrics' disk gauge.
         let mut disk_count = 0u64;
         if let Some(journal) = self.store.journal() {
             for id in self.store.disk_ids() {
-                let Ok(Some((origin, interactions))) = journal.peek_meta(id) else {
-                    continue;
-                };
-                let strategy = journal::strategy_kind(&origin)
-                    .map(|kind| kind.to_string())
-                    .unwrap_or_else(|_| "?".into());
-                disk_count += 1;
-                sessions.push(Json::object([
+                let mut fields = vec![
                     ("session", Json::from(id)),
                     ("resident", Json::Bool(false)),
                     ("persisted", Json::Bool(true)),
-                    ("strategy", Json::from(strategy)),
-                    ("interactions", Json::from(interactions)),
-                ]));
+                ];
+                match journal.peek_meta(id) {
+                    // Deleted since the directory was listed.
+                    Ok(None) => continue,
+                    Ok(Some((origin, interactions))) => {
+                        let strategy = journal::strategy_kind(&origin)
+                            .map(|kind| kind.to_string())
+                            .unwrap_or_else(|_| "?".into());
+                        fields.push(("strategy", Json::from(strategy)));
+                        fields.push(("interactions", Json::from(interactions)));
+                    }
+                    Err(reason) => fields.push(("error", Json::from(reason))),
+                }
+                disk_count += 1;
+                sessions.push(Json::object(fields));
             }
         }
         // The store counters ride along (same names as the metrics
@@ -641,7 +615,6 @@ mod tests {
     use crate::store::StoreConfig;
     use jim_core::{CandidateView, Strategy};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn handler() -> Handler {
         Handler::new(Arc::new(SessionStore::new(StoreConfig::default())))
@@ -791,7 +764,7 @@ mod tests {
             r#"{"op":"CreateSession","source":{"scenario":"setgame"}}"#,
         );
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r}");
-        assert_eq!(r.get("sampled").unwrap().as_bool(), Some(false), "{r}");
+        assert!(r.get("sampled").is_none(), "{r}");
         assert_eq!(r.get("factorized").unwrap().as_bool(), Some(true));
         assert_eq!(
             r.get("tuples").unwrap().as_u64(),
@@ -806,7 +779,6 @@ mod tests {
         assert_eq!(q.get("resolved").unwrap().as_bool(), Some(false), "{q}");
         let s = send(&h, &format!(r#"{{"op":"Stats","session":{id}}}"#));
         assert_eq!(s.get("factorized").unwrap().as_bool(), Some(true));
-        assert_eq!(s.get("sampled").unwrap().as_bool(), Some(false));
         assert_eq!(s.get("total_tuples").unwrap().as_u64(), Some(144));
 
         // Metrics counted the session and its partition size.
@@ -824,98 +796,52 @@ mod tests {
             &h,
             r#"{"op":"CreateSession","source":{"scenario":"flights"}}"#,
         );
-        assert_eq!(r.get("sampled").unwrap().as_bool(), Some(false));
         assert_eq!(r.get("factorized").unwrap().as_bool(), Some(false));
         assert_eq!(r.get("tuples").unwrap().as_u64(), Some(12));
     }
 
-    #[test]
-    fn force_sample_opts_back_into_sampling() {
-        // Server ceiling of 100 tuples; the setgame scenario is 144.
-        let h = Handler::with_limits(
-            Arc::new(SessionStore::new(StoreConfig::default())),
-            ServerLimits {
-                max_product: 100,
-                ..Default::default()
-            },
-        );
-        let r = send(
-            &h,
-            r#"{"op":"CreateSession","source":{"scenario":"setgame"},"force_sample":true,"sample_seed":7}"#,
-        );
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r}");
-        assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true));
-        assert_eq!(r.get("factorized").unwrap().as_bool(), Some(false));
-        assert_eq!(r.get("tuples").unwrap().as_u64(), Some(100));
-
-        // A client max_product below the ceiling shrinks the sample; one
-        // above it is clamped to the ceiling, never honored.
-        for (requested, expect) in [(40u64, 40u64), (10_000, 100)] {
-            let r = send(
-                &h,
-                &format!(
-                    r#"{{"op":"CreateSession","source":{{"scenario":"setgame"}},"max_product":{requested},"force_sample":true}}"#
-                ),
-            );
-            assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true), "{r}");
-            assert_eq!(r.get("tuples").unwrap().as_u64(), Some(expect), "{r}");
-        }
-
-        // A sampled session is fully usable: it asks questions and its
-        // Stats carry the sampled marker.
-        let id = r#"{"op":"CreateSession","source":{"scenario":"setgame"},"max_product":50,"force_sample":true}"#;
-        let id = send(&h, id).get("session").unwrap().as_u64().unwrap();
-        let q = send(&h, &format!(r#"{{"op":"NextQuestion","session":{id}}}"#));
-        assert_eq!(q.get("resolved").unwrap().as_bool(), Some(false), "{q}");
-        let s = send(&h, &format!(r#"{{"op":"Stats","session":{id}}}"#));
-        assert_eq!(s.get("sampled").unwrap().as_bool(), Some(true));
-        assert_eq!(s.get("factorized").unwrap().as_bool(), Some(false));
-    }
-
+    /// An oversized product whose sweep passes the budget is refused with
+    /// the engine's `FactorizationTooLarge` message: no session is opened
+    /// and no journal is written.
     #[test]
     fn over_budget_factorization_falls_back_to_a_sample() {
         // A self-join of t(x, y): x distinct, y one constant outside x's
         // values. Every block of the second occurrence shares y with every
         // block of the first, so the sweep needs 2,100 · 2,101 ≈ 4.4M
         // visits, past its 4M budget.
-        let mut csv = String::from("x,y\\n");
+        let mut csv = String::from("x,y\n");
         for x in 0..2_100 {
-            csv.push_str(&format!("{x},9999\\n"));
+            csv.push_str(&format!("{x},9999\n"));
         }
-        let dir = std::env::temp_dir().join(format!("jim-handler-fallback-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("jim-handler-refusal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let ttl = Duration::from_secs(60);
         let h = Handler::new(Arc::new(SessionStore::with_journal(
-            StoreConfig {
-                max_sessions: 8,
-                ttl,
-            },
+            StoreConfig::default(),
             JournalStore::open(&dir).unwrap(),
         )));
         let r = send(
             &h,
             &format!(
-                r#"{{"op":"CreateSession","source":{{"relations":[{{"name":"t","csv":"{csv}"}}],"view":["t","t"]}},"strategy":"local-general","max_product":1000}}"#
+                r#"{{"op":"CreateSession","source":{{"relations":[{{"name":"t","csv":{}}}],"view":["t","t"]}},"strategy":"local-general","max_product":1000}}"#,
+                Json::from(csv.as_str()).render()
             ),
         );
-        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true), "{r}");
-        assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true), "{r}");
-        assert_eq!(r.get("factorized").unwrap().as_bool(), Some(false), "{r}");
-        assert_eq!(r.get("tuples").unwrap().as_u64(), Some(1000), "{r}");
-        let id = r.get("session").unwrap().as_u64().unwrap();
-        let (origin, _) = h.store().journal().unwrap().peek_meta(id).unwrap().unwrap();
-        assert!(origin.sampled && !origin.factorized, "{origin:?}");
-        let first = send(&h, &format!(r#"{{"op":"NextQuestion","session":{id}}}"#));
-        let first = first.get("tuple").unwrap().as_u64().unwrap();
-
-        // Evicted to disk, the session resumes over the same sample.
-        assert_eq!(h.store().sweep_at(Instant::now() + ttl * 2), vec![id]);
-        assert!(h.store().peek(id).is_none());
-        let r = send(&h, &format!(r#"{{"op":"ResumeSession","session":{id}}}"#));
-        assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true), "{r}");
-        assert_eq!(r.get("tuples").unwrap().as_u64(), Some(1000), "{r}");
-        let again = send(&h, &format!(r#"{{"op":"NextQuestion","session":{id}}}"#));
-        assert_eq!(again.get("tuple").unwrap().as_u64(), Some(first));
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(false), "{r}");
+        assert!(h.store().ids().is_empty());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        // The refusal is exactly the engine's typed error for this product.
+        let source = Source::Inline {
+            relations: vec![("t".into(), csv)],
+            view: Some(vec!["t".into(); 2]),
+        };
+        let product = journal::build_product(&source).unwrap();
+        let expected = Engine::from_factorized(product, &EngineOptions::default()).unwrap_err();
+        assert!(matches!(
+            expected,
+            jim_core::InferenceError::FactorizationTooLarge { .. }
+        ));
+        let message = r.get("error").and_then(Json::as_str);
+        assert_eq!(message, Some(expected.to_string().as_str()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -939,7 +865,6 @@ mod tests {
             ),
         );
         assert_eq!(r.get("factorized").unwrap().as_bool(), Some(true), "{r}");
-        assert_eq!(r.get("sampled").unwrap().as_bool(), Some(false), "{r}");
         assert_eq!(r.get("tuples").unwrap().as_u64(), Some(40_000), "{r}");
         let id = r.get("session").unwrap().as_u64().unwrap();
         let s = send(&h, &format!(r#"{{"op":"Stats","session":{id}}}"#));
@@ -953,29 +878,6 @@ mod tests {
             .and_then(|t| t.get("origin"))
             .unwrap();
         assert_eq!(origin.get("factorized").unwrap().as_bool(), Some(true));
-    }
-
-    #[test]
-    fn sample_seed_is_reproducible() {
-        let h = Handler::with_limits(
-            Arc::new(SessionStore::new(StoreConfig::default())),
-            ServerLimits {
-                max_product: 30,
-                ..Default::default()
-            },
-        );
-        let open = |seed: u64| {
-            let r = send(
-                &h,
-                &format!(
-                    r#"{{"op":"CreateSession","source":{{"scenario":"setgame"}},"force_sample":true,"sample_seed":{seed}}}"#
-                ),
-            );
-            let id = r.get("session").unwrap().as_u64().unwrap();
-            let q = send(&h, &format!(r#"{{"op":"NextQuestion","session":{id}}}"#));
-            q.get("tuple").unwrap().as_u64().unwrap()
-        };
-        assert_eq!(open(3), open(3), "same seed, same sample, same question");
     }
 
     /// `choose` proposes the first candidate, `top_k` leads with the last —

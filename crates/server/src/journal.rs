@@ -2,9 +2,9 @@
 //!
 //! A session's whole state is determined by two things the wire already
 //! speaks — its **origin** (where the relations came from, which strategy,
-//! which sampling knobs; [`SessionOrigin`]) and its **label log**. This
-//! module persists exactly those, as one append-only JSON-lines file per
-//! session under the store's data directory:
+//! which product limit and construction; [`SessionOrigin`]) and its
+//! **label log**. This module persists exactly those, as one append-only
+//! JSON-lines file per session under the store's data directory:
 //!
 //! ```text
 //! {"jim-journal":1,"session":7,"origin":{"source":{"scenario":"flights"},…}}
@@ -39,8 +39,6 @@ use jim_core::{
 };
 use jim_json::Json;
 use jim_relation::{csv, Database, Product, ProductId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -145,21 +143,22 @@ pub fn build_product(source: &OriginSource) -> Result<Product, String> {
 }
 
 /// Build a fresh (unlabeled) engine exactly as the origin records it:
-/// same product, same effective limit, same sample (the seed is recorded,
-/// so a sampled session re-draws identical ids).
+/// same product, same effective limit, same construction.
 pub fn build_engine(origin: &SessionOrigin) -> Result<Engine, String> {
     let product = build_product(&origin.source)?;
     engine_from_product(product, origin)
 }
 
 /// [`build_engine`] over an already-built product (the create path has
-/// one in hand for the size check). Create, resume and the benchmark's
-/// traced replica all construct through here, so they run one method:
+/// one in hand). Create, resume and the benchmark's traced replica all
+/// construct through here, so they run one method, and it is always
+/// exact:
 ///
-/// * a factorized origin factorizes (products over `max_product` are
-///   recorded so at create, and a resume repeats what the create ran);
-/// * a sampled origin re-draws its recorded sample;
-/// * any other origin takes the cheaper exact method: factorization with
+/// * a product over `max_product`, or an origin recorded as factorized,
+///   factorizes (a resume repeats what the create ran). Past the sweep
+///   budget it is refused with
+///   [`InferenceError::FactorizationTooLarge`]'s message, never sampled;
+/// * any other product takes the cheaper exact method: factorization with
 ///   a sweep budget of `size / TUPLES_PER_SWEEP_UNIT`, tried only when
 ///   that budget covers the rows the block partition must read, and
 ///   enumeration when the try is skipped or runs out of budget. The
@@ -169,14 +168,8 @@ pub fn engine_from_product(product: Product, origin: &SessionOrigin) -> Result<E
         max_product: origin.max_product,
         ..Default::default()
     };
-    let built = if origin.factorized {
-        // Factorized construction covers the whole product exactly, so a
-        // resume needs no sample seed — the partition is deterministic.
+    let built = if origin.factorized || product.size() > origin.max_product {
         Engine::from_factorized(product, &options)
-    } else if origin.sampled {
-        let mut rng = StdRng::seed_from_u64(origin.sample_seed);
-        let ids = product.sample(&mut rng, origin.max_product as usize);
-        Engine::from_ids(product, &ids, &options)
     } else {
         cheaper_exact(product, &options)
     };
@@ -188,7 +181,7 @@ pub fn engine_from_product(product: Product, origin: &SessionOrigin) -> Result<E
 fn cheaper_exact(product: Product, options: &EngineOptions) -> Result<Engine, InferenceError> {
     let budget = product.size() / TUPLES_PER_SWEEP_UNIT;
     let rows: u64 = product.relations().iter().map(|r| r.len() as u64).sum();
-    if product.size() <= options.max_product && budget >= rows {
+    if budget >= rows {
         let sweep = EngineOptions {
             max_combos: budget,
             ..options.clone()
@@ -547,22 +540,21 @@ mod tests {
         let _ = fs::remove_dir_all(store.root());
     }
 
+    /// A journal written over a uniform sample (a version-1 header that
+    /// says `"sampled":true`) is refused on load and on peek: sampling was
+    /// removed, and the sample cannot be rebuilt.
     #[test]
     fn sampled_origin_rebuilds_the_identical_sample() {
-        let origin = SessionOrigin {
-            source: OriginSource::Scenario {
-                name: "setgame".into(),
-            },
-            strategy: None,
-            max_product: 40,
-            sample_seed: 7,
-            sampled: true,
-            factorized: false,
-        };
-        let a = build_engine(&origin).unwrap();
-        let b = build_engine(&origin).unwrap();
-        assert_eq!(a.stats().total_tuples, 40);
-        assert_eq!(a.visible_ids(false), b.visible_ids(false));
+        let store = JournalStore::open(tmpdir("sampled")).unwrap();
+        let journal = r#"{"jim-journal":1,"session":9,"origin":{"source":{"scenario":"setgame"},"max_product":40,"sample_seed":7,"sampled":true,"factorized":false}}
+{"labels":[{"tuple":3,"label":"-"}]}
+"#;
+        fs::write(store.path(9), journal).unwrap();
+        let err = store.load(9).unwrap_err();
+        assert!(err.contains("sampling was removed"), "{err}");
+        let err = store.peek_meta(9).unwrap_err();
+        assert!(err.contains("sampling was removed"), "{err}");
+        let _ = fs::remove_dir_all(store.root());
     }
 
     /// An inline customer × orders source joined on a key: 100 × 400 =
@@ -656,7 +648,7 @@ mod tests {
     fn factorized_origin_rebuilds_the_identical_engine() {
         // A factorized origin covers the whole 144-tuple setgame product
         // even though max_product is far below it — full fidelity, and a
-        // deterministic rebuild (no sample seed involved).
+        // deterministic rebuild.
         let origin = SessionOrigin {
             source: OriginSource::Scenario {
                 name: "setgame".into(),

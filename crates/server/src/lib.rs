@@ -18,18 +18,17 @@
 //!   `ResumeSession`), and a restarted server picks up where the last
 //!   process died.
 //! * [`protocol`] — a JSON-lines wire protocol: `CreateSession` (inline
-//!   CSV or a named `jim-synth` scenario, with strategy choice and
-//!   `max_product`/`sample_seed` sampling knobs), `NextQuestion`, `TopK`,
+//!   CSV or a named `jim-synth` scenario, with strategy choice and a
+//!   `max_product` bound on enumeration), `NextQuestion`, `TopK`,
 //!   `Answer`, `Stats`, `Explain`, `Sql`, `Transcript`, `ResumeSession`,
 //!   `ListSessions`, `CloseSession`.
 //! * [`handler`] — transport-independent dispatch: one request line in,
-//!   one response line out. Products larger than the (clamped) limit are
-//!   factorized, at full fidelity, instead of rejected, and products
-//!   within it are factorized when that is cheaper than enumerating them;
-//!   only when factorization's sweep budget runs out on an oversized
-//!   product (or the client asks for `force_sample`) is the product
-//!   uniformly sampled, and responses say which with `factorized` and
-//!   `sampled` flags.
+//!   one response line out. Every session covers its whole product
+//!   exactly. Products larger than the (clamped) limit are factorized
+//!   instead of rejected, and products within it are factorized when
+//!   that is cheaper than enumerating them; responses say which with a
+//!   `factorized` flag. An oversized product whose factorization runs
+//!   out of sweep budget is refused; nothing is ever sampled.
 //! * [`serve`] — the TCP front end (linux): an epoll event loop over the
 //!   in-repo `jim-aio` readiness shim — `--reactors N` reactor threads,
 //!   each with its own worker pool, fed by one accept thread (see

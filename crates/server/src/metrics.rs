@@ -209,8 +209,8 @@ pub struct ServerMetrics {
     pub sweeps: Counter,
     /// Sessions the sweeper evicted across all passes.
     pub swept_sessions: Counter,
-    /// Sessions whose oversized product opened through factorized
-    /// construction (full fidelity, no sampling).
+    /// Sessions opened through factorized construction: every product
+    /// over the limit, and those within it that were cheaper to factorize.
     pub factorized_sessions: Counter,
     /// Signature groups across those factorized sessions — the partition
     /// size the sweep produced instead of enumerating the product.

@@ -12,7 +12,6 @@
 //! {"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}
 //! {"op":"CreateSession","source":{"relations":[{"name":"flights","csv":"From,To\n..."}]}}
 //! {"op":"CreateSession","source":{"scenario":"setgame"},"max_product":1000}
-//! {"op":"CreateSession","source":{"scenario":"setgame"},"max_product":1000,"force_sample":true,"sample_seed":7}
 //! {"op":"NextQuestion","session":1}
 //! {"op":"TopK","session":1,"k":3}
 //! {"op":"Answer","session":1,"label":"+"}
@@ -52,14 +51,16 @@ pub enum Request {
         strategy: Option<String>,
         /// Enumerate at most this many product tuples (clamped to the
         /// server ceiling); larger products open through *factorized*
-        /// construction at full fidelity (falling back to a uniform
-        /// sample if factorization exceeds its sweep budget).
+        /// construction at full fidelity, or are refused when the
+        /// factorization sweep passes its budget.
         max_product: Option<u64>,
-        /// RNG seed for the product sample (default 0, reproducible).
+        /// Always `None`: a request that sends `sample_seed` is refused.
+        /// Kept only because perfbench's shadow handler
+        /// (`perfbench/src/trace.rs`) destructures this variant field by
+        /// field.
         sample_seed: Option<u64>,
-        /// Skip factorized construction for oversized products and sample
-        /// straight away (the pre-factorization behavior, now explicit
-        /// opt-in).
+        /// Always `false`: a request that sends `"force_sample":true` is
+        /// refused. Kept only for perfbench's shadow handler, as above.
         force_sample: bool,
     },
     /// Ask for the next most-informative tuple (Figure 3.4).
@@ -161,6 +162,14 @@ impl Request {
         };
         match op {
             "CreateSession" => {
+                if json.get("sample_seed").is_some()
+                    || json.get("force_sample").and_then(Json::as_bool) == Some(true)
+                {
+                    return Err("`sample_seed` and `force_sample` are not accepted: \
+                                sampling was removed, and every session opens over \
+                                the whole product"
+                        .into());
+                }
                 let source = json.get("source").ok_or("missing `source` field")?;
                 let source = if let Some(name) = source.get("scenario").and_then(Json::as_str) {
                     Source::Scenario {
@@ -204,11 +213,8 @@ impl Request {
                         .and_then(Json::as_str)
                         .map(str::to_string),
                     max_product: json.get("max_product").and_then(Json::as_u64),
-                    sample_seed: json.get("sample_seed").and_then(Json::as_u64),
-                    force_sample: json
-                        .get("force_sample")
-                        .and_then(Json::as_bool)
-                        .unwrap_or(false),
+                    sample_seed: None,
+                    force_sample: false,
                 })
             }
             "NextQuestion" => Ok(Request::NextQuestion {
@@ -436,8 +442,7 @@ mod tests {
                 source,
                 strategy,
                 max_product,
-                sample_seed,
-                force_sample,
+                ..
             } => {
                 assert_eq!(
                     source,
@@ -447,32 +452,26 @@ mod tests {
                 );
                 assert_eq!(strategy.as_deref(), Some("LookaheadMinPrune"));
                 assert_eq!(max_product, None);
-                assert_eq!(sample_seed, None);
-                assert!(!force_sample);
             }
             other => panic!("{other:?}"),
         }
     }
 
+    /// The sampling knobs are refused by name, whatever their value
+    /// (`"force_sample":false` alone is harmless and accepted).
     #[test]
     fn parses_create_with_sampling_knobs() {
-        let r = Request::parse(
-            r#"{"op":"CreateSession","source":{"scenario":"setgame"},"max_product":1000,"sample_seed":7,"force_sample":true}"#,
-        )
-        .unwrap();
-        match r {
-            Request::CreateSession {
-                max_product,
-                sample_seed,
-                force_sample,
-                ..
-            } => {
-                assert_eq!(max_product, Some(1000));
-                assert_eq!(sample_seed, Some(7));
-                assert!(force_sample);
-            }
-            other => panic!("{other:?}"),
+        let create = |knobs: &str| {
+            Request::parse(&format!(
+                r#"{{"op":"CreateSession","source":{{"scenario":"setgame"}},"max_product":1000,{knobs}}}"#
+            ))
+        };
+        for knobs in [r#""force_sample":true"#, r#""sample_seed":0"#] {
+            let err = create(knobs).unwrap_err();
+            assert!(err.contains("`sample_seed` and `force_sample`"), "{err}");
+            assert!(err.contains("sampling was removed"), "{err}");
         }
+        assert!(create(r#""force_sample":false"#).is_ok());
     }
 
     #[test]

@@ -81,8 +81,6 @@ pub struct Session {
     /// The last `NextQuestion` result, valid while the engine generation
     /// it was computed at is current.
     pub cache: Option<QuestionCache>,
-    /// Whether the session's instance is a sample of a larger product.
-    pub sampled: bool,
     /// Provenance for rebuilding the engine from nothing, when recorded.
     pub origin: Option<SessionOrigin>,
     /// Whether this session has a write-ahead journal on disk (its labels
@@ -227,17 +225,21 @@ impl SessionStore {
         self.create_session(engine, strategy, strategy_name, false, None)
     }
 
-    /// [`SessionStore::create`] with the sampled flag and the provenance
-    /// to persist. With a journal attached and an origin given, the
-    /// journal header is written before this returns — the session is
-    /// durable from birth (`Session::persisted`); without either, the
-    /// session is memory-only and dies with its eviction.
+    /// [`SessionStore::create`] with the provenance to persist. With a
+    /// journal attached and an origin given, the journal header is written
+    /// before this returns — the session is durable from birth
+    /// (`Session::persisted`); without either, the session is memory-only
+    /// and dies with its eviction.
+    ///
+    /// `_sampled` is ignored: every session covers its whole product. It
+    /// is kept only because perfbench's shadow handler
+    /// (`perfbench/src/trace.rs`) passes it.
     pub fn create_session(
         &self,
         engine: Engine,
         strategy: Box<dyn Strategy + Send>,
         strategy_name: String,
-        sampled: bool,
+        _sampled: bool,
         origin: Option<SessionOrigin>,
     ) -> (Arc<Mutex<Session>>, Option<u64>) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -261,7 +263,6 @@ impl SessionStore {
             strategy_name,
             pending: None,
             cache: None,
-            sampled,
             origin,
             persisted,
         };
@@ -354,7 +355,6 @@ impl SessionStore {
             strategy_name,
             pending: None,
             cache: None,
-            sampled: stored.origin.sampled,
             origin: Some(stored.origin),
             persisted: true,
         };

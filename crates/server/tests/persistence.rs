@@ -267,6 +267,48 @@ fn corrupt_middle_journal_line_is_a_surfaced_error_not_a_silent_skip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A journal left over from a session opened over a uniform sample (a
+/// version-1 header that says `"sampled":true`) cannot be resumed, since
+/// sampling was removed. It stays findable and closable: resume and
+/// session ops answer errors, `ListSessions` shows it with its reason,
+/// and `CloseSession` deletes the file.
+#[test]
+fn legacy_sampled_journal_is_refused_listed_and_closable() {
+    let dir = tmpdir("legacy-sampled");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("session-5.jsonl");
+    let journal = r#"{"jim-journal":1,"session":5,"origin":{"source":{"scenario":"setgame"},"max_product":64,"sample_seed":7,"sampled":true,"factorized":false}}
+{"labels":[{"tuple":3,"label":"-"}]}
+"#;
+    std::fs::write(&path, journal).unwrap();
+    let h = journaled_handler(&dir, Duration::from_secs(600));
+
+    let removed = |r: &Json| {
+        let reason = r.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(reason.contains("sampling was removed"), "{r}");
+    };
+    let r = send(&h, r#"{"op":"ResumeSession","session":5}"#);
+    assert_eq!(r.get("ok").unwrap().as_bool(), Some(false), "{r}");
+    removed(&r);
+    let r = send(&h, r#"{"op":"NextQuestion","session":5}"#);
+    assert_eq!(r.get("ok").unwrap().as_bool(), Some(false), "{r}");
+
+    let list = expect_ok(&h, r#"{"op":"ListSessions"}"#);
+    assert_eq!(list.get("disk_count").unwrap().as_u64(), Some(1), "{list}");
+    let sessions = list.get("sessions").unwrap().as_array().unwrap();
+    assert_eq!(sessions.len(), 1, "{list}");
+    assert_eq!(sessions[0].get("session").unwrap().as_u64(), Some(5));
+    assert_eq!(sessions[0].get("resident").unwrap().as_bool(), Some(false));
+    removed(&sessions[0]);
+    let metrics = expect_ok(&h, r#"{"op":"Metrics"}"#);
+    let disk = metrics.get("store").unwrap().get("disk_sessions").unwrap();
+    assert_eq!(disk.as_u64(), Some(1));
+
+    expect_ok(&h, r#"{"op":"CloseSession","session":5}"#);
+    assert!(!path.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn wire_transcript_with_origin_is_self_contained() {
     // A persisted session's Transcript carries its origin: anyone holding

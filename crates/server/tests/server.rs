@@ -393,9 +393,8 @@ fn list_sessions_does_not_keep_idle_sessions_alive() {
 #[test]
 fn client_cannot_raise_the_product_size_guard() {
     // 30 rows self-joined 3 ways = 27,000 tuples, over a 500-tuple server
-    // ceiling; a client-supplied huge max_product must not lift it — under
-    // `force_sample` the session opens over a *sample* of exactly the
-    // ceiling instead.
+    // ceiling; a client-supplied huge max_product must not lift it — the
+    // product is not enumerated but opens factorized, at full fidelity.
     let mut csv = String::from("x\n");
     for i in 0..30 {
         csv.push_str(&format!("{i}\n"));
@@ -408,30 +407,20 @@ fn client_cannot_raise_the_product_size_guard() {
         },
     );
     let line = format!(
-        r#"{{"op":"CreateSession","source":{{"relations":[{{"name":"r","csv":"{}"}}],"view":["r","r","r"]}},"max_product":18446744073709551615,"force_sample":true}}"#,
+        r#"{{"op":"CreateSession","source":{{"relations":[{{"name":"r","csv":"{}"}}],"view":["r","r","r"]}},"max_product":18446744073709551615}}"#,
         csv.replace('\n', "\\n")
     );
     let r = expect_ok(&h, &line);
-    assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true), "{r}");
-    assert_eq!(
-        r.get("tuples").unwrap().as_u64(),
-        Some(500),
-        "sample size clamped to the server ceiling: {r}"
-    );
-    // Without force_sample the same oversized product opens factorized,
-    // at full fidelity — all 27,000 tuples despite the 500 ceiling.
-    let r = expect_ok(&h, &line.replace(r#","force_sample":true"#, ""));
     assert_eq!(r.get("factorized").unwrap().as_bool(), Some(true), "{r}");
-    assert_eq!(r.get("sampled").unwrap().as_bool(), Some(false), "{r}");
     assert_eq!(r.get("tuples").unwrap().as_u64(), Some(27_000), "{r}");
-    // Lowering the guard shrinks the sample further.
+    // Lowering the guard below a product's size makes it factorize too.
     let lowered = CREATE_FLIGHTS_INLINE.replace(
         r#""strategy":"LookaheadMinPrune""#,
-        r#""strategy":"LookaheadMinPrune","max_product":4,"force_sample":true"#,
+        r#""strategy":"LookaheadMinPrune","max_product":4"#,
     );
     let r = expect_ok(&h, &lowered);
-    assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true), "{r}");
-    assert_eq!(r.get("tuples").unwrap().as_u64(), Some(4), "{r}");
+    assert_eq!(r.get("factorized").unwrap().as_bool(), Some(true), "{r}");
+    assert_eq!(r.get("tuples").unwrap().as_u64(), Some(12), "{r}");
     // A zero guard is rejected outright.
     let zeroed = CREATE_FLIGHTS_INLINE.replace(
         r#""strategy":"LookaheadMinPrune""#,
@@ -441,27 +430,28 @@ fn client_cannot_raise_the_product_size_guard() {
     assert_eq!(r.get("ok").unwrap().as_bool(), Some(false), "{r}");
 }
 
+/// A product over the limit (limit 9 on 12 tuples) opens factorized over
+/// the whole product and resolves to exactly Q2's two atoms.
 #[test]
 fn sampled_session_resolves_end_to_end() {
-    // A product over the limit opens via sampling (explicit opt-in) and
-    // still drives the whole inference loop to resolution over the wire.
     let h = handler();
     let line = CREATE_FLIGHTS_INLINE.replace(
         r#""strategy":"LookaheadMinPrune""#,
-        r#""strategy":"LookaheadMinPrune","max_product":9,"sample_seed":5,"force_sample":true"#,
+        r#""strategy":"LookaheadMinPrune","max_product":9"#,
     );
     let r = expect_ok(&h, &line);
-    assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true), "{r}");
-    assert_eq!(r.get("tuples").unwrap().as_u64(), Some(9));
+    assert_eq!(r.get("factorized").unwrap().as_bool(), Some(true), "{r}");
+    assert_eq!(r.get("tuples").unwrap().as_u64(), Some(12));
     let session = r.get("session").unwrap().as_u64().unwrap();
     let (resolved, interactions) = drive_to_resolution(&h, session, q2_label);
-    assert!(interactions >= 1);
-    // The inferred predicate is consistent with every (truthful) answer on
-    // the sample; on this instance 9 of 12 tuples pin Q2 or a superset.
-    assert!(resolved.get("sql").unwrap().as_str().is_some());
+    assert!(interactions >= 2, "Q2 needs a positive and a negative");
+    let sql = resolved.get("sql").unwrap().as_str().unwrap();
+    assert!(sql.contains("r1.To = r2.City"), "{sql}");
+    assert!(sql.contains("r1.Airline = r2.Discount"), "{sql}");
+    assert_eq!(sql.matches(" = ").count(), 2, "{sql}");
     let stats = expect_ok(&h, &format!(r#"{{"op":"Stats","session":{session}}}"#));
-    assert_eq!(stats.get("sampled").unwrap().as_bool(), Some(true));
-    assert_eq!(stats.get("total_tuples").unwrap().as_u64(), Some(9));
+    assert_eq!(stats.get("factorized").unwrap().as_bool(), Some(true));
+    assert_eq!(stats.get("total_tuples").unwrap().as_u64(), Some(12));
 }
 
 #[test]

@@ -86,27 +86,25 @@ fn two_concurrent_sessions_over_tcp_infer_q2() {
     }
 }
 
+/// The setgame scenario is a 144-tuple self-join; with max_product 40 the
+/// server opens it factorized, over the whole product, and the whole loop
+/// runs to resolution over TCP. A request that asks for sampling is
+/// refused on the same connection.
 #[test]
 fn oversized_product_samples_and_resolves_over_tcp() {
-    // The setgame scenario is a 144-tuple self-join; with max_product 40
-    // and `force_sample` the server must open the session over a 40-tuple
-    // uniform sample instead of erroring, and the whole loop still runs
-    // to resolution. (Without `force_sample` the same request opens
-    // factorized at full fidelity — checked first.)
     let server = start_server();
     let mut client = Client::connect(server.addr);
+    let r = client.send_raw(
+        r#"{"op":"CreateSession","source":{"scenario":"setgame"},"strategy":"local-general","max_product":40,"force_sample":true}"#,
+    );
+    assert_eq!(r.get("ok").unwrap().as_bool(), Some(false), "{r}");
+    let message = r.get("error").unwrap().as_str().unwrap();
+    assert!(message.contains("sampling was removed"), "{message}");
     let r = client.send(
         r#"{"op":"CreateSession","source":{"scenario":"setgame"},"strategy":"local-general","max_product":40}"#,
     );
     assert_eq!(r.get("factorized").unwrap().as_bool(), Some(true), "{r}");
     assert_eq!(r.get("tuples").unwrap().as_u64(), Some(144));
-    let full = r.get("session").unwrap().as_u64().unwrap();
-    client.send(&format!(r#"{{"op":"CloseSession","session":{full}}}"#));
-    let r = client.send(
-        r#"{"op":"CreateSession","source":{"scenario":"setgame"},"strategy":"local-general","max_product":40,"sample_seed":7,"force_sample":true}"#,
-    );
-    assert_eq!(r.get("sampled").unwrap().as_bool(), Some(true), "{r}");
-    assert_eq!(r.get("tuples").unwrap().as_u64(), Some(40));
     let session = r.get("session").unwrap().as_u64().unwrap();
 
     // A user who wants the empty join answers every question negatively;
@@ -127,10 +125,10 @@ fn oversized_product_samples_and_resolves_over_tcp() {
             break;
         }
     }
-    assert!(resolved, "sampled session did not resolve");
+    assert!(resolved, "factorized session did not resolve");
     let stats = client.send(&format!(r#"{{"op":"Stats","session":{session}}}"#));
-    assert_eq!(stats.get("sampled").unwrap().as_bool(), Some(true));
-    assert_eq!(stats.get("total_tuples").unwrap().as_u64(), Some(40));
+    assert_eq!(stats.get("factorized").unwrap().as_bool(), Some(true));
+    assert_eq!(stats.get("total_tuples").unwrap().as_u64(), Some(144));
     client.send(&format!(r#"{{"op":"CloseSession","session":{session}}}"#));
 }
 

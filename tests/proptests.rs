@@ -216,7 +216,6 @@ proptest! {
         r1 in arb_relation("p", 2..=3, 2..=7, 3),
         r2 in arb_relation("q", 2..=3, 2..=7, 3),
         picks in proptest::collection::vec(any::<u64>(), 1..=12),
-        start_fraction in 1u64..=4,
     ) {
         use jim::core::{Candidate, Label};
         fn sorted(mut v: Vec<Candidate>) -> Vec<Candidate> {
@@ -231,12 +230,7 @@ proptest! {
         let p = Product::new(vec![&r1, &r2]).unwrap();
         prop_assume!(!p.is_empty());
 
-        // Start from a prefix sample, so a partial engine is tested too.
-        let prefix = (p.size() / start_fraction).max(1);
-        let ids: Vec<jim::relation::ProductId> =
-            (0..prefix).map(jim::relation::ProductId).collect();
-        let mut engine =
-            Engine::from_ids(p.clone(), &ids, &EngineOptions::default()).unwrap();
+        let mut engine = Engine::new(p, &EngineOptions::default()).unwrap();
 
         for (step, pick) in picks.iter().enumerate() {
             prop_assert_eq!(
