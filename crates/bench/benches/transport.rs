@@ -1,34 +1,31 @@
-//! Criterion bench for the TCP front end (the epoll reactor): requests
-//! per second over one live connection, the cost of *idle*
-//! connections, and the reactor-count sweep.
+//! Criterion bench for the TCP front end (the epoll event loop):
+//! requests per second over one live connection, the cost of *idle*
+//! connections, and many concurrent connections.
 //!
 //! * `round_trip` — one client, one persistent connection, one cheap
 //!   request (`ListSessions`) per iteration, and the same with a
 //!   session-touching request (`Stats`). This is the protocol's serving
 //!   latency floor: framing + dispatch + store lookup + response write,
-//!   including the reactor→worker→reactor handoff each request crosses.
+//!   including the loop→worker→loop handoff each request crosses.
 //! * `round_trip_with_idle_conns` — the same round trip while
 //!   `IDLE_CONNS` other connections sit parked. This is the workload the
 //!   event loop exists for (many mostly-idle interactive sessions): the
-//!   reactor pays a buffer per parked socket, not a thread stack. The
+//!   loop pays a buffer per parked socket, not a thread stack. The
 //!   bench also prints the per-idle-connection RSS/VSZ delta from
 //!   `/proc/self/status` next to the timing; the client sockets live in
 //!   the same process, so the figure is client and server together.
-//! * `reactor_sweep` — 1, 2 and 4 reactors under pipelined
-//!   multi-connection traffic (16 connections, each writing 32-request
-//!   bursts, which the server runs one request per connection at a time,
-//!   so at most 16 are in flight). Self-timed: each reactor count serves
-//!   `SWEEP_SECS` of traffic, `SWEEP_REPS` times with the counts
-//!   interleaved, and the aggregate req/s is printed per count as the
-//!   median and quartiles of its runs. Reactor scaling needs cores: on a
-//!   single-core host every reactor thread shares the one CPU and the
-//!   sweep shows flat numbers, and the sweep's client threads compete
-//!   for the same cores as the reactors.
+//! * `transport_concurrent` — pipelined multi-connection traffic (16
+//!   connections, each writing 32-request bursts, which the server runs
+//!   one request per connection at a time, so at most 16 are in
+//!   flight). Self-timed: the server serves `SWEEP_SECS` of traffic,
+//!   `SWEEP_REPS` times, and the aggregate req/s is printed as the
+//!   median and quartiles of the runs. The client threads compete for
+//!   the same cores as the event loop and its workers.
 //!
 //! Client and server share the process, so pin it to one CPU (`taskset
 //! -c 0 cargo bench -p jim-bench --bench transport`) to time round trips
 //! without cross-CPU wakeups, whose latency swings with the host's load;
-//! run the reactor sweep unpinned, since it measures the use of cores.
+//! run the concurrent arm unpinned, since it measures the use of cores.
 
 #![forbid(unsafe_code)]
 
@@ -50,17 +47,14 @@ const IDLE_CONNS: usize = 256;
 const ROUND_TRIPS: usize = 100_000;
 const WARMUP_ROUND_TRIPS: usize = 2_000;
 
-/// Reactor-sweep shape: enough connections to spread across 4 reactors
-/// and keep every worker pool busy, and bursts deep enough that each
-/// connection always has its next request buffered at the server.
+/// Concurrent-arm shape: enough connections to keep every worker busy,
+/// and bursts deep enough that each connection always has its next
+/// request buffered at the server.
 const SWEEP_CONNS: usize = 16;
 const PIPELINE_DEPTH: usize = 32;
-const SWEEP_REACTORS: [usize; 3] = [1, 2, 4];
-/// Each self-timed sweep run lasts this long, and every reactor count
-/// runs this many times, interleaved with the others, so a drift in the
-/// host's speed spreads over all counts instead of favouring one. Five
-/// runs, so the printed quartiles and median are the sorted runs' 2nd,
-/// 3rd and 4th.
+/// Each self-timed run lasts this long, and runs this many times, so a
+/// drift in the host's speed shows as spread. Five runs, so the printed
+/// quartiles and median are the sorted runs' 2nd, 3rd and 4th.
 const SWEEP_SECS: u64 = 2;
 const SWEEP_REPS: usize = 5;
 
@@ -72,10 +66,6 @@ struct BenchServer {
 
 impl BenchServer {
     fn start() -> BenchServer {
-        BenchServer::start_with_limits(TransportLimits::default())
-    }
-
-    fn start_with_limits(limits: TransportLimits) -> BenchServer {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind bench port");
         let addr = listener.local_addr().expect("local addr");
         let store = Arc::new(SessionStore::new(StoreConfig {
@@ -85,8 +75,14 @@ impl BenchServer {
         let handler = Arc::new(Handler::new(store));
         let shutdown = Shutdown::new();
         let serve_shutdown = shutdown.clone();
-        let thread =
-            std::thread::spawn(move || serve_with(listener, handler, serve_shutdown, limits));
+        let thread = std::thread::spawn(move || {
+            serve_with(
+                listener,
+                handler,
+                serve_shutdown,
+                TransportLimits::default(),
+            )
+        });
         BenchServer {
             addr,
             shutdown,
@@ -222,10 +218,10 @@ fn pipelined_burst(conn: &mut Conn, depth: usize) {
     }
 }
 
-/// One self-timed sweep run: `SWEEP_CONNS` concurrent clients push
-/// pipelined bursts until `SWEEP_SECS` have passed; returns the aggregate
-/// req/s. (Criterion times one closure on one thread; reactor scaling
-/// only shows across *many* connections.)
+/// One self-timed run: `SWEEP_CONNS` concurrent clients push pipelined
+/// bursts until `SWEEP_SECS` have passed; returns the aggregate req/s.
+/// (Criterion times one closure on one thread; concurrency only shows
+/// across *many* connections.)
 fn sweep_rps(addr: SocketAddr) -> f64 {
     let start = Instant::now();
     let deadline = start + Duration::from_secs(SWEEP_SECS);
@@ -249,41 +245,25 @@ fn sweep_rps(addr: SocketAddr) -> f64 {
     total as f64 / start.elapsed().as_secs_f64()
 }
 
-fn bench_reactor_scaling(c: &mut Criterion) {
+fn bench_concurrent(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let servers = SWEEP_REACTORS.map(|reactors| {
-        BenchServer::start_with_limits(TransportLimits {
-            reactors,
-            ..TransportLimits::default()
-        })
-    });
-    let mut runs = vec![Vec::new(); SWEEP_REACTORS.len()];
-    for _ in 0..SWEEP_REPS {
-        for (server, rps) in servers.iter().zip(&mut runs) {
-            rps.push(sweep_rps(server.addr));
-        }
-    }
-    for (reactors, rps) in SWEEP_REACTORS.iter().zip(&mut runs) {
-        rps.sort_by(f64::total_cmp);
-        println!(
-            "bench transport_reactors/{reactors}: {SWEEP_CONNS} conns x {PIPELINE_DEPTH} \
-             pipelined, {SWEEP_REPS} runs of {SWEEP_SECS} s -> median {:.0} req/s \
-             (quartiles {:.0}-{:.0}; host has {cores} core(s); rps climbs with reactors \
-             only when cores >= reactors)",
-            rps[2], rps[1], rps[3],
-        );
-    }
-    // The criterion arms: one connection's pipelined burst latency at
-    // each reactor count, for the regression-tracked record.
-    let mut group = c.benchmark_group("transport_reactors");
+    let server = BenchServer::start();
+    let mut rps: Vec<f64> = (0..SWEEP_REPS).map(|_| sweep_rps(server.addr)).collect();
+    rps.sort_by(f64::total_cmp);
+    println!(
+        "bench transport_concurrent: {SWEEP_CONNS} conns x {PIPELINE_DEPTH} pipelined, \
+         {SWEEP_REPS} runs of {SWEEP_SECS} s -> median {:.0} req/s \
+         (quartiles {:.0}-{:.0}; host has {cores} core(s))",
+        rps[2], rps[1], rps[3],
+    );
+    // The criterion arm: one connection's pipelined burst latency, for
+    // the regression-tracked record.
+    let mut group = c.benchmark_group("transport_concurrent");
     group.sample_size(60);
-    for (reactors, server) in SWEEP_REACTORS.iter().zip(&servers) {
-        let mut conn = Conn::open(server.addr);
-        group.bench_function(
-            format!("pipelined_burst_x{PIPELINE_DEPTH}/reactors_{reactors}"),
-            |b| b.iter(|| pipelined_burst(&mut conn, PIPELINE_DEPTH)),
-        );
-    }
+    let mut conn = Conn::open(server.addr);
+    group.bench_function(format!("pipelined_burst_x{PIPELINE_DEPTH}"), |b| {
+        b.iter(|| pipelined_burst(&mut conn, PIPELINE_DEPTH))
+    });
     group.finish();
 }
 
@@ -291,6 +271,6 @@ criterion_group!(
     benches,
     bench_round_trip,
     bench_idle_connections,
-    bench_reactor_scaling
+    bench_concurrent
 );
 criterion_main!(benches);

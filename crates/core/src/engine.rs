@@ -969,6 +969,8 @@ impl Engine {
     fn group_of(&self, id: ProductId) -> Result<usize> {
         match SignatureSweep::new(&self.universe, &self.product).slot(&self.by_sig, id)? {
             Slot::Known(g) => Ok(g),
+            // The groups cover the product, so this is an internal
+            // invariant broken (see `InferenceError::UnknownTuple`).
             Slot::New(_) => Err(InferenceError::UnknownTuple { tuple: id }),
         }
     }

@@ -29,7 +29,13 @@ pub enum InferenceError {
         /// The tuple that appeared with both labels.
         tuple: ProductId,
     },
-    /// The tuple id does not belong to the engine's instance.
+    /// An in-range tuple id fell in no signature group. This is an
+    /// internal-invariant error, not an input error: every engine's
+    /// groups cover its whole product, so an id in `0..size` always
+    /// finds its group, and an id past the product fails earlier with
+    /// the product's range error ([`InferenceError::Relation`]). The
+    /// proptest `ids_outside_the_witness_samples_classify_and_label_alike`
+    /// in `tests/factorized.rs` pins both halves.
     UnknownTuple {
         /// The offending tuple id.
         tuple: ProductId,

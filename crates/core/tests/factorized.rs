@@ -4,15 +4,19 @@
 //! the base relations without materializing the product; these properties
 //! pin it against [`Engine::new`] on random small instances: identical
 //! candidates, identical [`ProgressStats`], and an identical question
-//! sequence under every strategy — plus the edge cases (empty relation,
-//! all-rows-one-block, self-join with duplicate rows) and 2–4-occurrence
-//! self-joins over one shared relation.
+//! sequence under every strategy, identical classification of every id
+//! and identical free-form labels of ids outside the witness samples —
+//! plus the edge cases (empty relation, all-rows-one-block, self-join
+//! with duplicate rows) and 2–4-occurrence self-joins over one shared
+//! relation.
 
 #![forbid(unsafe_code)]
 
 use jim_core::strategy::choose_next;
-use jim_core::{AtomScope, Engine, EngineOptions, InferenceError, Label, StrategyKind};
-use jim_relation::{DataType, IntoSharedRelation, Product, Relation, RelationSchema, Tuple, Value};
+use jim_core::{AtomScope, Engine, EngineOptions, InferenceError, Label, StrategyKind, TupleClass};
+use jim_relation::{
+    DataType, IntoSharedRelation, Product, ProductId, Relation, RelationSchema, Tuple, Value,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -95,6 +99,17 @@ fn assert_same_session(fe: &Engine, ee: &Engine, kind: StrategyKind) {
     assert_eq!(fe.result(), ee.result(), "inferred predicate under {kind}");
 }
 
+/// Every id of the product classifies the same on both engines, and
+/// none fails: the groups of each cover the whole product.
+fn assert_same_classes(fe: &Engine, ee: &Engine, context: &str) {
+    for id in (0..fe.product().size()).map(ProductId) {
+        let class = fe
+            .classify(id)
+            .unwrap_or_else(|e| panic!("{context}: {id}: {e}"));
+        assert_eq!(Ok(class), ee.classify(id), "{context}: class of {id}");
+    }
+}
+
 fn rows_strategy(max_rows: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
     proptest::collection::vec(proptest::collection::vec(0i64..4, 2), 0..max_rows)
 }
@@ -168,6 +183,55 @@ proptest! {
         assert_same_state(&fe, &ee, "self-join construction");
         for kind in StrategyKind::heuristics(5) {
             assert_same_session(&fe, &ee, kind);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A free-form user may label any id, not only the ones a strategy
+    /// asks about or a factorized engine keeps as its groups' witness
+    /// samples. Every id classifies the same on both constructions, a
+    /// label of the largest id outside every witness sample gives an
+    /// equal outcome and state, and every id still classifies the same
+    /// after it; an id past the product fails with the product's range
+    /// error. So `InferenceError::UnknownTuple` cannot be reached. Up to
+    /// 7 × 7 tuples, so that some groups outgrow their witness sample.
+    #[test]
+    fn ids_outside_the_witness_samples_classify_and_label_alike(
+        rows_a in rows_strategy(8),
+        rows_b in rows_strategy(8),
+    ) {
+        let a = relation("a", 2, &rows_a);
+        let b = relation("b", 2, &rows_b);
+        for scope in [AtomScope::CrossRelation, AtomScope::AllPairs] {
+            let Some((mut fe, mut ee)) = both(&[&a, &b], scope) else { continue };
+            let size = fe.product().size();
+            assert_same_classes(&fe, &ee, &format!("{scope:?} construction"));
+            assert!(
+                matches!(fe.classify(ProductId(size)), Err(InferenceError::Relation(_))),
+                "{scope:?}: an id past the product fails with the range error"
+            );
+
+            let visible = fe.visible_ids(false);
+            let Some(id) = (0..size)
+                .rev()
+                .map(ProductId)
+                .find(|id| visible.binary_search(id).is_err())
+            else {
+                continue; // every id is some group's witness
+            };
+            let label = match ee.classify(id).unwrap() {
+                TupleClass::CertainNegative => Label::Negative,
+                TupleClass::CertainPositive | TupleClass::Informative => Label::Positive,
+            };
+            let outcome = fe.label(id, label);
+            assert!(outcome.is_ok(), "{scope:?}: label {id}: {outcome:?}");
+            assert_eq!(outcome, ee.label(id, label), "{scope:?}: label outcome of {id}");
+            let context = format!("{scope:?} after labeling {id}");
+            assert_same_state(&fe, &ee, &context);
+            assert_same_classes(&fe, &ee, &context);
         }
     }
 }

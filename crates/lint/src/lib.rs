@@ -2,7 +2,7 @@
 //! # jim-lint — workspace invariants as machine-checked rules
 //!
 //! The ROADMAP's standing constraints (unsafe confined to one crate,
-//! a lock-per-reactor design with no shared hot-path lock, a declared
+//! an acyclic lock order with no shared hot-path lock, a declared
 //! atomic-ordering vocabulary) were enforced only by reviewer memory.
 //! This crate turns them into a static-analysis pass that CI runs on
 //! every push: `cargo run -p jim-lint -- --workspace --deny all`.

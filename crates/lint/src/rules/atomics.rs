@@ -4,7 +4,7 @@
 //! The workspace's atomic vocabulary is deliberately split: metrics
 //! counters and backend caches are `Relaxed` (they are statistics, not
 //! synchronization), while shutdown/admission flags are `SeqCst` (they
-//! *are* synchronization — a reactor observing `triggered` must also
+//! *are* synchronization — an event loop observing `triggered` must also
 //! observe everything the triggering thread wrote). A well-meaning
 //! "optimize to Relaxed" on a synchronizing flag is exactly the bug
 //! class this rule makes loud.

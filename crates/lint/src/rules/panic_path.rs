@@ -1,6 +1,6 @@
 //! Rule `panics`: no `unwrap()` / `expect()` / `panic!` / `todo!` in
 //! non-test code under the audited paths (the server request path and
-//! the epoll reactor — a panic there takes down a worker or poisons a
+//! the epoll event loop — a panic there takes down a worker or poisons a
 //! lock for every other connection).
 //!
 //! The rule is zero: every such site is a finding, and nothing

@@ -71,9 +71,9 @@ pub struct Config {
     pub exclusive: bool,
     /// Smoke preset (small, CI-sized run).
     pub smoke: bool,
-    /// Transport guardrails for the spawned server (reactor count,
-    /// admission cap, idle timeout, in-flight cap) — recorded in the
-    /// report so a BENCH_load.json diff shows what front end produced it.
+    /// Transport guardrails for the spawned server (admission cap, idle
+    /// timeout) — recorded in the report so a BENCH_load.json diff shows
+    /// what front end produced it.
     pub limits: TransportLimits,
     /// The admission-churn preset: more workers than connection slots,
     /// one connection per session, so every session pays the full
@@ -514,7 +514,7 @@ pub struct Report {
     /// The server's `store` metrics section, verbatim.
     pub server_store: Json,
     /// The server's `transport` metrics section, verbatim — dispatch and
-    /// shed/reap counters, globally and per reactor.
+    /// shed/reap counters.
     pub server_transport: Json,
 }
 
@@ -580,7 +580,6 @@ impl Report {
                     // The spawned server's transport guardrails, so a
                     // throughput diff can be attributed to (or ruled out
                     // of) a front-end reconfiguration at a glance.
-                    ("reactors", Json::from(self.config.limits.reactors)),
                     (
                         "max_connections",
                         Json::from(self.config.limits.max_connections),
@@ -1079,7 +1078,7 @@ pub fn cli_main() {
 
 const USAGE: &str = "usage: jim-load [--addr HOST:PORT] \
     [--concurrency N] [--sessions N] [--max-turns N] [--seed N] [--out PATH] \
-    [--reactors N] [--max-connections N] [--idle-timeout SECS] \
+    [--max-connections N] [--idle-timeout SECS] \
     [--check-baseline PATH] [--exclusive] [--smoke] [--connections]";
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
@@ -1099,7 +1098,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
                 std::process::exit(0);
             }
             "--addr" | "--concurrency" | "--sessions" | "--max-turns" | "--seed" | "--out"
-            | "--reactors" | "--max-connections" | "--idle-timeout" | "--check-baseline" => {
+            | "--max-connections" | "--idle-timeout" | "--check-baseline" => {
                 let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
                 parsed.push((flag, value));
             }
@@ -1133,11 +1132,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Config, String> {
             "--seed" => config.seed = value.parse().map_err(|_| format!("bad --seed {value:?}"))?,
             "--out" => config.out = PathBuf::from(value),
             "--check-baseline" => config.check_baseline = Some(PathBuf::from(value)),
-            "--reactors" => {
-                config.limits.reactors = value
-                    .parse()
-                    .map_err(|_| format!("bad --reactors {value:?}"))?
-            }
             "--max-connections" => {
                 config.limits.max_connections = value
                     .parse()

@@ -3,7 +3,7 @@
 //! ```text
 //! jim-serve [--port N] [--host ADDR] [--max-sessions N] [--ttl-secs N]
 //!           [--max-product N] [--max-batch N] [--data-dir PATH]
-//!           [--metrics-interval SECS] [--reactors N]
+//!           [--metrics-interval SECS]
 //!           [--max-connections N] [--idle-timeout SECS] [--max-per-ip N]
 //! ```
 //!
@@ -12,10 +12,9 @@
 //! resumable by id, and a restarted server over the same directory picks
 //! them all up. Without it (the default), sessions are memory-only.
 //!
-//! The front end is a non-blocking event loop (linux only): `--reactors
-//! N` reactor threads (default `min(cores, 4)`, also `JIM_REACTORS`),
-//! each with its own poller and worker pool, fed round-robin by an accept
-//! thread, so ten thousand idle sessions don't cost ten thousand stacks.
+//! The front end is one non-blocking event loop (linux only) that accepts
+//! and frames every connection and hands each request line to one worker
+//! pool, so ten thousand idle sessions don't cost ten thousand stacks.
 //! Its guardrails: `--max-connections` sheds over-cap connects with a
 //! typed `overloaded` error, `--idle-timeout` reaps peers that complete
 //! no request line in SECS seconds (0 disables), and `--max-per-ip` sheds
@@ -47,7 +46,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: jim-serve [--port N] [--host ADDR] [--max-sessions N] [--ttl-secs N] \
          [--max-product N] [--max-batch N] [--data-dir PATH] [--metrics-interval SECS] \
-         [--reactors N] [--max-connections N] [--idle-timeout SECS] [--max-per-ip N]"
+         [--max-connections N] [--idle-timeout SECS] [--max-per-ip N]"
     );
     std::process::exit(2);
 }
@@ -97,8 +96,9 @@ fn main() -> std::io::Result<()> {
                 Ok(secs) if secs > 0 => metrics_interval = Some(Duration::from_secs(secs)),
                 _ => usage(),
             },
-            // The epoll reactor is the one front end; the flag stays so
-            // existing launch scripts that name it keep working.
+            // The epoll event loop is the one front end, and there is one
+            // loop; these flags stay as no-ops so existing launch scripts
+            // that name them keep working.
             "--transport" => match value("--transport").as_str() {
                 "epoll" => {}
                 other => {
@@ -106,8 +106,8 @@ fn main() -> std::io::Result<()> {
                     usage();
                 }
             },
-            "--reactors" => match value("--reactors").parse() {
-                Ok(n) if n > 0 => transport_limits.reactors = n,
+            "--reactors" => match value("--reactors").parse::<usize>() {
+                Ok(n) if n > 0 => {}
                 _ => usage(),
             },
             "--max-connections" => match value("--max-connections").parse() {
@@ -178,11 +178,10 @@ fn main() -> std::io::Result<()> {
 
     let listener = TcpListener::bind((host.as_str(), port))?;
     eprintln!(
-        "jim-serve: listening on {} ({} reactors, max {} connections, \
+        "jim-serve: listening on {} (max {} connections, \
          idle timeout {}, per-ip cap {}; max {} sessions, \
          ttl {:?}, factorize past {} tuples, answer batches up to {} labels, sessions {})",
         listener.local_addr()?,
-        transport_limits.reactors,
         transport_limits.max_connections,
         match transport_limits.idle_timeout {
             Some(t) => format!("{t:?}"),

@@ -1,10 +1,10 @@
-//! The connection core the epoll reactor drives, and the admission gate
-//! in front of it.
+//! The connection core the epoll event loop drives, and the admission
+//! gate in front of it.
 //!
 //! [`Conn`] is sans-IO: it owns one connection's buffers and makes every
-//! framing and close decision, but never touches the socket. The reactor
-//! reads bytes and hands them to [`Conn::receive`], takes a request line
-//! from [`Conn::next_line`] to its worker pool, reports the response
+//! framing and close decision, but never touches the socket. The event
+//! loop reads bytes and hands them to [`Conn::receive`], takes a request
+//! line from [`Conn::next_line`] to the worker pool, reports the response
 //! through [`Conn::complete`], writes [`Conn::output`], and closes the
 //! socket once [`Conn::finished`] says so. The peer sees this wire
 //! behavior:
@@ -155,7 +155,7 @@ impl Conn {
         &self.outbuf[self.outpos..]
     }
 
-    /// The reactor wrote the first `n` bytes of [`Conn::output`].
+    /// The event loop wrote the first `n` bytes of [`Conn::output`].
     pub(crate) fn written(&mut self, n: usize) {
         self.outpos += n;
         if self.outpos >= self.outbuf.len() {
@@ -180,7 +180,7 @@ impl Conn {
         self.closing = true;
     }
 
-    /// The idle reaper, run on the reactor's timer tick: past the idle
+    /// The idle reaper, run on the event loop's timer tick: past the idle
     /// timeout with nothing in flight, answer `idle_timeout` and close —
     /// or, when the peer has not read what it was already sent, close
     /// at once. Returns whether it reaped the connection.
@@ -205,7 +205,7 @@ impl Conn {
         true
     }
 
-    /// Should the reactor read more bytes now?
+    /// Should the event loop read more bytes now?
     pub(crate) fn wants_read(&self) -> bool {
         self.reading && !self.wants_write() && !self.line_buffered()
     }
@@ -215,7 +215,7 @@ impl Conn {
         !self.dead && self.outpos < self.outbuf.len()
     }
 
-    /// Should the reactor close the socket now?
+    /// Should the event loop close the socket now?
     pub(crate) fn finished(&self) -> bool {
         self.dead
             || (!self.inflight
@@ -269,10 +269,10 @@ impl Conn {
     }
 }
 
-/// The admission gate of the accept loop: the global connection cap and
-/// the per-address quota of [`TransportLimits`]. The reactor admits from
-/// one accept thread, so checking the live count and then raising it
-/// cannot over-admit.
+/// The admission gate of the event loop: the global connection cap and
+/// the per-address quota of [`TransportLimits`]. The one event loop
+/// admits every connection, so checking the live count and then raising
+/// it cannot over-admit.
 pub(crate) struct Admission {
     max_connections: usize,
     max_per_ip: Option<usize>,

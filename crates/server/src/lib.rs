@@ -29,9 +29,9 @@
 //!   that is cheaper than enumerating them; responses say which with a
 //!   `factorized` flag. An oversized product whose factorization runs
 //!   out of sweep budget is refused; nothing is ever sampled.
-//! * [`serve`] — the TCP front end (linux): an epoll event loop over the
-//!   in-repo `jim-aio` readiness shim — `--reactors N` reactor threads,
-//!   each with its own worker pool, fed by one accept thread (see
+//! * [`serve`] — the TCP front end (linux): one epoll event loop over
+//!   the in-repo `jim-aio` readiness shim that accepts and frames every
+//!   connection, and one worker pool that runs the handler (see
 //!   [`reactor`]'s module docs) — plus the TTL sweeper thread. Every
 //!   connection runs one sans-IO connection core (`conn`: framing, the
 //!   line cap, blank lines, the idle clock, one request in flight at a
@@ -82,7 +82,7 @@ pub(crate) mod sync;
 
 pub use handler::{Handler, ServerLimits};
 pub use journal::{JournalStore, StoredSession};
-pub use metrics::{Op, OpMetrics, ReactorMetrics, ServerMetrics};
+pub use metrics::{Op, OpMetrics, ServerMetrics};
 pub use protocol::{Request, ServerError, Source};
 pub use serve::{serve_with, spawn_sweeper, Shutdown, TransportLimits};
 pub use store::{QuestionCache, Session, SessionStore, StoreConfig, SweepReport};

@@ -2,7 +2,7 @@
 //! layer of the service.
 //!
 //! The aggregate lives on the [`crate::store::SessionStore`] (the one
-//! object the handler, the reactors, the sweeper and the binaries all
+//! object the handler, the event loop, the sweeper and the binaries all
 //! already share) and is one table of typed `jim-metrics` fields: a hot
 //! path bumps a field directly, and every reader renders the same fields.
 //!
@@ -15,8 +15,9 @@
 //!   itself (its latency lands after, which is why a snapshot's latency
 //!   count may trail its request count by the in-flight request).
 //! * **transport** — dispatched lines, decode refusals (bad JSON or
-//!   invalid UTF-8), oversized lines, live connections, and the epoll
-//!   worker-queue depth, recorded by `serve.rs` / `reactor.rs`.
+//!   invalid UTF-8), oversized lines, live connections, the epoll
+//!   worker-queue depth, admission sheds and idle-timeout reaps,
+//!   recorded by `serve.rs`, `reactor.rs` and `conn.rs`.
 //! * **store/journal** — resident hits, disk resumes, replayed batches,
 //!   journal bytes written, eviction totals and sweep counters, recorded
 //!   by `store.rs` and the sweeper.
@@ -27,10 +28,8 @@
 //! disagree.
 
 use crate::protocol::Request;
-use crate::sync::LockExt;
 use jim_json::Json;
 use jim_metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Every wire op, in protocol-table order. `Op as usize` indexes the
@@ -122,28 +121,6 @@ impl Op {
     }
 }
 
-/// One reactor thread's share of the transport counters (epoll only).
-///
-/// The global transport gauges are **aggregates**: every reactor
-/// increments and decrements the same `live_connections` /
-/// `worker_queue_depth` gauges symmetrically (no reactor ever `set`s
-/// them), so N reactors sum correctly. These per-reactor fields exist on
-/// top of that so a snapshot can show *skew* — a reactor whose queue is
-/// deep or whose connection share is lopsided.
-#[derive(Default)]
-pub struct ReactorMetrics {
-    /// Complete lines this reactor handed to its worker pool.
-    pub dispatched: Counter,
-    /// Connections currently owned by this reactor.
-    pub live_connections: Gauge,
-    /// Jobs queued at this reactor's worker pool right now.
-    pub worker_queue_depth: Gauge,
-    /// Connections this reactor reaped for idling past the timeout.
-    pub idle_timeouts: Counter,
-    /// Over-cap connections shed that round-robin would have sent here.
-    pub sheds: Counter,
-}
-
 /// Per-op counters and latency.
 #[derive(Default)]
 pub struct OpMetrics {
@@ -175,18 +152,14 @@ pub struct ServerMetrics {
     pub decode_refused: Counter,
     /// Lines refused for exceeding the 16 MiB cap.
     pub oversized: Counter,
-    /// Currently open client connections (summed across reactors).
+    /// Currently open client connections.
     pub live_connections: Gauge,
-    /// Jobs queued at the epoll worker pools right now, summed across
-    /// reactors.
+    /// Jobs queued at the epoll worker pool right now.
     pub worker_queue_depth: Gauge,
     /// Connections refused at the admission cap with `Overloaded`.
     pub sheds: Counter,
     /// Connections reaped for idling past the timeout.
     pub idle_timeouts: Counter,
-    /// Per-reactor breakdowns, one entry per reactor index (allocated by
-    /// the reactor on first use; empty until the server starts).
-    reactors: Mutex<Vec<Arc<ReactorMetrics>>>,
     /// Session lookups answered from memory.
     pub store_hits: Counter,
     /// Session lookups rehydrated from the journal (evicted → resident).
@@ -226,18 +199,6 @@ impl ServerMetrics {
     /// The per-op metrics of one wire op.
     pub fn op(&self, op: Op) -> &OpMetrics {
         &self.ops[op as usize]
-    }
-
-    /// The per-reactor metrics of reactor `index`, allocating the slots
-    /// up through `index` on first use. A transport restart over the same
-    /// store (tests do this) gets the same slots back, so counters
-    /// continue.
-    pub fn reactor(&self, index: usize) -> Arc<ReactorMetrics> {
-        let mut reactors = self.reactors.lock_unpoisoned();
-        while reactors.len() <= index {
-            reactors.push(Arc::default());
-        }
-        Arc::clone(&reactors[index])
     }
 
     /// All op latencies merged into one snapshot, plus total request and
@@ -290,27 +251,6 @@ impl ServerMetrics {
                     ),
                     ("sheds", Json::from(self.sheds.get())),
                     ("idle_timeouts", Json::from(self.idle_timeouts.get())),
-                    (
-                        "reactors",
-                        Json::Array(
-                            self.reactors
-                                .lock_unpoisoned()
-                                .iter()
-                                .map(|r| {
-                                    Json::object([
-                                        ("dispatched", Json::from(r.dispatched.get())),
-                                        ("live_connections", Json::from(r.live_connections.get())),
-                                        (
-                                            "worker_queue_depth",
-                                            Json::from(r.worker_queue_depth.get()),
-                                        ),
-                                        ("idle_timeouts", Json::from(r.idle_timeouts.get())),
-                                        ("sheds", Json::from(r.sheds.get())),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
                 ]),
             ),
             (

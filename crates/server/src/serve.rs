@@ -1,4 +1,4 @@
-//! The TCP front end: JSON lines over the epoll reactor (linux).
+//! The TCP front end: JSON lines over the epoll event loop (linux).
 //!
 //! The `Handler`/`protocol` split keeps dispatch free of sockets, and
 //! everything per connection is sans-IO too: framing (lines to `\n`
@@ -6,20 +6,20 @@
 //! flight at a time (so a connection's requests run in the order sent)
 //! and the close decision all live in `Conn`, and admission (the
 //! connection cap and per-address quota) in its `Admission` gate. What
-//! is left is *scheduling*, and that is [`crate::reactor`]'s job: an
-//! accept thread that blocks until a peer connects or [`Shutdown`] wakes
-//! it, N reactor threads that multiplex every connection through
-//! `jim-aio` epoll pollers, and per-reactor worker pools that run
-//! [`Handler::handle_line`], so a slow `CreateSession` or journal replay
-//! never stalls a reactor. Thousands of idle connections cost a few
-//! hundred bytes of buffer each instead of a thread stack.
+//! is left is *scheduling*, and that is [`crate::reactor`]'s job: one
+//! event loop, on the thread that calls [`serve_with`], that accepts and
+//! multiplexes every connection through one `jim-aio` epoll poller, and
+//! one worker pool that runs [`Handler::handle_line`], so a slow
+//! `CreateSession` or journal replay never stalls the loop. Thousands of
+//! idle connections cost a few hundred bytes of buffer each instead of a
+//! thread stack.
 //!
 //! Off linux there is no TCP front end: [`serve_with`] returns
 //! [`io::ErrorKind::Unsupported`], and the in-process `jim` REPL is the
 //! portable way to run a session.
 //!
 //! The server observes a shared [`Shutdown`] signal: trigger it and the
-//! accept loop stops, in-flight responses drain (for at most
+//! loop stops accepting, in-flight responses drain (for at most
 //! [`DRAIN_DEADLINE`]), and [`serve_with`] returns (the TTL sweeper
 //! spawned by [`spawn_sweeper`] observes the same signal). Request lines
 //! are decoded **strictly**: a line that is not valid UTF-8 is refused
@@ -54,8 +54,8 @@ pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// The production-traffic guardrails the front end honors.
 ///
-/// The accept thread admits through one `Admission` gate, and every
-/// connection runs the `Conn` idle clock, ticked by the reactor's
+/// The event loop admits through one `Admission` gate, and every
+/// connection runs the `Conn` idle clock, ticked by the loop's
 /// `poller.wait` timeout. A client sees it on the wire: connection 257
 /// of a 256-cap server gets a typed [`ServerError::Overloaded`] line and
 /// a close (never a silent queue), and a peer that goes quiet — or
@@ -63,11 +63,8 @@ pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 /// [`ServerError::IdleTimeout`] and reaped.
 #[derive(Debug, Clone)]
 pub struct TransportLimits {
-    /// Epoll reactor threads (`--reactors` / `JIM_REACTORS`). Clamped
-    /// to at least 1.
-    pub reactors: usize,
-    /// Global admission cap across every reactor. Connections past it
-    /// are shed with [`ServerError::Overloaded`].
+    /// Global admission cap. Connections past it are shed with
+    /// [`ServerError::Overloaded`].
     pub max_connections: usize,
     /// Reap a connection that completes no request line for this long
     /// (`None` disables). The clock resets on *complete lines*, not raw
@@ -83,7 +80,6 @@ pub struct TransportLimits {
 impl Default for TransportLimits {
     fn default() -> TransportLimits {
         TransportLimits {
-            reactors: default_reactors(),
             max_connections: DEFAULT_MAX_CONNECTIONS,
             idle_timeout: Some(DEFAULT_IDLE_TIMEOUT),
             max_per_ip: None,
@@ -94,32 +90,14 @@ impl Default for TransportLimits {
 impl TransportLimits {
     /// Clamp every knob to something the front end can run with.
     pub fn normalized(mut self) -> TransportLimits {
-        self.reactors = self.reactors.clamp(1, 64);
         self.max_connections = self.max_connections.max(1);
         self.max_per_ip = self.max_per_ip.map(|n| n.max(1));
         self
     }
 }
 
-/// The reactor-count default: `JIM_REACTORS` if set to a positive
-/// integer, else `min(cores, 4)` — enough to spread accept/framing load
-/// across cores without spawning a pool of mostly-idle epoll waiters on
-/// big machines.
-pub fn default_reactors() -> usize {
-    if let Ok(raw) = std::env::var("JIM_REACTORS") {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n.min(64),
-            _ => eprintln!("jim-serve: ignoring invalid JIM_REACTORS={raw:?}"),
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 4)
-}
-
-/// A cloneable graceful-shutdown signal shared by the accept loop, the
-/// epoll reactors and the TTL sweeper.
+/// A cloneable graceful-shutdown signal shared by the event loop and the
+/// TTL sweeper.
 ///
 /// [`Shutdown::trigger`] is idempotent and returns immediately; the
 /// server then stops accepting, finishes and flushes any response already
@@ -137,7 +115,7 @@ struct ShutdownInner {
     lock: Mutex<bool>,
     cv: Condvar,
     /// Side effects a trigger must perform beyond flag+condvar — e.g.
-    /// waking an epoll reactor out of its wait. Each hook runs exactly
+    /// waking the event loop out of its wait. Each hook runs exactly
     /// once: at trigger time, or immediately on registration if the
     /// trigger already fired (`HookState::fired` is flipped under the
     /// same lock that hands the hook list to the trigger, so the two
@@ -215,9 +193,9 @@ impl Shutdown {
     }
 }
 
-/// Serve the listener on the epoll reactor under `limits` until
-/// `shutdown` is triggered (or a fatal listener/reactor error). Off
-/// linux it returns [`io::ErrorKind::Unsupported`].
+/// Serve the listener on the epoll event loop, on the calling thread,
+/// under `limits` until `shutdown` is triggered (or a fatal poller
+/// error). Off linux it returns [`io::ErrorKind::Unsupported`].
 pub fn serve_with(
     listener: TcpListener,
     handler: Arc<Handler>,
@@ -242,7 +220,7 @@ pub fn serve_with(
 }
 
 /// Decode one complete, non-blank request line and produce its response
-/// line, on a reactor's worker: non-UTF-8 bytes are **refused** with a
+/// line, on a worker: non-UTF-8 bytes are **refused** with a
 /// typed protocol error — never lossily replaced, so a `CreateSession`
 /// carrying mangled inline CSV can never be stored as corrupted relation
 /// data.
@@ -343,7 +321,7 @@ mod tests {
         });
         s.trigger();
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        // Registered after the fact (the reactor starting during a
+        // Registered after the fact (the event loop starting during a
         // shutdown race): runs immediately — and does NOT replay the
         // early hook, nor does a redundant trigger re-run anything.
         let late = Arc::clone(&fired);

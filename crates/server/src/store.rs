@@ -135,7 +135,7 @@ pub struct SessionStore {
     /// The write-ahead journal directory, when durability is on.
     journal: Option<JournalStore>,
     /// The server-wide metrics aggregate. The store owns it because the
-    /// store is the one value every server layer (handler, reactors,
+    /// store is the one value every server layer (handler, event loop,
     /// sweeper, bins) already shares — store/journal counters are updated
     /// here at the sites where the events happen, transport and per-op
     /// counters by the layers that reach the aggregate through

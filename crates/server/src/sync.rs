@@ -4,11 +4,11 @@
 //! `std`'s mutex poisoning turns one panicked request into a cascading
 //! outage: every later `.lock().expect(..)` on the same mutex panics
 //! too, taking down unrelated connections. For the server's
-//! *infrastructure* state — job queues, completion buffers, reactor
-//! inboxes, per-ip counts, shutdown flags, metrics registries — the
-//! data under the lock is a plain collection that is never left
-//! half-updated across an await of user code, so recovering the guard
-//! is strictly better than propagating the panic. (Session engine
+//! *infrastructure* state — the job queue, the completion buffer,
+//! per-ip counts, shutdown flags — the data under the lock is a plain
+//! collection that is never left half-updated across an await of user
+//! code, so recovering the guard is strictly better than propagating
+//! the panic. (Session engine
 //! state is the exception and is handled separately: a poisoned
 //! session is *shed*, not recovered — see `Handler::with_session`.)
 //!

@@ -144,3 +144,14 @@ fn jim_serve_refuses_the_threads_transport() {
     let status = server.exit(Duration::from_secs(30));
     assert_eq!(status.code(), Some(2), "{status}");
 }
+
+#[test]
+fn jim_serve_refuses_a_reactor_count_that_is_not_positive() {
+    // `--reactors` is a no-op kept for the benchmark's flags, but a
+    // value that is not a positive integer is still a usage error.
+    for count in ["0", "x"] {
+        let mut server = Served::spawn(&["--port", "0", "--reactors", count], None);
+        let status = server.exit(Duration::from_secs(30));
+        assert_eq!(status.code(), Some(2), "--reactors {count}: {status}");
+    }
+}

@@ -1,7 +1,7 @@
 //! Shared harness for the real-TCP integration suites: a [`TestServer`]
 //! that runs `serve_with()` on an OS-assigned port with an explicit
 //! graceful [`Shutdown`] (triggered and joined on drop, so test servers
-//! no longer leak accept/sweeper threads for the process lifetime), and
+//! no longer leak serve/sweeper threads for the process lifetime), and
 //! a JSON-lines [`Client`].
 
 #![allow(dead_code)] // each test binary uses its own subset
@@ -25,8 +25,7 @@ pub struct TestServer {
 
 impl TestServer {
     /// Serve `handler` on an OS-assigned port, with a TTL sweeper and
-    /// the default [`TransportLimits`] (these honor `JIM_REACTORS`, so
-    /// the CI reactor matrix reaches every test through this path).
+    /// the default [`TransportLimits`].
     pub fn start(handler: Arc<Handler>) -> TestServer {
         TestServer::start_with_sweep(handler, Duration::from_millis(200))
     }
@@ -37,7 +36,7 @@ impl TestServer {
     }
 
     /// [`TestServer::start`] with explicit [`TransportLimits`] — the
-    /// admission-cap / idle-timeout / reactor-count tests pin theirs.
+    /// admission-cap / idle-timeout tests pin theirs.
     pub fn start_with_limits(
         handler: Arc<Handler>,
         sweep: Duration,
