@@ -89,7 +89,8 @@ impl Default for EngineOptions {
 enum GroupMembers {
     /// Every member id, in rank order.
     Explicit(Vec<ProductId>),
-    /// Exact cardinality plus up to `max_witnesses` member ids (ascending;
+    /// Exact cardinality plus up to
+    /// [`jim_relation::factorize::MAX_WITNESSES`] member ids (ascending;
     /// `witnesses[0]` is the group minimum).
     Counted {
         count: u64,
@@ -497,7 +498,6 @@ impl Engine {
         let fopts = jim_relation::FactorizeOptions {
             cross_only: options.scope == AtomScope::CrossRelation,
             max_sweep: options.max_combos,
-            ..Default::default()
         };
         let factorized = jim_relation::factorize(&product, &fopts).map_err(|e| match e {
             // Under matching scope the joinable pairs are exactly the

@@ -1,5 +1,6 @@
 //! User labels: the answers to JIM's Boolean membership queries.
 
+use jim_json::Json;
 use std::fmt;
 
 /// The answer a user gives about one candidate tuple — the paper's `+` / `−`
@@ -32,6 +33,21 @@ impl Label {
             Label::Positive
         } else {
             Label::Negative
+        }
+    }
+
+    /// Decode a label as the wire, the journal and transcripts carry it:
+    /// `"+"`, `"-"`, `"positive"`, `"negative"`, `"yes"`, `"no"`, `"y"`,
+    /// `"n"`, `"true"`, `"false"` (case-insensitive) or a JSON boolean.
+    /// Labels are written as `"+"`/`"-"`.
+    pub fn from_json(value: &Json) -> Result<Label, String> {
+        if let Some(b) = value.as_bool() {
+            return Ok(Label::from_bool(b));
+        }
+        match value.as_str().map(str::to_ascii_lowercase).as_deref() {
+            Some("+" | "positive" | "yes" | "y" | "true") => Ok(Label::Positive),
+            Some("-" | "negative" | "no" | "n" | "false") => Ok(Label::Negative),
+            _ => Err(format!("bad label {value}; use \"+\" or \"-\"")),
         }
     }
 }

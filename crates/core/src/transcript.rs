@@ -1,23 +1,29 @@
-//! Session transcripts: a durable, human-readable record of the labels a
-//! user gave, replayable onto a fresh engine.
+//! Session transcripts: a durable record of the labels a user gave,
+//! replayable onto a fresh engine.
 //!
 //! The demo replays user sessions to show "how many interactions she would
 //! have done" under other strategies (Figure 4); crowd platforms likewise
-//! need an audit log of paid answers. The format is a plain text file —
-//! one label per line — with a header binding it to the instance:
+//! need an audit log of paid answers. JSON is the one format a transcript
+//! is stored in and read back from — the wire's `Transcript` op, the
+//! server's journal and resume all speak it ([`Transcript::to_json`],
+//! [`Transcript::from_json`]):
 //!
-//! ```text
-//! #jim-transcript v1
-//! #schema flights × hotels
-//! #tuples 12
-//! + 2
-//! - 6
-//! - 7
+//! ```json
+//! {"version":1,"schema":"flights × hotels","tuples":12,
+//!  "labels":[{"tuple":2,"label":"+"},{"tuple":6,"label":"-"}]}
 //! ```
 //!
 //! Tuples are identified by their product rank, which is stable for a
 //! given database and join view (the product enumerates relations in
-//! order, last fastest).
+//! order, last fastest). Ranks and counts past 2^53 are written as decimal
+//! strings (`jim_json`'s `u64` rule), so a transcript of a product of any
+//! size round-trips exactly. The [`fmt::Display`] text form — one label per
+//! line under `#` headers — is a rendering for people, and nothing reads
+//! it back.
+//!
+//! The decoders here are the only ones for the shapes they cover: the
+//! server decodes a `CreateSession` source with [`OriginSource::from_json`]
+//! and an `AnswerBatch` with [`Transcript::labels_from_json`].
 
 use crate::engine::Engine;
 use crate::error::{InferenceError, Result};
@@ -83,11 +89,11 @@ pub struct SessionOrigin {
     pub factorized: bool,
 }
 
-impl SessionOrigin {
-    /// Serialize to the JSON shape embedded in transcripts and journal
-    /// headers.
+impl OriginSource {
+    /// Serialize to the wire's `source` shape: `{"scenario":name}` or
+    /// `{"relations":[{"name":..,"csv":..}],"view":[..]}`.
     pub fn to_json(&self) -> Json {
-        let source = match &self.source {
+        match self {
             OriginSource::Scenario { name } => {
                 Json::object([("scenario", Json::from(name.as_str()))])
             }
@@ -110,12 +116,58 @@ impl SessionOrigin {
                 }
                 Json::object(fields)
             }
+        }
+    }
+
+    /// Decode the `source` shape of a `CreateSession` request or a recorded
+    /// origin (see [`OriginSource::to_json`]).
+    pub fn from_json(json: &Json) -> Result<OriginSource> {
+        let bad = |message: String| InferenceError::Decode { message };
+        if let Some(name) = json.get("scenario").and_then(Json::as_str) {
+            return Ok(OriginSource::Scenario {
+                name: name.to_string(),
+            });
+        }
+        let Some(rels) = json.get("relations").and_then(Json::as_array) else {
+            return Err(bad("`source` needs either `scenario` or `relations`".into()));
         };
-        let mut fields = vec![("source", source)];
+        let mut relations = Vec::with_capacity(rels.len());
+        for (i, rel) in rels.iter().enumerate() {
+            let field = |key: &str| {
+                rel.get(key)
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .ok_or_else(|| bad(format!("relation {i}: missing `{key}`")))
+            };
+            relations.push((field("name")?, field("csv")?));
+        }
+        let view = match json.get("view") {
+            None => None,
+            Some(v) => Some(
+                v.as_array()
+                    .ok_or_else(|| bad("`view` must be an array of relation names".into()))?
+                    .iter()
+                    .map(|n| {
+                        n.as_str()
+                            .map(str::to_string)
+                            .ok_or_else(|| bad("`view` entries must be strings".into()))
+                    })
+                    .collect::<Result<Vec<_>>>()?,
+            ),
+        };
+        Ok(OriginSource::Inline { relations, view })
+    }
+}
+
+impl SessionOrigin {
+    /// Serialize to the JSON shape embedded in transcripts and journal
+    /// headers.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![("source", self.source.to_json())];
         if let Some(strategy) = &self.strategy {
             fields.push(("strategy", Json::from(strategy.as_str())));
         }
-        fields.push(("max_product", Transcript::int_to_json(self.max_product)));
+        fields.push(("max_product", Json::from(self.max_product)));
         fields.push(("factorized", Json::Bool(self.factorized)));
         Json::object(fields)
     }
@@ -132,52 +184,15 @@ impl SessionOrigin {
         let source = json
             .get("source")
             .ok_or_else(|| bad("origin: missing `source`".into()))?;
-        let source = if let Some(name) = source.get("scenario").and_then(Json::as_str) {
-            OriginSource::Scenario {
-                name: name.to_string(),
-            }
-        } else if let Some(rels) = source.get("relations").and_then(Json::as_array) {
-            let mut relations = Vec::with_capacity(rels.len());
-            for (i, rel) in rels.iter().enumerate() {
-                let name = rel
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad(format!("origin relation {i}: missing `name`")))?;
-                let csv = rel
-                    .get("csv")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad(format!("origin relation {i}: missing `csv`")))?;
-                relations.push((name.to_string(), csv.to_string()));
-            }
-            let view = match source.get("view") {
-                None => None,
-                Some(v) => Some(
-                    v.as_array()
-                        .ok_or_else(|| bad("origin: `view` must be an array".into()))?
-                        .iter()
-                        .map(|n| {
-                            n.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| bad("origin: `view` entries must be strings".into()))
-                        })
-                        .collect::<Result<Vec<_>>>()?,
-                ),
-            };
-            OriginSource::Inline { relations, view }
-        } else {
-            return Err(bad(
-                "origin: `source` needs either `scenario` or `relations`".into(),
-            ));
-        };
         Ok(SessionOrigin {
-            source,
+            source: OriginSource::from_json(source)?,
             strategy: json
                 .get("strategy")
                 .and_then(Json::as_str)
                 .map(str::to_string),
             max_product: json
                 .get("max_product")
-                .and_then(Transcript::int_from_json)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| bad("origin: missing `max_product`".into()))?,
             sample_seed: 0,
             sampled: false,
@@ -278,91 +293,16 @@ impl Transcript {
         Ok(self.labels.len())
     }
 
-    /// Parse the text format. Unknown `#` header lines are ignored
-    /// (forward compatibility); blank lines are allowed.
-    pub fn parse(text: &str) -> Result<Transcript> {
-        let bad = |line: usize, message: String| {
-            InferenceError::Relation(jim_relation::RelationError::Csv { line, message })
-        };
-        let mut lines = text.lines().enumerate();
-        let Some((_, first)) = lines.next() else {
-            return Err(bad(1, "empty transcript".into()));
-        };
-        if first.trim() != "#jim-transcript v1" {
-            return Err(bad(1, "missing `#jim-transcript v1` header".into()));
-        }
-        let mut t = Transcript::default();
-        for (i, raw) in lines {
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('#') {
-                if let Some(s) = rest.strip_prefix("schema ") {
-                    t.schema = s.trim().to_string();
-                } else if let Some(n) = rest.strip_prefix("tuples ") {
-                    t.tuples = n
-                        .trim()
-                        .parse()
-                        .map_err(|_| bad(i + 1, format!("bad tuple count `{n}`")))?;
-                } else if let Some(json) = rest.strip_prefix("origin ") {
-                    let json = Json::parse(json.trim())
-                        .map_err(|e| bad(i + 1, format!("bad origin JSON: {e}")))?;
-                    t.origin = Some(
-                        SessionOrigin::from_json(&json)
-                            .map_err(|e| bad(i + 1, format!("bad origin: {e}")))?,
-                    );
-                }
-                continue;
-            }
-            let (sign, rank) = line
-                .split_once(' ')
-                .ok_or_else(|| bad(i + 1, format!("expected `<+|-> <rank>`, got `{line}`")))?;
-            let label = match sign {
-                "+" => Label::Positive,
-                "-" => Label::Negative,
-                other => return Err(bad(i + 1, format!("bad label `{other}`"))),
-            };
-            let rank: u64 = rank
-                .trim()
-                .parse()
-                .map_err(|_| bad(i + 1, format!("bad rank `{rank}`")))?;
-            t.labels.push((ProductId(rank), label));
-        }
-        Ok(t)
-    }
-
-    /// Largest integer the wire's number type (`f64`) represents exactly.
-    /// Ranks and counts above this are encoded as decimal strings so
-    /// transcripts of factorized engines over astronomically large products
-    /// survive the round trip bit-exactly.
-    const MAX_EXACT_WIRE_INT: u64 = 1 << 53;
-
-    fn int_to_json(value: u64) -> Json {
-        if value <= Self::MAX_EXACT_WIRE_INT {
-            Json::from(value)
-        } else {
-            Json::from(value.to_string())
-        }
-    }
-
-    fn int_from_json(value: &Json) -> Option<u64> {
-        value
-            .as_u64()
-            .or_else(|| value.as_str().and_then(|s| s.parse().ok()))
-    }
-
     /// Encode a label list as the wire's `labels` array shape —
     /// `[{"tuple":2,"label":"+"},…]` — shared by [`Transcript::to_json`]
-    /// and the server's journal batch lines. Ranks beyond the `f64`-exact
-    /// range are encoded as decimal strings (see `MAX_EXACT_WIRE_INT`).
+    /// and the server's journal batch lines.
     pub fn labels_to_json(labels: &[(ProductId, Label)]) -> Json {
         Json::Array(
             labels
                 .iter()
                 .map(|(id, label)| {
                     Json::object([
-                        ("tuple", Self::int_to_json(id.0)),
+                        ("tuple", Json::from(id.0)),
                         ("label", Json::from(label.to_string())),
                     ])
                 })
@@ -370,25 +310,27 @@ impl Transcript {
         )
     }
 
-    /// Decode the shape produced by [`Transcript::labels_to_json`].
+    /// Decode a `labels` array: a transcript's, a journal batch line's or
+    /// an `AnswerBatch` request's. Each entry needs a `tuple` rank and a
+    /// `label` in any spelling [`Label::from_json`] takes.
     pub fn labels_from_json(json: &Json) -> Result<Vec<(ProductId, Label)>> {
         let bad = |message: String| InferenceError::Decode { message };
-        let mut labels = Vec::new();
-        for (i, entry) in json
+        let entries = json
             .as_array()
-            .ok_or_else(|| bad("expected a `labels` array".into()))?
-            .iter()
-            .enumerate()
-        {
-            let rank = entry
-                .get("tuple")
-                .and_then(Self::int_from_json)
-                .ok_or_else(|| bad(format!("label {i}: missing `tuple` rank")))?;
-            let label = match entry.get("label").and_then(Json::as_str) {
-                Some("+") => Label::Positive,
-                Some("-") => Label::Negative,
-                other => return Err(bad(format!("label {i}: bad `label` {other:?}"))),
-            };
+            .ok_or_else(|| bad("expected a `labels` array".into()))?;
+        let mut labels = Vec::with_capacity(entries.len());
+        for (i, entry) in entries.iter().enumerate() {
+            let rank = entry.get("tuple").and_then(Json::as_u64).ok_or_else(|| {
+                bad(format!(
+                    "labels[{i}]: `tuple` must be a non-negative rank \
+                     (a decimal string past 2^53)"
+                ))
+            })?;
+            let label = entry
+                .get("label")
+                .ok_or_else(|| "missing `label`".to_string())
+                .and_then(Label::from_json)
+                .map_err(|e| bad(format!("labels[{i}]: {e}")))?;
             labels.push((ProductId(rank), label));
         }
         Ok(labels)
@@ -404,7 +346,7 @@ impl Transcript {
         let mut fields = vec![
             ("version", Json::from(1u64)),
             ("schema", Json::from(self.schema.as_str())),
-            ("tuples", Self::int_to_json(self.tuples)),
+            ("tuples", Json::from(self.tuples)),
             ("labels", Self::labels_to_json(&self.labels)),
         ];
         if let Some(origin) = &self.origin {
@@ -427,7 +369,7 @@ impl Transcript {
             .to_string();
         let tuples = json
             .get("tuples")
-            .and_then(Self::int_from_json)
+            .and_then(Json::as_u64)
             .ok_or_else(|| bad("missing `tuples` count".into()))?;
         let labels = Self::labels_from_json(
             json.get("labels")
@@ -532,6 +474,8 @@ mod tests {
         assert_eq!(fresh.result(), e.result());
     }
 
+    /// The text form is a rendering, one label per line under the headers;
+    /// the transcript its JSON decodes back to renders the same text.
     #[test]
     fn text_round_trip() {
         let (f, h) = paper_instance();
@@ -539,10 +483,15 @@ mod tests {
         e.label(ProductId(11), Label::Positive).unwrap();
         let t = Transcript::capture(&e);
         let text = t.to_string();
-        assert!(text.starts_with("#jim-transcript v1"));
-        assert!(text.contains("+ 11"));
-        let parsed = Transcript::parse(&text).unwrap();
-        assert_eq!(parsed, t);
+        assert_eq!(
+            text,
+            format!(
+                "#jim-transcript v1\n#schema {}\n#tuples 12\n+ 11\n",
+                t.schema
+            )
+        );
+        let back = Transcript::parse_json(&t.to_json().render()).unwrap();
+        assert_eq!(back.to_string(), text);
     }
 
     #[test]
@@ -564,26 +513,18 @@ mod tests {
         // replay with the inconsistency error, not corrupt the engine.
         let (f, h) = paper_instance();
         let e = engine(&f, &h);
-        let text = format!(
-            "#jim-transcript v1\n#schema {}\n#tuples 12\n+ 2\n- 3\n",
-            e.product().schema()
-        );
-        let t = Transcript::parse(&text).unwrap();
+        let t = Transcript {
+            schema: e.product().schema().to_string(),
+            tuples: 12,
+            labels: vec![
+                (ProductId(2), Label::Positive),
+                (ProductId(3), Label::Negative),
+            ],
+            origin: None,
+        };
         let mut fresh = engine(&f, &h);
         let err = t.replay(&mut fresh);
         assert!(matches!(err, Err(InferenceError::InconsistentLabel { .. })));
-    }
-
-    #[test]
-    fn parse_errors_are_located() {
-        assert!(Transcript::parse("").is_err());
-        assert!(Transcript::parse("#jim\n").is_err());
-        let bad_label = "#jim-transcript v1\n#schema s\n#tuples 1\n? 0\n";
-        assert!(Transcript::parse(bad_label).is_err());
-        let bad_rank = "#jim-transcript v1\n+ x\n";
-        assert!(Transcript::parse(bad_rank).is_err());
-        let bad_count = "#jim-transcript v1\n#tuples many\n";
-        assert!(Transcript::parse(bad_count).is_err());
     }
 
     #[test]
@@ -680,12 +621,11 @@ mod tests {
         assert_eq!(back, t);
         assert_eq!(back.origin, Some(inline_origin()));
 
-        // Text shape: the origin rides a `#origin` header line (with the
-        // inline CSV's newlines JSON-escaped, so it stays one line).
+        // Text rendering: the origin rides a `#origin` header line (with
+        // the inline CSV's newlines JSON-escaped, so it stays one line).
         let text = t.to_string();
-        assert!(text.contains("#origin {"));
-        let parsed = Transcript::parse(&text).unwrap();
-        assert_eq!(parsed, t);
+        let origin_line = format!("#origin {}", inline_origin().to_json().render());
+        assert_eq!(text.lines().nth(3), Some(origin_line.as_str()));
 
         // A scenario origin round-trips too.
         let scenario = SessionOrigin {
@@ -751,7 +691,42 @@ mod tests {
             r#"{"version":1,"schema":"s","tuples":1,"labels":[],"origin":{}}"#
         )
         .is_err());
-        assert!(Transcript::parse("#jim-transcript v1\n#origin not-json\n").is_err());
+    }
+
+    /// The one `labels` decoder takes the wire's label spellings and the
+    /// `u64` codec's two rank forms, and refuses anything else.
+    #[test]
+    fn labels_decode_wire_spellings_and_exact_ranks() {
+        let decode = |text: &str| Transcript::labels_from_json(&Json::parse(text).unwrap());
+        let big = (1u64 << 53) + 1;
+        assert_eq!(
+            decode(&format!(
+                r#"[{{"tuple":2,"label":"Yes"}},{{"tuple":"{big}","label":false}},{{"tuple":9007199254740992,"label":"N"}}]"#
+            )),
+            Ok(vec![
+                (ProductId(2), Label::Positive),
+                (ProductId(big), Label::Negative),
+                (ProductId(1 << 53), Label::Negative),
+            ])
+        );
+        assert_eq!(decode("[]"), Ok(Vec::new()));
+        for (bad, needle) in [
+            ("{}", "array"),
+            (r#"[{"tuple":"7","label":"+"}]"#, "labels[0]: `tuple`"),
+            (
+                r#"[{"tuple":9007199254740994,"label":"+"}]"#,
+                "decimal string",
+            ),
+            (
+                r#"[{"tuple":1,"label":"+"},{"tuple":-1,"label":"+"}]"#,
+                "labels[1]",
+            ),
+            (r#"[{"tuple":1}]"#, "missing `label`"),
+            (r#"[{"tuple":1,"label":"maybe"}]"#, "bad label \"maybe\""),
+        ] {
+            let err = decode(bad).unwrap_err().to_string();
+            assert!(err.contains(needle), "{bad} -> {err}");
+        }
     }
 
     #[test]
@@ -794,13 +769,5 @@ mod tests {
         let mut fresh = engine(&f, &h);
         assert_eq!(empty.replay_batched(&mut fresh).unwrap(), 0);
         assert_eq!(fresh.generation(), 0);
-    }
-
-    #[test]
-    fn unknown_headers_and_blanks_ignored() {
-        let text = "#jim-transcript v1\n#schema s\n#tuples 1\n#future stuff\n\n+ 0\n";
-        let t = Transcript::parse(text).unwrap();
-        assert_eq!(t.labels.len(), 1);
-        assert_eq!(t.schema, "s");
     }
 }

@@ -17,6 +17,17 @@
 //! costs a few microseconds per kilobyte. Nesting is capped, and malformed
 //! input of any shape is a [`JsonError`] with a byte offset, never a panic.
 //!
+//! ## Integers past 2^53
+//!
+//! A JSON number is an `f64`, which holds every integer up to 2^53 exactly
+//! and no larger one. Tuple ranks and product sizes run to `u64::MAX`, so
+//! `u64` has one codec here: [`Json::from`] renders `n ≤ 2^53` as a number
+//! and a larger `n` as its decimal string (`"9999000000000000"`), and
+//! [`Json::as_u64`] reads back exactly those two forms: an integral number
+//! in `0..=2^53`, or a canonical decimal string whose value is past 2^53.
+//! Every integer the wire, the journal and transcripts carry goes through
+//! this pair, so what one of them writes, all of them read.
+//!
 //! ## Example
 //!
 //! ```
@@ -34,6 +45,10 @@
 #![forbid(unsafe_code)]
 
 use std::fmt;
+
+/// The largest integer an `f64` (and so a JSON number) holds exactly:
+/// 2^53. [`Json::from`] writes a larger `u64` as a decimal string.
+const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// A JSON value. Numbers are kept as `f64` (JSON's own model); use
 /// [`Json::as_u64`]/[`Json::as_i64`] for integral reads.
@@ -176,9 +191,21 @@ impl Json {
         }
     }
 
-    /// Non-negative integral number view.
+    /// The `u64` that [`Json::from`] wrote: an integral number in
+    /// `0..=2^53`, or a canonical decimal string (digits only, no leading
+    /// zero) whose value is past 2^53. Anything else is `None`, so `"7"`,
+    /// `"+9999000000000000"` and a number past 2^53 (which an `f64` may
+    /// already have rounded) are refused.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|v| u64::try_from(v).ok())
+        match self {
+            Json::Number(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT_INT as f64).contains(n) => {
+                Some(*n as u64)
+            }
+            Json::String(s) if !s.starts_with('0') && s.bytes().all(|b| b.is_ascii_digit()) => {
+                s.parse().ok().filter(|&n| n > MAX_EXACT_INT)
+            }
+            _ => None,
+        }
     }
 
     /// Array view.
@@ -231,8 +258,13 @@ impl From<f64> for Json {
 }
 
 impl From<u64> for Json {
+    /// A number up to 2^53, a decimal string past it (see the crate docs).
     fn from(n: u64) -> Json {
-        Json::Number(n as f64)
+        if n <= MAX_EXACT_INT {
+            Json::Number(n as f64)
+        } else {
+            Json::String(n.to_string())
+        }
     }
 }
 
@@ -243,8 +275,9 @@ impl From<i64> for Json {
 }
 
 impl From<usize> for Json {
+    /// As [`From<u64>`]: a number up to 2^53, a decimal string past it.
     fn from(n: usize) -> Json {
-        Json::Number(n as f64)
+        Json::from(n as u64)
     }
 }
 
@@ -656,6 +689,29 @@ mod tests {
         assert_eq!(Json::Number(-2.0).as_u64(), None);
     }
 
+    /// `u64`s up to 2^53 travel as numbers, larger ones as canonical
+    /// decimal strings; `as_u64` takes back exactly those two forms.
+    #[test]
+    fn u64_past_two_to_the_53_travels_as_a_string() {
+        assert_eq!(Json::from(MAX_EXACT_INT).render(), "9007199254740992");
+        assert_eq!(
+            Json::from(MAX_EXACT_INT + 1).render(),
+            "\"9007199254740993\""
+        );
+        for refused in [
+            r#""7""#,
+            r#""9007199254740992""#,
+            r#""+9999000000000000""#,
+            r#""09999000000000000""#,
+            r#""18446744073709551616""#,
+            "9007199254740994",
+            "-1",
+            "1.5",
+        ] {
+            assert_eq!(Json::parse(refused).unwrap().as_u64(), None, "{refused}");
+        }
+    }
+
     #[test]
     fn hostile_nesting_is_rejected_not_a_stack_overflow() {
         let deep_array = "[".repeat(200_000) + &"]".repeat(200_000);
@@ -733,6 +789,25 @@ mod tests {
                     if let Err(err) = Json::parse(&text[..cut]) {
                         prop_assert!(err.offset <= cut, "{err} past {cut}");
                     }
+                }
+            }
+        }
+    }
+
+    mod integers {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Every `u64`, of every magnitude, renders to text that
+            /// parses back to itself through `as_u64`.
+            #[test]
+            fn every_u64_round_trips(raw in any::<u64>(), shift in 0u32..64) {
+                for n in [raw >> shift, 0, MAX_EXACT_INT, MAX_EXACT_INT + 1, u64::MAX] {
+                    let text = Json::from(n).render();
+                    prop_assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(n), "{}", text);
                 }
             }
         }

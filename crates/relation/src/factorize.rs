@@ -51,9 +51,6 @@ pub struct FactorizeOptions {
     /// and returns [`FactorizeError::SweepTooLarge`] as soon as the count
     /// passes the bound, so refusing an instance costs at most the bound.
     pub max_sweep: u64,
-    /// Maximum number of witness ids carried per signature group (at least
-    /// one — the minimum id is always a witness).
-    pub max_witnesses: usize,
 }
 
 impl Default for FactorizeOptions {
@@ -61,10 +58,13 @@ impl Default for FactorizeOptions {
         FactorizeOptions {
             cross_only: true,
             max_sweep: 4_000_000,
-            max_witnesses: 8,
         }
     }
 }
+
+/// Witness ids carried per signature group: the group's smallest ranks,
+/// the minimum id first.
+pub const MAX_WITNESSES: usize = 8;
 
 /// Failure modes of [`factorize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +109,7 @@ pub struct SigGroup {
     pub count: u64,
     /// The smallest member id (the group's canonical representative).
     pub min_id: ProductId,
-    /// Up to `max_witnesses` member ids, ascending; `witnesses[0] == min_id`.
+    /// Up to [`MAX_WITNESSES`] member ids, ascending; `witnesses[0] == min_id`.
     pub witnesses: Vec<ProductId>,
 }
 
@@ -267,16 +267,17 @@ struct Class {
 #[derive(Default)]
 struct Acc {
     count: u64,
-    /// The `cap` smallest block combinations seen, as (combination's
-    /// minimum id, its last-occurrence block), ascending.
+    /// The [`MAX_WITNESSES`] smallest block combinations seen, as
+    /// (combination's minimum id, its last-occurrence block), ascending.
     entries: Vec<(u64, u32)>,
 }
 
 impl Acc {
-    /// Keep a combination if it is among the `cap` smallest so far.
-    fn offer(&mut self, min_id: u64, last_block: u32, cap: usize) -> bool {
-        if self.entries.len() == cap {
-            if self.entries[cap - 1].0 < min_id {
+    /// Keep a combination if it is among the [`MAX_WITNESSES`] smallest so
+    /// far.
+    fn offer(&mut self, min_id: u64, last_block: u32) -> bool {
+        if self.entries.len() == MAX_WITNESSES {
+            if self.entries[MAX_WITNESSES - 1].0 < min_id {
                 return false;
             }
             self.entries.pop();
@@ -375,7 +376,6 @@ pub fn factorize(
     if pair_attrs.is_empty() {
         return Err(FactorizeError::NoJoinablePairs);
     }
-    let cap = options.max_witnesses.max(1);
 
     // Distinguishing columns per occurrence (relation locals, ascending:
     // the block key layout), and each pair's occurrences and key positions.
@@ -695,14 +695,14 @@ pub fn factorize(
             let rows = lp.count(b);
             let acc = accs.get(&pattern);
             acc.count += count * rows;
-            acc.offer(rank + lp.min_row(b), block, cap);
+            acc.offer(rank + lp.min_row(b), block);
             matched_rows[class] += rows;
         }
         // Every other block holds no atom with the prefix: the prefix
         // pattern plus its class's, by subtraction. For a fixed prefix a
         // combination's minimum id grows with its block's minimum row, so
-        // the class's first `cap` unmatched blocks are the only candidates
-        // for the K smallest.
+        // the class's first MAX_WITNESSES unmatched blocks are the only
+        // candidates for the pattern's smallest.
         for (c, class) in classes.iter().enumerate() {
             let unmatched = class.rows - matched_rows[c];
             if unmatched == 0 {
@@ -716,7 +716,8 @@ pub fn factorize(
                     continue;
                 }
                 offered += 1;
-                if !acc.offer(rank + lp.min_row(block as usize), block, cap) || offered >= cap {
+                if !acc.offer(rank + lp.min_row(block as usize), block) || offered >= MAX_WITNESSES
+                {
                     break;
                 }
             }
@@ -732,7 +733,6 @@ pub fn factorize(
                     &pairs,
                     lp,
                     accs,
-                    cap,
                     blocks_per_occurrence,
                     swept,
                 ));
@@ -755,7 +755,6 @@ fn finish(
     pairs: &[PairInfo],
     lp: &Partition,
     accs: Accumulators,
-    cap: usize,
     blocks_per_occurrence: Vec<usize>,
     swept: u64,
 ) -> Factorized {
@@ -771,13 +770,13 @@ fn finish(
                 let base = id - u64::from(rows[0]);
                 witnesses.extend(
                     rows.iter()
-                        .take(cap)
+                        .take(MAX_WITNESSES)
                         .map(|&row| ProductId(base + u64::from(row))),
                 );
             }
             witnesses.sort_unstable();
             witnesses.dedup();
-            witnesses.truncate(cap);
+            witnesses.truncate(MAX_WITNESSES);
             Some(SigGroup {
                 pattern: (0..pairs.len())
                     .filter(|&bit| has_bit(&bits, bit))
@@ -857,9 +856,9 @@ mod tests {
             assert_eq!(g.min_id, e.min_id, "min id");
             assert!(!g.witnesses.is_empty());
             assert_eq!(g.witnesses[0], g.min_id, "min id is first witness");
-            let expected_len = (e.count as usize).min(options.max_witnesses.max(1));
+            let expected_len = (e.count as usize).min(MAX_WITNESSES);
             assert!(
-                g.witnesses.len() <= options.max_witnesses.max(1)
+                g.witnesses.len() <= MAX_WITNESSES
                     && !g.witnesses.is_empty()
                     && g.witnesses.len() <= expected_len,
                 "witness count {} vs count {}",

@@ -272,7 +272,10 @@ impl Repl {
     fn answer(&mut self, tuple: Option<u64>, label: char) {
         let Some(id) = self.session_id() else { return };
         let line = match tuple {
-            Some(t) => format!(r#"{{"op":"Answer","session":{id},"tuple":{t},"label":"{label}"}}"#),
+            Some(t) => format!(
+                r#"{{"op":"Answer","session":{id},"tuple":{},"label":"{label}"}}"#,
+                Json::from(t)
+            ),
             None => format!(r#"{{"op":"Answer","session":{id},"label":"{label}"}}"#),
         };
         if let Some(r) = self.request(&line) {
@@ -310,7 +313,7 @@ impl Repl {
             });
             match parsed {
                 Some((t, sign)) => {
-                    labels.push(format!(r#"{{"tuple":{t},"label":"{sign}"}}"#));
+                    labels.push(format!(r#"{{"tuple":{},"label":"{sign}"}}"#, Json::from(t)));
                 }
                 None => {
                     println!("! bad batch entry `{pair}` (want <tuple>=<+|->)");
@@ -430,7 +433,7 @@ impl Repl {
                 Some((&"stats", _)) => self.simple("Stats", "", &["summary"]),
                 Some((&"explain", rest)) => {
                     let extra = match rest.first().and_then(|t| t.parse::<u64>().ok()) {
-                        Some(t) => format!(r#","tuple":{t}"#),
+                        Some(t) => format!(r#","tuple":{}"#, Json::from(t)),
                         None => String::new(),
                     };
                     self.simple("Explain", &extra, &["explanation"]);

@@ -9,7 +9,9 @@ use crate::metrics::Op;
 use crate::protocol::{error, ok, parse_strategy, Request, ServerError, Source};
 use crate::store::{QuestionCache, Session, SessionStore};
 use crate::sync::LockExt;
-use jim_core::{explain, Engine, EngineOptions, SessionOrigin, StrategyKind, Transcript};
+use jim_core::{
+    explain, BatchOutcome, Engine, EngineOptions, Label, SessionOrigin, StrategyKind, Transcript,
+};
 use jim_json::Json;
 use jim_relation::ProductId;
 use std::sync::Arc;
@@ -127,7 +129,7 @@ impl Handler {
             }
             Request::Sql { session } => self.with_session(session, Self::sql),
             Request::Transcript { session } => self.with_session(session, Self::transcript),
-            Request::ResumeSession { session } => self.resume_session(session),
+            Request::ResumeSession { session } => self.with_session(session, Self::resumed),
             Request::ListSessions => self.list_sessions(),
             Request::CloseSession { session } => {
                 if self.store.remove(session) {
@@ -151,24 +153,30 @@ impl Handler {
         ok(metrics.snapshot_fields())
     }
 
+    /// Run `f` on the session, resuming it from its journal when it is not
+    /// resident. A journal that cannot be resumed answers with its error.
     fn with_session(&self, id: u64, f: impl FnOnce(&mut Session) -> Json) -> Json {
-        match self.store.get(id) {
-            Some(handle) => match handle.lock() {
-                Ok(mut guard) => f(&mut guard),
-                // A poisoned session lock means an earlier request
-                // panicked mid-engine-mutation: the state (and the
-                // journal batch whose application panicked) cannot be
-                // trusted, so shed the session instead of serving — or
-                // resuming — a half-updated copy. Other sessions are
-                // untouched; infrastructure locks recover instead (see
-                // `crate::sync`).
-                Err(_) => {
-                    self.store.remove(id);
-                    ServerError::SessionPoisoned.response()
-                }
-            },
-            None => error(format!("unknown session {id} (expired or never created)")),
-        }
+        let handle = match self.store.fetch(id) {
+            Ok(Some(handle)) => handle,
+            Ok(None) => {
+                return error(format!(
+                    "unknown session {id}: not resident and no journal on disk \
+                     (expired, closed or never created)"
+                ))
+            }
+            Err(message) => return error(message),
+        };
+        let Ok(mut guard) = handle.lock() else {
+            // A poisoned session lock means an earlier request panicked
+            // mid-engine-mutation: the state (and the journal batch whose
+            // application panicked) cannot be trusted, so shed the session
+            // instead of serving — or resuming — a half-updated copy. Other
+            // sessions are untouched; infrastructure locks recover instead
+            // (see `crate::sync`).
+            self.store.remove(id);
+            return ServerError::SessionPoisoned.response();
+        };
+        f(&mut guard)
     }
 
     fn create_session(
@@ -245,28 +253,9 @@ impl Handler {
         ok(fields)
     }
 
-    /// Explicitly rehydrate an evicted session (resume also happens
-    /// transparently inside [`SessionStore::get`] on any op; this op
-    /// surfaces the shape of the resumed session and journal errors).
-    fn resume_session(&self, id: u64) -> Json {
-        let handle = match self.store.fetch(id) {
-            Err(message) => return error(message),
-            Ok(None) => {
-                return error(format!(
-                    "unknown session {id} (not resident and no journal on disk)"
-                ))
-            }
-            Ok(Some(handle)) => handle,
-        };
-        let session = match handle.lock() {
-            Ok(guard) => guard,
-            // Same shed policy as `with_session`: a resident session
-            // whose lock an earlier panic poisoned is not resumable.
-            Err(_) => {
-                self.store.remove(id);
-                return ServerError::SessionPoisoned.response();
-            }
-        };
+    /// The shape of a session, resumed from its journal if it was evicted
+    /// (every op resumes one; this op reports what came back).
+    fn resumed(session: &mut Session) -> Json {
         let stats = session.engine.stats();
         ok([
             ("session", Json::from(session.id)),
@@ -354,83 +343,76 @@ impl Handler {
         ])
     }
 
-    fn answer(&self, session: &mut Session, tuple: Option<u64>, label: jim_core::Label) -> Json {
-        let id = match tuple.map(ProductId).or(session.pending) {
-            Some(id) => id,
-            None => {
-                return error("no pending question; ask NextQuestion first or pass a `tuple` rank")
-            }
+    fn answer(&self, session: &mut Session, tuple: Option<u64>, label: Label) -> Json {
+        let Some(id) = tuple.map(ProductId).or(session.pending) else {
+            return error("no pending question; ask NextQuestion first or pass a `tuple` rank");
         };
-        match session.engine.label(id, label) {
-            Err(e) => error(e.to_string()),
-            Ok(outcome) => {
-                // Journal the accepted 1-label batch before acking (the
-                // engine rejected path above journals nothing).
-                self.store.record_batch(session, &[(id, label)]);
-                if session.pending == Some(id) {
-                    session.pending = None;
-                }
-                let mut fields = vec![
-                    ("tuple", Json::from(id.0)),
-                    ("label", Json::from(label.to_string())),
-                    ("was_informative", Json::Bool(outcome.was_informative)),
-                    ("pruned", Json::from(outcome.pruned)),
-                    (
-                        "informative_remaining",
-                        Json::from(outcome.informative_remaining),
-                    ),
-                    ("resolved", Json::Bool(outcome.resolved)),
-                ];
-                if outcome.resolved {
-                    let predicate = session.engine.result();
-                    fields.push(("predicate", Json::from(predicate.to_string())));
-                    fields.push(("sql", Json::from(predicate.to_sql())));
-                }
-                ok(fields)
-            }
-        }
+        self.apply(session, &[(id, label)], |outcome| {
+            vec![
+                ("tuple", Json::from(id.0)),
+                ("label", Json::from(label.to_string())),
+                (
+                    "was_informative",
+                    Json::Bool(outcome.informative_labels == 1),
+                ),
+            ]
+        })
     }
 
-    fn answer_batch(&self, session: &mut Session, labels: &[(u64, jim_core::Label)]) -> Json {
-        let batch: Vec<(ProductId, jim_core::Label)> = labels
+    fn answer_batch(&self, session: &mut Session, labels: &[(u64, Label)]) -> Json {
+        let batch: Vec<(ProductId, Label)> = labels
             .iter()
             .map(|&(rank, label)| (ProductId(rank), label))
             .collect();
-        match session.engine.label_batch(&batch) {
-            // Atomic: on any rejected entry the engine is untouched, so
-            // the pending question and its generation-keyed cache stay
-            // exactly valid — and nothing is journaled.
-            Err(e) => error(e.to_string()),
-            Ok(outcome) => {
-                // One journal line per applied batch, before the ack —
-                // replay re-applies the same batches in the same order.
-                self.store.record_batch(session, &batch);
-                if let Some(p) = session.pending {
-                    if batch.iter().any(|&(id, _)| id == p) {
-                        session.pending = None;
-                    }
-                }
-                // No cache surgery needed: the batch bumped the engine
-                // generation exactly once, which is what the question
-                // cache is keyed on.
-                let mut fields = vec![
-                    ("applied", Json::from(outcome.applied)),
-                    ("informative_labels", Json::from(outcome.informative_labels)),
-                    ("pruned", Json::from(outcome.pruned)),
-                    (
-                        "informative_remaining",
-                        Json::from(outcome.informative_remaining),
-                    ),
-                    ("resolved", Json::Bool(outcome.resolved)),
-                ];
-                if outcome.resolved {
-                    let predicate = session.engine.result();
-                    fields.push(("predicate", Json::from(predicate.to_string())));
-                    fields.push(("sql", Json::from(predicate.to_sql())));
-                }
-                ok(fields)
-            }
+        self.apply(session, &batch, |outcome| {
+            vec![
+                ("applied", Json::from(outcome.applied)),
+                ("informative_labels", Json::from(outcome.informative_labels)),
+            ]
+        })
+    }
+
+    /// The one label path of `Answer` (a batch of one) and `AnswerBatch`:
+    /// apply the batch in one engine pass, journal it before the ack and
+    /// clear the pending question it answered. The response is the op's
+    /// `head` fields, then what the batch did, then the predicate once
+    /// resolved.
+    fn apply(
+        &self,
+        session: &mut Session,
+        batch: &[(ProductId, Label)],
+        head: impl FnOnce(&BatchOutcome) -> Vec<(&'static str, Json)>,
+    ) -> Json {
+        // Atomic: on any rejected entry the engine is untouched, so the
+        // pending question and its generation-keyed cache stay exactly
+        // valid, and nothing is journaled. On success the generation moved
+        // once, which is what the question cache is keyed on.
+        let outcome = match session.engine.label_batch(batch) {
+            Ok(outcome) => outcome,
+            Err(e) => return error(e.to_string()),
+        };
+        // One journal line per applied batch, before the ack: replay
+        // re-applies the same batches in the same order.
+        self.store.record_batch(session, batch);
+        if session
+            .pending
+            .is_some_and(|p| batch.iter().any(|&(id, _)| id == p))
+        {
+            session.pending = None;
         }
+        let mut fields = head(&outcome);
+        fields.extend([
+            ("pruned", Json::from(outcome.pruned)),
+            (
+                "informative_remaining",
+                Json::from(outcome.informative_remaining),
+            ),
+            ("resolved", Json::Bool(outcome.resolved)),
+        ]);
+        if outcome.resolved {
+            fields.extend(predicate_fields(&session.engine));
+        }
+        ok(fields)
     }
 
     fn stats(session: &mut Session) -> Json {
@@ -526,11 +508,11 @@ impl Handler {
                 ]))
             })
             .collect();
-        // Evicted-but-durable sessions, readable straight off their
-        // journal headers (label lines are scanned, not decoded) — no
-        // engine rebuild, and (like peek) nothing is resurrected. A
-        // journal that cannot be read is listed with its reason, so it
-        // stays findable (and closable) and matches Metrics' disk gauge.
+        // Evicted-but-durable sessions, read off their journals by the one
+        // journal reader: no engine rebuild, and (like peek) nothing is
+        // resurrected. A journal that cannot be read is listed with the
+        // error resuming it would report, so it stays findable (and
+        // closable) and matches Metrics' disk gauge.
         let mut disk_count = 0u64;
         if let Some(journal) = self.store.journal() {
             for id in self.store.disk_ids() {
@@ -539,15 +521,15 @@ impl Handler {
                     ("resident", Json::Bool(false)),
                     ("persisted", Json::Bool(true)),
                 ];
-                match journal.peek_meta(id) {
+                match journal.load(id) {
                     // Deleted since the directory was listed.
                     Ok(None) => continue,
-                    Ok(Some((origin, interactions))) => {
-                        let strategy = journal::strategy_kind(&origin)
+                    Ok(Some(stored)) => {
+                        let strategy = journal::strategy_kind(&stored.origin)
                             .map(|kind| kind.to_string())
                             .unwrap_or_else(|_| "?".into());
                         fields.push(("strategy", Json::from(strategy)));
-                        fields.push(("interactions", Json::from(interactions)));
+                        fields.push(("interactions", Json::from(stored.interactions())));
                     }
                     Err(reason) => fields.push(("error", Json::from(reason))),
                 }
@@ -576,12 +558,18 @@ impl Handler {
 
 /// `{resolved:true}` plus the inferred query.
 fn resolved_response(engine: &Engine) -> Json {
+    let mut fields = vec![("resolved", Json::Bool(true))];
+    fields.extend(predicate_fields(engine));
+    ok(fields)
+}
+
+/// The engine's current predicate, as text and as SQL.
+fn predicate_fields(engine: &Engine) -> [(&'static str, Json); 2] {
     let predicate = engine.result();
-    ok([
-        ("resolved", Json::Bool(true)),
+    [
         ("predicate", Json::from(predicate.to_string())),
         ("sql", Json::from(predicate.to_sql())),
-    ])
+    ]
 }
 
 /// `tuple` + rendered `values` fields for one candidate.

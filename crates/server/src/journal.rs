@@ -23,6 +23,14 @@
 //! live session's exact state trajectory (stats and interaction log
 //! included).
 //!
+//! [`JournalStore::load`] is the one journal reader: resume and
+//! `ListSessions` both call it. The header's origin and each batch line's
+//! labels decode through `jim-core`'s own decoders
+//! ([`SessionOrigin::from_json`], [`Transcript::labels_from_json`]), the
+//! ones the wire uses too, so a journal accepts every label spelling and
+//! rank form a request does; its writer writes `+`/`-` and `jim-json`'s
+//! `u64` form.
+//!
 //! **Durability caveat:** appends are flushed to the OS (`write` + close)
 //! but not fsynced — a kernel crash can lose the tail. A torn trailing
 //! line (partial write at process death) is tolerated on load: it is
@@ -284,35 +292,6 @@ impl JournalStore {
         self.ids().last().copied().unwrap_or(0)
     }
 
-    /// The origin and recorded-label count of a session, **without**
-    /// materializing its batches: only the header line is JSON-parsed;
-    /// labels are counted by scanning the batch lines for their `"tuple"`
-    /// keys (the writer is ours, so the count is exact for well-formed
-    /// journals). `ListSessions` calls this per on-disk session — a
-    /// listing must stay a scan, not a decode, of every journal.
-    pub fn peek_meta(&self, id: u64) -> Result<Option<(SessionOrigin, u64)>, String> {
-        let text = match fs::read_to_string(self.path(id)) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("journal for session {id}: {e}")),
-            Ok(text) => text,
-        };
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines
-            .next()
-            .ok_or_else(|| format!("journal for session {id} is empty"))?;
-        let header =
-            Json::parse(header).map_err(|e| format!("journal header for session {id}: {e}"))?;
-        let origin = header
-            .get("origin")
-            .ok_or_else(|| format!("journal header for session {id} has no origin"))?;
-        let origin = SessionOrigin::from_json(origin)
-            .map_err(|e| format!("journal origin for session {id}: {e}"))?;
-        let labels = lines
-            .map(|line| line.matches("\"tuple\":").count() as u64)
-            .sum();
-        Ok(Some((origin, labels)))
-    }
-
     /// Load a session's journal. `Ok(None)` when no journal exists;
     /// `Err` when the header is unreadable or a non-trailing line is
     /// corrupt. A truncated **trailing** line is a torn write — only
@@ -486,12 +465,16 @@ mod tests {
         let _ = fs::remove_dir_all(store.root());
     }
 
+    /// What `ListSessions` reads off a journal: `load`'s origin and label
+    /// count. Batch lines decode like the wire's `labels`, so any label
+    /// spelling a request may send reads back.
     #[test]
-    fn peek_meta_counts_labels_without_decoding_batches() {
+    fn load_counts_labels_and_reads_wire_spellings() {
         let store = JournalStore::open(tmpdir("meta")).unwrap();
         let origin = flights_origin();
         store.create(8, &origin).unwrap();
-        assert_eq!(store.peek_meta(8).unwrap(), Some((origin.clone(), 0)));
+        let stored = store.load(8).unwrap().unwrap();
+        assert_eq!((&stored.origin, stored.interactions()), (&origin, 0));
         store.append(8, &[(ProductId(2), Label::Positive)]).unwrap();
         store
             .append(
@@ -502,8 +485,23 @@ mod tests {
                 ],
             )
             .unwrap();
-        assert_eq!(store.peek_meta(8).unwrap(), Some((origin, 3)));
-        assert_eq!(store.peek_meta(99).unwrap(), None);
+        let stored = store.load(8).unwrap().unwrap();
+        assert_eq!((&stored.origin, stored.interactions()), (&origin, 3));
+        assert_eq!(store.load(99).unwrap(), None);
+
+        let mut text = fs::read_to_string(store.path(8)).unwrap();
+        text.push_str(
+            "{\"labels\":[{\"tuple\":9,\"label\":\"yes\"},{\"tuple\":10,\"label\":false}]}\n",
+        );
+        fs::write(store.path(8), text).unwrap();
+        let stored = store.load(8).unwrap().unwrap();
+        assert_eq!(
+            stored.batches.last(),
+            Some(&vec![
+                (ProductId(9), Label::Positive),
+                (ProductId(10), Label::Negative)
+            ])
+        );
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -541,8 +539,8 @@ mod tests {
     }
 
     /// A journal written over a uniform sample (a version-1 header that
-    /// says `"sampled":true`) is refused on load and on peek: sampling was
-    /// removed, and the sample cannot be rebuilt.
+    /// says `"sampled":true`) is refused on load: sampling was removed, and
+    /// the sample cannot be rebuilt.
     #[test]
     fn sampled_origin_rebuilds_the_identical_sample() {
         let store = JournalStore::open(tmpdir("sampled")).unwrap();
@@ -551,8 +549,6 @@ mod tests {
 "#;
         fs::write(store.path(9), journal).unwrap();
         let err = store.load(9).unwrap_err();
-        assert!(err.contains("sampling was removed"), "{err}");
-        let err = store.peek_meta(9).unwrap_err();
         assert!(err.contains("sampling was removed"), "{err}");
         let _ = fs::remove_dir_all(store.root());
     }

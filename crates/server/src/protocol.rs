@@ -26,8 +26,18 @@
 //! {"op":"CloseSession","session":1}
 //! {"op":"Metrics"}
 //! ```
+//!
+//! Ranks and counts travel through `jim-json`'s one `u64` codec: a JSON
+//! number up to 2^53, a decimal string past it (`"tuple":"9999000000000000"`),
+//! in requests and responses alike, so a rank the server proposes always
+//! comes back. A request's `source` and its labels decode through the same
+//! `jim-core` decoders the journal and transcripts use
+//! ([`jim_core::OriginSource::from_json`], [`jim_core::Label::from_json`],
+//! [`jim_core::Transcript::labels_from_json`]); this module adds only the
+//! request's own rules (which fields an op needs, non-empty batches, the
+//! refused sampling knobs).
 
-use jim_core::{Label, StrategyKind};
+use jim_core::{Label, StrategyKind, Transcript};
 use jim_json::Json;
 
 /// Where a session's relations come from: inline CSV text (with an
@@ -155,10 +165,9 @@ impl Request {
         // label the wrong row).
         let tuple = match json.get("tuple") {
             None => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| format!("`tuple` must be a non-negative rank, got {v}"))?,
-            ),
+            Some(v) => Some(v.as_u64().ok_or_else(|| {
+                format!("`tuple` must be a non-negative rank (a decimal string past 2^53), got {v}")
+            })?),
         };
         match op {
             "CreateSession" => {
@@ -171,43 +180,8 @@ impl Request {
                         .into());
                 }
                 let source = json.get("source").ok_or("missing `source` field")?;
-                let source = if let Some(name) = source.get("scenario").and_then(Json::as_str) {
-                    Source::Scenario {
-                        name: name.to_string(),
-                    }
-                } else if let Some(rels) = source.get("relations").and_then(Json::as_array) {
-                    let mut relations = Vec::new();
-                    for (i, rel) in rels.iter().enumerate() {
-                        let name = rel
-                            .get("name")
-                            .and_then(Json::as_str)
-                            .ok_or(format!("relation {i}: missing `name`"))?;
-                        let csv = rel
-                            .get("csv")
-                            .and_then(Json::as_str)
-                            .ok_or(format!("relation {i}: missing `csv`"))?;
-                        relations.push((name.to_string(), csv.to_string()));
-                    }
-                    let view = match json.get("source").and_then(|s| s.get("view")) {
-                        None => None,
-                        Some(v) => Some(
-                            v.as_array()
-                                .ok_or("`view` must be an array of relation names")?
-                                .iter()
-                                .map(|n| {
-                                    n.as_str()
-                                        .map(str::to_string)
-                                        .ok_or("`view` entries must be strings".to_string())
-                                })
-                                .collect::<Result<Vec<_>, _>>()?,
-                        ),
-                    };
-                    Source::Inline { relations, view }
-                } else {
-                    return Err("`source` needs either `scenario` or `relations`".into());
-                };
                 Ok(Request::CreateSession {
-                    source,
+                    source: Source::from_json(source).map_err(|e| e.to_string())?,
                     strategy: json
                         .get("strategy")
                         .and_then(Json::as_str)
@@ -231,31 +205,22 @@ impl Request {
             "Answer" => Ok(Request::Answer {
                 session: session()?,
                 tuple,
-                label: parse_label(json.get("label").ok_or("`Answer` needs a `label`")?)?,
+                label: Label::from_json(json.get("label").ok_or("`Answer` needs a `label`")?)?,
             }),
             "AnswerBatch" => {
-                let entries = json
+                let labels = json
                     .get("labels")
-                    .and_then(Json::as_array)
                     .ok_or("`AnswerBatch` needs a `labels` array")?;
-                if entries.is_empty() {
+                let labels = Transcript::labels_from_json(labels).map_err(|e| e.to_string())?;
+                if labels.is_empty() {
                     return Err("`labels` must not be empty".into());
-                }
-                let mut labels = Vec::with_capacity(entries.len());
-                for (i, entry) in entries.iter().enumerate() {
-                    let rank = entry
-                        .get("tuple")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("labels[{i}]: `tuple` must be a non-negative rank"))?;
-                    let label = entry
-                        .get("label")
-                        .ok_or(format!("labels[{i}]: missing `label`"))
-                        .and_then(|l| parse_label(l).map_err(|e| format!("labels[{i}]: {e}")))?;
-                    labels.push((rank, label));
                 }
                 Ok(Request::AnswerBatch {
                     session: session()?,
-                    labels,
+                    labels: labels
+                        .into_iter()
+                        .map(|(id, label)| (id.0, label))
+                        .collect(),
                 })
             }
             "Stats" => Ok(Request::Stats {
@@ -287,19 +252,6 @@ impl Request {
     pub fn parse(line: &str) -> Result<Request, String> {
         let json = Json::parse(line).map_err(|e| e.to_string())?;
         Request::from_json(&json)
-    }
-}
-
-/// Accepts `"+"`, `"-"`, `"positive"`, `"negative"`, `"yes"`, `"no"`,
-/// `"y"`, `"n"` (case-insensitive) and JSON booleans.
-pub fn parse_label(value: &Json) -> Result<Label, String> {
-    if let Some(b) = value.as_bool() {
-        return Ok(Label::from_bool(b));
-    }
-    match value.as_str().map(str::to_ascii_lowercase).as_deref() {
-        Some("+" | "positive" | "yes" | "y" | "true") => Ok(Label::Positive),
-        Some("-" | "negative" | "no" | "n" | "false") => Ok(Label::Negative),
-        _ => Err(format!("bad label {value}; use \"+\" or \"-\"")),
     }
 }
 
@@ -617,10 +569,13 @@ mod tests {
             r#"{"op":"Answer","session":1,"tuple":"7","label":"+"}"#,
             r#"{"op":"Answer","session":1,"tuple":-3,"label":"+"}"#,
             r#"{"op":"Answer","session":1,"tuple":1.5,"label":"+"}"#,
+            r#"{"op":"Answer","session":1,"tuple":"+9999000000000000","label":"+"}"#,
             r#"{"op":"Explain","session":1,"tuple":"x"}"#,
+            r#"{"op":"Explain","session":1,"tuple":9999000000000000}"#,
         ] {
             let err = Request::parse(bad).unwrap_err();
             assert!(err.contains("tuple"), "{bad} -> {err}");
+            assert!(err.contains("decimal string past 2^53"), "{bad} -> {err}");
         }
     }
 

@@ -28,7 +28,7 @@
 //! session's origin and label batches are already on disk *before* any
 //! answer is acked (write-ahead, see [`crate::journal`]), so LRU/TTL
 //! eviction simply drops the in-memory copy — nothing is written at
-//! eviction time — and [`SessionStore::get`] **falls through to disk on a
+//! eviction time — and [`SessionStore::fetch`] **falls through to disk on a
 //! miss**, rebuilding the engine from its origin and replaying the
 //! journal batch by batch. Requests against an evicted id therefore keep
 //! working transparently; only [`SessionStore::remove`] (the wire's
@@ -211,25 +211,13 @@ impl SessionStore {
         self.len() == 0
     }
 
-    /// Insert a new session built from `engine` + `strategy`; returns its
-    /// id and handle. Evicts expired sessions first, then the
-    /// least-recently-used session if the store is still at capacity.
-    /// Returns the id of the evicted LRU session, if any, alongside the
-    /// new session.
-    pub fn create(
-        &self,
-        engine: Engine,
-        strategy: Box<dyn Strategy + Send>,
-        strategy_name: String,
-    ) -> (Arc<Mutex<Session>>, Option<u64>) {
-        self.create_session(engine, strategy, strategy_name, false, None)
-    }
-
-    /// [`SessionStore::create`] with the provenance to persist. With a
-    /// journal attached and an origin given, the journal header is written
-    /// before this returns — the session is durable from birth
-    /// (`Session::persisted`); without either, the session is memory-only
-    /// and dies with its eviction.
+    /// Insert a new session built from `engine` + `strategy` and return
+    /// its handle, with the id of the session evicted to make room, if
+    /// any: expired sessions go first, then the least-recently-used one if
+    /// the store is still at capacity. With a journal attached and an
+    /// origin given, the journal header is written before this returns —
+    /// the session is durable from birth (`Session::persisted`); without
+    /// either, the session is memory-only and dies with its eviction.
     ///
     /// `_sampled` is ignored: every session covers its whole product. It
     /// is kept only because perfbench's shadow handler
@@ -318,20 +306,9 @@ impl SessionStore {
 
     /// Fetch a session handle, refreshing its LRU/TTL stamp. With a
     /// journal attached this **falls through to disk** on a memory miss
-    /// and rehydrates the session by replay; journal errors are logged
-    /// and reported as a miss (use [`SessionStore::fetch`] to see them).
-    pub fn get(&self, id: u64) -> Option<Arc<Mutex<Session>>> {
-        match self.fetch(id) {
-            Ok(handle) => handle,
-            Err(e) => {
-                eprintln!("jim-server: resume of session {id} failed: {e}");
-                None
-            }
-        }
-    }
-
-    /// [`SessionStore::get`] with journal errors surfaced: `Ok(None)`
-    /// means the session exists neither in memory nor on disk.
+    /// and rehydrates the session by replay. `Ok(None)` means the session
+    /// exists neither in memory nor on disk; `Err` is the journal's reason
+    /// it cannot be resumed.
     pub fn fetch(&self, id: u64) -> Result<Option<Arc<Mutex<Session>>>, String> {
         if let Some(handle) = self.get_resident(id) {
             return Ok(Some(handle));
@@ -524,7 +501,8 @@ mod tests {
 
     fn create(s: &SessionStore) -> (u64, Option<u64>) {
         let kind = StrategyKind::LookaheadMinPrune;
-        let (session, evicted) = s.create(engine(), kind.build(), kind.to_string());
+        let (session, evicted) =
+            s.create_session(engine(), kind.build(), kind.to_string(), false, None);
         let id = session.lock().unwrap().id;
         (id, evicted)
     }
@@ -537,8 +515,8 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(s.len(), 2);
         assert_eq!(s.ids(), vec![a, b]);
-        assert!(s.get(a).is_some());
-        assert!(s.get(999).is_none());
+        assert!(s.fetch(a).unwrap().is_some());
+        assert!(s.fetch(999).unwrap().is_none());
         assert!(s.remove(a));
         assert!(!s.remove(a));
         assert_eq!(s.len(), 1);
@@ -551,7 +529,7 @@ mod tests {
         let (b, e2) = create(&s);
         assert_eq!((e1, e2), (None, None));
         // Touch `a` so `b` becomes the LRU.
-        assert!(s.get(a).is_some());
+        assert!(s.fetch(a).unwrap().is_some());
         let (c, evicted) = create(&s);
         assert_eq!(evicted, Some(b));
         assert_eq!(s.ids(), vec![a, c]);
@@ -568,7 +546,7 @@ mod tests {
         let future = Instant::now() + ttl + Duration::from_secs(1);
         assert_eq!(s.sweep_at(future), vec![a]);
         assert!(s.is_empty());
-        assert!(s.get(a).is_none());
+        assert!(s.fetch(a).unwrap().is_none());
     }
 
     #[test]
@@ -590,14 +568,14 @@ mod tests {
         let s = store(8, Duration::from_secs(60));
         let (id, _) = create(&s);
         {
-            let h = s.get(id).unwrap();
+            let h = s.fetch(id).unwrap().unwrap();
             let mut guard = h.lock().unwrap();
             let session = &mut *guard;
             let pick = jim_core::strategy::choose_next(session.strategy.as_mut(), &session.engine)
                 .unwrap();
             session.pending = Some(pick);
         }
-        let h = s.get(id).unwrap();
+        let h = s.fetch(id).unwrap().unwrap();
         assert!(h.lock().unwrap().pending.is_some());
     }
 
@@ -649,7 +627,7 @@ mod tests {
     /// Label the session through the store the way the handler does:
     /// engine first, then the journal append, under the session lock.
     fn label_recorded(s: &SessionStore, id: u64, batch: &[(ProductId, jim_core::Label)]) {
-        let handle = s.get(id).unwrap();
+        let handle = s.fetch(id).unwrap().unwrap();
         let mut guard = handle.lock().unwrap();
         let session = &mut *guard;
         session.engine.label_batch(batch).unwrap();
@@ -679,10 +657,10 @@ mod tests {
         assert_eq!(s.disk_ids(), vec![id]);
         assert_eq!((s.evicted_total(), s.persisted_total()), (1, 1));
 
-        // A plain get falls through to disk and replays: the rehydrated
+        // A plain fetch falls through to disk and replays: the rehydrated
         // engine carries the exact labeled state, batch trajectory
         // included (generation = number of recorded batches).
-        let handle = s.get(id).unwrap();
+        let handle = s.fetch(id).unwrap().unwrap();
         let session = handle.lock().unwrap();
         assert_eq!(session.id, id);
         assert!(session.persisted);
@@ -704,7 +682,7 @@ mod tests {
         let future = Instant::now() + ttl + Duration::from_secs(1);
         assert_eq!(s.sweep_at(future), vec![id]);
         assert_eq!((s.evicted_total(), s.persisted_total()), (1, 0));
-        assert!(s.get(id).is_none());
+        assert!(s.fetch(id).unwrap().is_none());
         cleanup(&s);
     }
 
@@ -715,7 +693,10 @@ mod tests {
         assert!(s.journal().unwrap().contains(id));
         assert!(s.remove(id));
         assert!(!s.journal().unwrap().contains(id));
-        assert!(s.get(id).is_none(), "closed ≠ evicted: no resume");
+        assert!(
+            s.fetch(id).unwrap().is_none(),
+            "closed ≠ evicted: no resume"
+        );
         assert!(!s.remove(id));
 
         // Removing an evicted-but-durable session also deletes its journal.
@@ -723,7 +704,7 @@ mod tests {
         let id = create_persisted(&s);
         s.sweep_at(Instant::now() + ttl + Duration::from_secs(1));
         assert!(s.remove(id), "on-disk-only session still closable");
-        assert!(s.get(id).is_none());
+        assert!(s.fetch(id).unwrap().is_none());
         cleanup(&s);
     }
 
@@ -743,7 +724,7 @@ mod tests {
         assert!(s.is_empty(), "nothing resident after restart");
         assert_eq!(s.disk_ids(), vec![1]);
         // The old session resumes with its label; new ids never collide.
-        let handle = s.get(1).unwrap();
+        let handle = s.fetch(1).unwrap().unwrap();
         assert_eq!(handle.lock().unwrap().engine.stats().interactions(), 1);
         let (new_id, _) = create(&s);
         assert_eq!(new_id, 2);
@@ -758,13 +739,13 @@ mod tests {
         let ttl = Duration::from_secs(60);
         let s = store(2, ttl);
         let (a, _) = create(&s);
-        let held = s.get(a).unwrap();
+        let held = s.fetch(a).unwrap().unwrap();
         let future = Instant::now() + ttl + Duration::from_secs(1);
         assert!(s.sweep_at(future).is_empty(), "busy session survives TTL");
         // The LRU path spares it too: at capacity, the *other* (idle)
         // session is the victim even though `a` is least-recently-used.
         let (b, _) = create(&s);
-        assert!(s.get(b).is_some());
+        assert!(s.fetch(b).unwrap().is_some());
         let (c, evicted) = create(&s);
         assert_eq!(evicted, Some(b), "idle session evicted over the busy LRU");
         drop(held);
@@ -776,13 +757,13 @@ mod tests {
         let s = journaled_store("lru", 2, Duration::from_secs(600));
         let a = create_persisted(&s);
         let b = create_persisted(&s);
-        assert!(s.get(a).is_some()); // make b the LRU victim
+        assert!(s.fetch(a).unwrap().is_some()); // make b the LRU victim
         let c = create_persisted(&s);
         assert_eq!(s.ids(), vec![a, c]);
         assert_eq!((s.evicted_total(), s.persisted_total()), (1, 1));
         // The LRU victim is still reachable — getting it back evicts the
         // new LRU (a, untouched since) to stay under the cap.
-        assert!(s.get(b).is_some());
+        assert!(s.fetch(b).unwrap().is_some());
         assert_eq!(s.len(), 2);
         assert_eq!(s.evicted_total(), 2);
         cleanup(&s);
@@ -797,7 +778,7 @@ mod tests {
         let s = journaled_store("sweepreport", 2, ttl);
         let a = create_persisted(&s);
         let b = create_persisted(&s);
-        assert!(s.get(a).is_some()); // b becomes the LRU victim
+        assert!(s.fetch(a).unwrap().is_some()); // b becomes the LRU victim
         let c = create_persisted(&s); // LRU-evicts b, persisted
         assert_eq!((s.evicted_total(), s.persisted_total()), (1, 1));
 
@@ -822,7 +803,7 @@ mod tests {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
                     let (id, _) = create(&s);
-                    assert!(s.get(id).is_some());
+                    assert!(s.fetch(id).unwrap().is_some());
                     id
                 })
             })
@@ -863,7 +844,7 @@ mod tests {
                     (0..30)
                         .map(|i| {
                             let (id, _) = create(&s);
-                            drop(s.get(id));
+                            drop(s.fetch(id).unwrap());
                             if i % 3 == 0 {
                                 s.remove(id);
                             }

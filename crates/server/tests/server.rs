@@ -8,6 +8,7 @@ use jim_core::{Engine, EngineOptions, Transcript};
 use jim_json::Json;
 use jim_relation::Product;
 use jim_server::handler::{Handler, ServerLimits};
+use jim_server::journal::JournalStore;
 use jim_server::store::{SessionStore, StoreConfig};
 use jim_synth::flights;
 use std::sync::Arc;
@@ -159,9 +160,9 @@ fn wire_transcript_replays_into_a_fresh_local_engine() {
         .instance_equivalent(&goal, engine.product())
         .unwrap());
 
-    // The plain-text form round-trips through the v1 format too.
+    // The `text` field is the same transcript's rendering.
     let text = t.get("text").unwrap().as_str().unwrap();
-    assert_eq!(Transcript::parse(text).unwrap(), transcript);
+    assert_eq!(text, transcript.to_string());
 }
 
 #[test]
@@ -499,4 +500,89 @@ fn top_k_free_labeling_and_explain() {
         .as_str()
         .unwrap()
         .contains("already labeled"));
+}
+
+/// A `CreateSession` over 10^16 tuples: `r` is 9,999 rows `0,0` then one
+/// row `1,1`, `s` is 10,000 rows `0,0`, and the view is `r × s × s × s`.
+/// Only the `1,1` row's tuples are informative, and the first of them has
+/// rank 9,999 · 10^12, past 2^53.
+fn create_past_two_to_the_53() -> String {
+    let r = format!("a,b\n{}1,1\n", "0,0\n".repeat(9_999));
+    let s = format!("c,d\n{}", "0,0\n".repeat(10_000));
+    format!(
+        r#"{{"op":"CreateSession","source":{{"relations":[{{"name":"r","csv":{}}},{{"name":"s","csv":{}}}],"view":["r","s","s","s"]}},"strategy":"local-general"}}"#,
+        Json::from(r),
+        Json::from(s)
+    )
+}
+
+/// A rank past 2^53 that the server proposes comes back through `Answer`,
+/// `TopK` + `AnswerBatch` and `Explain`; every count of the product agrees;
+/// the labels survive eviction and resume; and only the canonical string
+/// form is accepted.
+#[test]
+fn ranks_past_two_to_the_53_round_trip_through_every_op() {
+    let dir = std::env::temp_dir().join(format!("jim-server-big-ranks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = StoreConfig::default();
+    let journal = JournalStore::open(&dir).unwrap();
+    let h = Handler::new(Arc::new(SessionStore::with_journal(config, journal)));
+    let (size, rank) = (Json::from(10u64.pow(16)), Json::from(9_999 * 10u64.pow(12)));
+    assert_eq!(rank.render(), r#""9999000000000000""#);
+    let op = |name: &str, id: u64, extra: &str| {
+        expect_ok(&h, &format!(r#"{{"op":"{name}","session":{id}{extra}}}"#))
+    };
+    let create = || {
+        let created = expect_ok(&h, &create_past_two_to_the_53());
+        assert_eq!(created.get("tuples"), Some(&size));
+        created.get("session").and_then(Json::as_u64).unwrap()
+    };
+
+    // One session takes the proposed rank back through `Explain` and
+    // `Answer`, the other through `TopK` and `AnswerBatch`.
+    let one = create();
+    assert_eq!(op("NextQuestion", one, "").get("tuple"), Some(&rank));
+    let explained = op("Explain", one, &format!(r#","tuple":{rank}"#));
+    assert_eq!(explained.get("tuple"), Some(&rank));
+    let answered = op("Answer", one, &format!(r#","tuple":{rank},"label":"-""#));
+    assert_eq!(answered.get("tuple"), Some(&rank));
+    let two = create();
+    let top = op("TopK", two, r#","k":4"#);
+    let proposed = top.get("tuples").and_then(Json::as_array).unwrap();
+    assert_eq!(proposed[0].get("tuple"), Some(&rank));
+    let labels: Vec<String> = proposed
+        .iter()
+        .map(|t| format!(r#"{{"tuple":{},"label":"-"}}"#, t.get("tuple").unwrap()))
+        .collect();
+    let labels = format!(r#","labels":[{}]"#, labels.join(","));
+    let applied = op("AnswerBatch", two, &labels).get("applied").cloned();
+    assert_eq!(applied, Some(Json::from(proposed.len())));
+
+    // Every count of the product agrees, and the transcripts carry the
+    // rank; evicted and resumed from the journal, both sessions replay
+    // their labels exactly.
+    let transcript = |id| op("Transcript", id, "").get("transcript").unwrap().clone();
+    let before = [transcript(one), transcript(two)];
+    for t in &before {
+        assert_eq!(t.get("tuples"), Some(&size));
+        let first = &t.get("labels").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(first.get("tuple"), Some(&rank));
+    }
+    let future = Instant::now() + config.ttl + Duration::from_secs(1);
+    assert_eq!(h.store().sweep_at(future), vec![one, two]);
+    for (id, before) in [one, two].into_iter().zip(before) {
+        assert_eq!(op("ResumeSession", id, "").get("tuples"), Some(&size));
+        assert_eq!(op("Stats", id, "").get("total_tuples"), Some(&size));
+        assert_eq!(transcript(id), before);
+    }
+
+    // Only the canonical forms are ranks: a number up to 2^53, a decimal
+    // string past it.
+    for bad in [r#""7""#, r#""+9999000000000000""#, "9999000000000000"] {
+        let line = format!(r#"{{"op":"Answer","session":{one},"tuple":{bad},"label":"-"}}"#);
+        let refused = send(&h, &line);
+        let message = refused.get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains("decimal string past 2^53"), "{message}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -116,11 +116,12 @@ fn forged_transcript_against_grown_instance_is_rejected() {
 fn transcript_with_out_of_range_rank_fails_replay() {
     let (f, h) = (flights::flights(), flights::hotels());
     let e = fresh_engine(&f, &h);
-    let text = format!(
-        "#jim-transcript v1\n#schema {}\n#tuples 12\n+ 50\n",
-        e.product().schema()
-    );
-    let t = Transcript::parse(&text).unwrap();
+    let t = Transcript {
+        schema: e.product().schema().to_string(),
+        tuples: 12,
+        labels: vec![(ProductId(50), Label::Positive)],
+        origin: None,
+    };
     let mut fresh = fresh_engine(&f, &h);
     assert!(matches!(
         t.replay(&mut fresh),

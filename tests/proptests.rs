@@ -598,9 +598,9 @@ proptest! {
         }
 
         // The rehydrated engine must be indistinguishable from the
-        // never-evicted one (peek resumes transparently via get).
-        let durable_handle = durable.store().get(durable_id).expect("resumable");
-        let live_handle = live.store().get(live_id).expect("resident");
+        // never-evicted one (fetch resumes it transparently).
+        let durable_handle = durable.store().fetch(durable_id).unwrap().expect("resumable");
+        let live_handle = live.store().fetch(live_id).unwrap().expect("resident");
         let durable_session = durable_handle.lock().unwrap();
         let live_session = live_handle.lock().unwrap();
         let (d, l) = (&durable_session.engine, &live_session.engine);
