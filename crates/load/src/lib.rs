@@ -37,8 +37,7 @@
 use jim_json::Json;
 use jim_metrics::{Histogram, HistogramSnapshot};
 use jim_server::{
-    serve_with, spawn_sweeper, Handler, JournalStore, Op, SessionStore, Shutdown, StoreConfig,
-    TransportLimits,
+    serve_with, Handler, JournalStore, Op, SessionStore, Shutdown, StoreConfig, TransportLimits,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -665,7 +664,6 @@ struct SpawnedServer {
     addr: String,
     shutdown: Shutdown,
     serve_thread: Option<std::thread::JoinHandle<()>>,
-    sweeper: Option<std::thread::JoinHandle<()>>,
     journal_dir: PathBuf,
 }
 
@@ -681,14 +679,14 @@ impl SpawnedServer {
         // Capacity above the live working set (one open session per
         // worker plus the ~15% left unclosed), yet low enough that a
         // long run exercises LRU eviction + journal resume.
-        let store = Arc::new(SessionStore::with_journal(
+        let store = SessionStore::with_journal(
             StoreConfig {
                 max_sessions: config.concurrency * 2 + 64,
                 ttl: Duration::from_secs(600),
             },
             journal,
-        ));
-        let handler = Arc::new(Handler::new(Arc::clone(&store)));
+        );
+        let handler = Arc::new(Handler::new(Arc::new(store)));
         let listener = std::net::TcpListener::bind("127.0.0.1:0")
             .map_err(|e| format!("bind 127.0.0.1:0: {e}"))?;
         let addr = listener
@@ -696,7 +694,6 @@ impl SpawnedServer {
             .map_err(|e| format!("local_addr: {e}"))?
             .to_string();
         let shutdown = Shutdown::new();
-        let sweeper = spawn_sweeper(&store, Duration::from_secs(5), shutdown.clone());
         let serve_shutdown = shutdown.clone();
         let limits = config.limits.clone();
         let serve_thread = std::thread::spawn(move || {
@@ -708,7 +705,6 @@ impl SpawnedServer {
             addr,
             shutdown,
             serve_thread: Some(serve_thread),
-            sweeper: Some(sweeper),
             journal_dir,
         })
     }
@@ -718,9 +714,6 @@ impl Drop for SpawnedServer {
     fn drop(&mut self) {
         self.shutdown.trigger();
         if let Some(t) = self.serve_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.sweeper.take() {
             let _ = t.join();
         }
         let _ = std::fs::remove_dir_all(&self.journal_dir);

@@ -80,7 +80,7 @@ fn max_product_opt<'a>(words: &[&'a str]) -> Result<(Vec<&'a str>, String), Stri
         let n: u64 = w["max=".len()..]
             .parse()
             .map_err(|_| format!("bad value in `{w}` (want a non-negative integer)"))?;
-        extra = format!(r#","max_product":{n}"#);
+        extra = format!(r#","max_product":{}"#, Json::from(n));
     }
     Ok((rest, extra))
 }

@@ -3,7 +3,6 @@
 //! ```text
 //! jim-serve [--port N] [--host ADDR] [--max-sessions N] [--ttl-secs N]
 //!           [--max-product N] [--max-batch N] [--data-dir PATH]
-//!           [--metrics-interval SECS]
 //!           [--max-connections N] [--idle-timeout SECS] [--max-per-ip N]
 //! ```
 //!
@@ -22,12 +21,12 @@
 //! error (0 disables, the default). A connection has one request in
 //! flight at a time, so its requests run in the order sent; a pipelining
 //! peer gets every response, in order. `--transport epoll` is still
-//! accepted, as a no-op; any other transport exits 2.
+//! accepted, as a no-op; any other transport exits 2. The loop's timer
+//! tick, at least once a second, also sweeps sessions idle past
+//! `--ttl-secs` out of memory and logs each sweep that evicts any.
 //!
-//! `--metrics-interval SECS` logs a one-line metrics summary (requests,
-//! errors, latency quantiles, live connections, resident sessions) every
-//! SECS seconds; the same numbers are always available on demand through
-//! the `Metrics` wire op.
+//! The server's counters are available on demand through the `Metrics`
+//! wire op.
 //!
 //! Speaks the JSON-lines protocol of `jim_server::protocol`; try it with
 //! the `jim` REPL client or plain `nc`.
@@ -36,7 +35,7 @@
 
 use jim_server::handler::{Handler, ServerLimits};
 use jim_server::journal::JournalStore;
-use jim_server::serve::{serve_with, spawn_sweeper, Shutdown, TransportLimits};
+use jim_server::serve::{serve_with, Shutdown, TransportLimits};
 use jim_server::store::{SessionStore, StoreConfig};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -45,7 +44,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: jim-serve [--port N] [--host ADDR] [--max-sessions N] [--ttl-secs N] \
-         [--max-product N] [--max-batch N] [--data-dir PATH] [--metrics-interval SECS] \
+         [--max-product N] [--max-batch N] [--data-dir PATH] \
          [--max-connections N] [--idle-timeout SECS] [--max-per-ip N]"
     );
     std::process::exit(2);
@@ -57,7 +56,6 @@ fn main() -> std::io::Result<()> {
     let mut config = StoreConfig::default();
     let mut limits = ServerLimits::default();
     let mut data_dir: Option<String> = None;
-    let mut metrics_interval: Option<Duration> = None;
     let mut transport_limits = TransportLimits::default();
 
     let mut args = std::env::args().skip(1);
@@ -92,10 +90,6 @@ fn main() -> std::io::Result<()> {
                 _ => usage(),
             },
             "--data-dir" => data_dir = Some(value("--data-dir")),
-            "--metrics-interval" => match value("--metrics-interval").parse() {
-                Ok(secs) if secs > 0 => metrics_interval = Some(Duration::from_secs(secs)),
-                _ => usage(),
-            },
             // The epoll event loop is the one front end, and there is one
             // loop; these flags stay as no-ops so existing launch scripts
             // that name them keep working.
@@ -157,22 +151,6 @@ fn main() -> std::io::Result<()> {
             });
         }
         Err(_) => eprintln!("jim-serve: no signal hook on this platform; stop with a plain kill"),
-    }
-    spawn_sweeper(
-        &store,
-        Duration::from_secs(5).min(config.ttl),
-        shutdown.clone(),
-    );
-    if let Some(interval) = metrics_interval {
-        let metrics = store.metrics().clone();
-        let shutdown = shutdown.clone();
-        std::thread::spawn(move || {
-            // wait_timeout returns true iff shutdown triggered — the
-            // reporter exits on drain instead of logging into the void.
-            while !shutdown.wait_timeout(interval) {
-                eprintln!("jim-serve: {}", metrics.summary());
-            }
-        });
     }
     let handler = Arc::new(Handler::with_limits(store, limits));
 

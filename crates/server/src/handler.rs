@@ -60,7 +60,7 @@ impl Handler {
         Handler { store, limits }
     }
 
-    /// The shared store (the server's sweeper thread also holds it).
+    /// The shared store (the event loop also sweeps it on every tick).
     pub fn store(&self) -> &Arc<SessionStore> {
         &self.store
     }
@@ -143,8 +143,8 @@ impl Handler {
     }
 
     /// The `Metrics` op: refresh the on-disk session gauge (it is read
-    /// from the journal directory, and a snapshot should not be stale by
-    /// up to one sweep interval), then render the aggregate.
+    /// from the journal directory, here and nowhere else), then render
+    /// the aggregate.
     fn metrics_snapshot(&self) -> Json {
         let metrics = self.store.metrics();
         metrics

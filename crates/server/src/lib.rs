@@ -31,8 +31,9 @@
 //!   out of sweep budget is refused; nothing is ever sampled.
 //! * [`serve`] — the TCP front end (linux): one epoll event loop over
 //!   the in-repo `jim-aio` readiness shim that accepts and frames every
-//!   connection, and one worker pool that runs the handler (see
-//!   [`reactor`]'s module docs) — plus the TTL sweeper thread. Every
+//!   connection and, on its timer tick, reaps idle connections and
+//!   sweeps expired sessions, and one worker pool that runs the handler
+//!   (see [`reactor`]'s module docs). Every
 //!   connection runs one sans-IO connection core (`conn`: framing, the
 //!   line cap, blank lines, the idle clock, one request in flight at a
 //!   time, the close decision) behind one admission gate, and the server
@@ -41,8 +42,7 @@
 //! * [`metrics`] — the server-wide observability aggregate, one table of
 //!   typed `jim-metrics` fields: per-op request/error counters and latency
 //!   histograms, transport gauges and store/journal counters, exposed
-//!   on the wire as the `Metrics` op and as `jim-serve
-//!   --metrics-interval` log lines.
+//!   on the wire as the `Metrics` op.
 //! * [`scenario`] — named demo datasets a client can open without
 //!   shipping data.
 //!
@@ -84,5 +84,5 @@ pub use handler::{Handler, ServerLimits};
 pub use journal::{JournalStore, StoredSession};
 pub use metrics::{Op, OpMetrics, ServerMetrics};
 pub use protocol::{Request, ServerError, Source};
-pub use serve::{serve_with, spawn_sweeper, Shutdown, TransportLimits};
+pub use serve::{serve_with, Shutdown, TransportLimits};
 pub use store::{QuestionCache, Session, SessionStore, StoreConfig, SweepReport};

@@ -2,8 +2,8 @@
 //! layer of the service.
 //!
 //! The aggregate lives on the [`crate::store::SessionStore`] (the one
-//! object the handler, the event loop, the sweeper and the binaries all
-//! already share) and is one table of typed `jim-metrics` fields: a hot
+//! object the handler, the event loop and the binaries all already
+//! share) and is one table of typed `jim-metrics` fields: a hot
 //! path bumps a field directly, and every reader renders the same fields.
 //!
 //! Three layers report here:
@@ -20,12 +20,9 @@
 //!   recorded by `serve.rs`, `reactor.rs` and `conn.rs`.
 //! * **store/journal** — resident hits, disk resumes, replayed batches,
 //!   journal bytes written, eviction totals and sweep counters, recorded
-//!   by `store.rs` and the sweeper.
+//!   by `store.rs` and the event loop's TTL sweep.
 //!
-//! The wire's `Metrics` op renders [`ServerMetrics::snapshot_fields`];
-//! `jim-serve --metrics-interval` logs [`ServerMetrics::summary`]. Both
-//! read the same counters, so the log line and the snapshot can never
-//! disagree.
+//! The wire's `Metrics` op renders [`ServerMetrics::snapshot_fields`].
 
 use crate::protocol::Request;
 use jim_json::Json;
@@ -176,11 +173,11 @@ pub struct ServerMetrics {
     /// session map.
     pub resident_sessions: Gauge,
     /// Sessions on disk only, read from the journal directory (refreshed
-    /// by each sweep and each `Metrics` request).
+    /// by each `Metrics` request).
     pub disk_sessions: Gauge,
-    /// TTL sweeper passes.
+    /// TTL sweeps, one per event-loop tick.
     pub sweeps: Counter,
-    /// Sessions the sweeper evicted across all passes.
+    /// Sessions the TTL sweeps evicted across all ticks.
     pub swept_sessions: Counter,
     /// Sessions opened through factorized construction: every product
     /// over the limit, and those within it that were cheaper to factorize.
@@ -199,19 +196,6 @@ impl ServerMetrics {
     /// The per-op metrics of one wire op.
     pub fn op(&self, op: Op) -> &OpMetrics {
         &self.ops[op as usize]
-    }
-
-    /// All op latencies merged into one snapshot, plus total request and
-    /// error counts.
-    pub fn totals(&self) -> (u64, u64, HistogramSnapshot) {
-        let mut latency = HistogramSnapshot::empty();
-        let (mut requests, mut errors) = (0u64, 0u64);
-        for m in &self.ops {
-            requests += m.requests.get();
-            errors += m.errors.get();
-            latency.merge(&m.latency.snapshot());
-        }
-        (requests, errors, latency)
     }
 
     /// The `Metrics` response body: uptime plus the `ops` / `transport` /
@@ -278,26 +262,6 @@ impl ServerMetrics {
             ),
         ]
     }
-
-    /// The periodic log line `jim-serve --metrics-interval` emits — the
-    /// same counters the snapshot reads, one formatted line.
-    pub fn summary(&self) -> String {
-        let (requests, errors, latency) = self.totals();
-        format!(
-            "metrics: requests={requests} errors={errors} \
-             p50={}µs p99={}µs max={}µs conns={} queue={} \
-             resident={} disk={} evicted={} ({} resumable)",
-            latency.p50(),
-            latency.p99(),
-            latency.max(),
-            self.live_connections.get(),
-            self.worker_queue_depth.get(),
-            self.resident_sessions.get(),
-            self.disk_sessions.get(),
-            self.evicted_total.get(),
-            self.persisted_total.get(),
-        )
-    }
 }
 
 /// Render one latency snapshot for the wire.
@@ -359,18 +323,5 @@ mod tests {
         let store = json.get("store").unwrap();
         assert_eq!(store.get("evicted_total").unwrap().as_u64(), Some(2));
         assert!(json.get("uptime_secs").is_some());
-    }
-
-    #[test]
-    fn summary_is_one_line_from_the_same_counters() {
-        let m = ServerMetrics::new();
-        m.op(Op::Answer).requests.inc();
-        m.op(Op::Answer).latency.record(10);
-        m.evicted_total.add(2);
-        m.persisted_total.inc();
-        let line = m.summary();
-        assert!(!line.contains('\n'));
-        assert!(line.contains("requests=1"), "{line}");
-        assert!(line.contains("evicted=2 (1 resumable)"), "{line}");
     }
 }

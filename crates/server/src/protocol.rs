@@ -58,11 +58,13 @@ pub enum Request {
         /// The data to infer over.
         source: Source,
         /// Strategy name (see [`parse_strategy`]); default lookahead-minprune.
+        /// A present value that is not a string is refused.
         strategy: Option<String>,
         /// Enumerate at most this many product tuples (clamped to the
         /// server ceiling); larger products open through *factorized*
         /// construction at full fidelity, or are refused when the
-        /// factorization sweep passes its budget.
+        /// factorization sweep passes its budget. A present value that is
+        /// not a `u64` (see [`Json::as_u64`]) is refused.
         max_product: Option<u64>,
         /// Always `None`: a request that sends `sample_seed` is refused.
         /// Kept only because perfbench's shadow handler
@@ -182,11 +184,23 @@ impl Request {
                 let source = json.get("source").ok_or("missing `source` field")?;
                 Ok(Request::CreateSession {
                     source: Source::from_json(source).map_err(|e| e.to_string())?,
-                    strategy: json
-                        .get("strategy")
-                        .and_then(Json::as_str)
-                        .map(str::to_string),
-                    max_product: json.get("max_product").and_then(Json::as_u64),
+                    // Present but malformed is refused, as for `tuple`:
+                    // dropping it would open under the server's defaults.
+                    strategy: match json.get("strategy") {
+                        None => None,
+                        Some(v) => Some(
+                            v.as_str()
+                                .ok_or("`strategy` must be a strategy name string")?
+                                .to_string(),
+                        ),
+                    },
+                    max_product: match json.get("max_product") {
+                        None => None,
+                        Some(v) => Some(v.as_u64().ok_or(
+                            "`max_product` must be a non-negative integer \
+                             (a decimal string past 2^53)",
+                        )?),
+                    },
                     sample_seed: None,
                     force_sample: false,
                 })
@@ -525,6 +539,20 @@ mod tests {
             r#"{"op":"CreateSession","source":{"relations":[{"csv":"x"}]}}"#,
         ] {
             assert!(Request::parse(bad).is_err(), "should reject {bad}");
+        }
+        // Present but malformed, refused by name rather than dropped for
+        // the server's defaults.
+        for (bad, field) in [
+            (r#""max_product":"64""#, "max_product"),
+            (r#""max_product":-1"#, "max_product"),
+            (r#""max_product":1.5"#, "max_product"),
+            (r#""max_product":18446744073709551615"#, "max_product"),
+            (r#""strategy":7"#, "strategy"),
+        ] {
+            let line =
+                format!(r#"{{"op":"CreateSession","source":{{"scenario":"setgame"}},{bad}}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert!(err.contains(&format!("`{field}`")), "{line} -> {err}");
         }
     }
 

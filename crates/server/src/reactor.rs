@@ -9,6 +9,8 @@
 //!                 │  Poller: listener,     │          │ (2..8 threads,   │
 //!                 │  waker, every conn     │◀─────────│ Handler)         │
 //!                 │  admission inline      │ completions + waker ────────┘
+//!                 │  tick: idle reap + TTL │
+//!                 │  sweep of the store    │
 //!                 └───────────┬────────────┘
 //!                             │ over cap:
 //!                             ▼
@@ -17,14 +19,15 @@
 //!
 //! The thread that calls [`serve_epoll`] runs the **event loop**: one
 //! `jim-aio` [`Poller`] holds the listener, one eventfd [`Waker`]
-//! (hooked to [`Shutdown`], and rung by workers when a response is
-//! ready) and every connection. The loop accepts inline through the
+//! (registered with [`Shutdown`], and rung by workers when a response
+//! is ready) and every connection. The loop accepts inline through the
 //! shared `Admission` gate (the global cap and the per-address quota),
 //! frames lines, and hands each complete line to **one** worker pool,
 //! so a slow `CreateSession` or journal replay occupies a worker, never
-//! the loop. JIM's traffic is one person answering one question per
-//! turn; one loop serves it, and one admitter keeps the connection cap
-//! exact (one counter, no over-admit race).
+//! the loop. Its timer tick is the server's only clock, so no thread
+//! exists just to sleep. JIM's traffic is one person answering one
+//! question per turn; one loop serves it, and one admitter keeps the
+//! connection cap exact (one counter, no over-admit race).
 //!
 //! ## What the loop does, and what it leaves to `Conn`
 //!
@@ -41,8 +44,11 @@
 //!   the completion queue plus [`Waker`] that bring its response back;
 //!   the worker pool serves many connections at once, never two lines
 //!   of one;
-//! * the timer tick: `poller.wait`'s timeout doubles as the idle
-//!   reaper's clock;
+//! * the timer tick: `poller.wait` wakes at least every quarter of the
+//!   idle timeout, clamped to 10 ms–1 s (every second with the reaper
+//!   off). Each tick outside a drain lets every `Conn`'s idle clock reap
+//!   it, then sweeps the store's expired sessions, counting the sweep in
+//!   the `sweeps`/`swept_sessions` metrics and logging any it evicted;
 //! * [`Shutdown`]: stop accepting (the listener is deregistered and
 //!   dropped, so the port stops answering), stop reading, let in-flight
 //!   responses finish and flush, then return (with a hard deadline so a
@@ -62,6 +68,7 @@
 use crate::conn::{Admission, Conn, Ticket, READ_CHUNK};
 use crate::handler::Handler;
 use crate::serve::{respond_to, Shutdown, TransportLimits, DRAIN_DEADLINE};
+use crate::store::SessionStore;
 use crate::sync::{CondvarExt, LockExt};
 use jim_aio::{Events, Interest, Poller, Waker};
 use std::collections::{HashMap, VecDeque};
@@ -211,12 +218,7 @@ pub(crate) fn serve_epoll(
     let waker = Waker::new()?;
     poller.add(waker.as_raw_fd(), WAKER_TOKEN, Interest::READ)?;
     poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-    {
-        let waker = waker.clone();
-        shutdown.on_trigger(move || {
-            let _ = waker.wake();
-        });
-    }
+    shutdown.register_waker(waker.clone());
     let jobs = Arc::new(JobQueue::default());
     let completions = Arc::new(Completions {
         ready: Mutex::new(Vec::new()),
@@ -235,11 +237,6 @@ pub(crate) fn serve_epoll(
     };
 
     let result = event_loop(&ctx, listener);
-    if result.is_err() {
-        // The loop is fatally broken; the server is coming down, and the
-        // TTL sweeper observes the same signal.
-        ctx.shutdown.trigger();
-    }
     ctx.jobs.close();
     for worker in workers {
         let _ = worker.join();
@@ -297,13 +294,14 @@ fn event_loop(ctx: &ReactorCtx, listener: TcpListener) -> io::Result<()> {
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut touched: Vec<u64> = Vec::new();
     let mut draining: Option<Instant> = None;
-    // The idle sweep rides the poller timeout: wake at least every
-    // `tick` so a reap happens within [timeout, timeout + tick].
-    let tick = ctx
-        .limits
-        .idle_timeout
-        .map(|t| (t / 4).clamp(Duration::from_millis(10), Duration::from_secs(1)));
-    let mut last_sweep = Instant::now();
+    // The server's one clock rides the poller timeout: wake at least
+    // every `tick`, so an idle reap happens within [timeout, timeout +
+    // tick] and an expired session is swept within a second.
+    let ceiling = Duration::from_secs(1);
+    let tick = ctx.limits.idle_timeout.map_or(ceiling, |t| {
+        (t / 4).clamp(Duration::from_millis(10), ceiling)
+    });
+    let mut last_tick = Instant::now();
 
     loop {
         if let Some(since) = draining {
@@ -315,10 +313,10 @@ fn event_loop(ctx: &ReactorCtx, listener: TcpListener) -> io::Result<()> {
             }
         }
         let timeout = match draining {
-            Some(_) => Some(Duration::from_millis(100)),
+            Some(_) => Duration::from_millis(100),
             None => tick,
         };
-        ctx.poller.wait(&mut events, timeout)?;
+        ctx.poller.wait(&mut events, Some(timeout))?;
 
         touched.clear();
         let mut accept_ready = false;
@@ -386,16 +384,16 @@ fn event_loop(ctx: &ReactorCtx, listener: TcpListener) -> io::Result<()> {
             }
         }
 
-        // The timer tick: let every connection's idle clock reap it.
-        if let (None, Some(t)) = (draining, tick) {
-            if last_sweep.elapsed() >= t {
-                last_sweep = Instant::now();
-                for (&token, sock) in conns.iter_mut() {
-                    if sock.conn.tick(last_sweep) {
-                        touched.push(token);
-                    }
+        // The timer tick: let every connection's idle clock reap it,
+        // then sweep the store's expired sessions.
+        if draining.is_none() && last_tick.elapsed() >= tick {
+            last_tick = Instant::now();
+            for (&token, sock) in conns.iter_mut() {
+                if sock.conn.tick(last_tick) {
+                    touched.push(token);
                 }
             }
+            sweep(ctx.handler.store(), last_tick);
         }
 
         touched.sort_unstable();
@@ -411,6 +409,27 @@ fn event_loop(ctx: &ReactorCtx, listener: TcpListener) -> io::Result<()> {
                 }
             }
         }
+    }
+}
+
+/// One TTL sweep of the store, counted in the metrics and logged from
+/// its own report: a concurrent `create`'s LRU evictions move only the
+/// running totals, never this sweep's count.
+fn sweep(store: &SessionStore, now: Instant) {
+    let report = store.sweep_report(now);
+    let metrics = store.metrics();
+    metrics.sweeps.inc();
+    metrics.swept_sessions.add(report.evicted.len() as u64);
+    if !report.evicted.is_empty() {
+        eprintln!(
+            "jim-serve: swept {} expired session(s), {} resumable on disk \
+             ({} evicted / {} persisted since start; {} resident)",
+            report.evicted.len(),
+            report.persisted,
+            metrics.evicted_total.get(),
+            metrics.persisted_total.get(),
+            metrics.resident_sessions.get(),
+        );
     }
 }
 

@@ -18,23 +18,25 @@
 //! [`io::ErrorKind::Unsupported`], and the in-process `jim` REPL is the
 //! portable way to run a session.
 //!
-//! The server observes a shared [`Shutdown`] signal: trigger it and the
-//! loop stops accepting, in-flight responses drain (for at most
-//! [`DRAIN_DEADLINE`]), and [`serve_with`] returns (the TTL sweeper
-//! spawned by [`spawn_sweeper`] observes the same signal). Request lines
-//! are decoded **strictly**: a line that is not valid UTF-8 is refused
-//! with a typed protocol error instead of being lossily mangled into
-//! replacement characters and stored as corrupted relation data.
+//! The loop's timer tick is the server's one clock: it reaps idle
+//! connections and sweeps the store's expired sessions, so nothing
+//! time-based runs on a thread of its own. The server observes a shared
+//! [`Shutdown`] signal: trigger it and the loop stops accepting,
+//! in-flight responses drain (for at most [`DRAIN_DEADLINE`]), and
+//! [`serve_with`] returns. Request lines are decoded **strictly**: a line
+//! that is not valid UTF-8 is refused with a typed protocol error instead
+//! of being lossily mangled into replacement characters and stored as
+//! corrupted relation data.
 
 use crate::handler::Handler;
 use crate::protocol::ServerError;
-use crate::store::SessionStore;
-use crate::sync::{CondvarExt, LockExt};
+use crate::sync::LockExt;
+use jim_aio::Waker;
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Longest request line the server buffers (16 MiB — roomy enough for a
 /// large inline-CSV `CreateSession`). A peer streaming bytes with no
@@ -96,14 +98,14 @@ impl TransportLimits {
     }
 }
 
-/// A cloneable graceful-shutdown signal shared by the event loop and the
-/// TTL sweeper.
+/// A cloneable graceful-shutdown signal: one flag, and the running event
+/// loop's waker.
 ///
 /// [`Shutdown::trigger`] is idempotent and returns immediately; the
 /// server then stops accepting, finishes and flushes any response already
-/// being computed, closes its connections and returns from [`serve_with`]
-/// (the sweeper thread exits the same way). Requests that are merely
-/// half-received are dropped — only *in-flight responses* are drained.
+/// being computed, closes its connections and returns from [`serve_with`].
+/// Requests that are merely half-received are dropped — only *in-flight
+/// responses* are drained.
 #[derive(Clone, Default)]
 pub struct Shutdown {
     inner: Arc<ShutdownInner>,
@@ -112,21 +114,8 @@ pub struct Shutdown {
 #[derive(Default)]
 struct ShutdownInner {
     triggered: AtomicBool,
-    lock: Mutex<bool>,
-    cv: Condvar,
-    /// Side effects a trigger must perform beyond flag+condvar — e.g.
-    /// waking the event loop out of its wait. Each hook runs exactly
-    /// once: at trigger time, or immediately on registration if the
-    /// trigger already fired (`HookState::fired` is flipped under the
-    /// same lock that hands the hook list to the trigger, so the two
-    /// cannot both run one).
-    hooks: Mutex<HookState>,
-}
-
-#[derive(Default)]
-struct HookState {
-    pending: Vec<Box<dyn Fn() + Send + Sync>>,
-    fired: bool,
+    /// The waker of the loop serving under this signal, once it runs.
+    waker: Mutex<Option<Waker>>,
 }
 
 impl Shutdown {
@@ -137,23 +126,9 @@ impl Shutdown {
 
     /// Request shutdown. Idempotent; never blocks on server progress.
     pub fn trigger(&self) {
-        {
-            let mut triggered = self.inner.lock.lock_unpoisoned();
-            if *triggered {
-                return;
-            }
-            *triggered = true;
-            self.inner.triggered.store(true, Ordering::SeqCst);
-            self.inner.cv.notify_all();
-        }
-        let hooks = {
-            let mut state = self.inner.hooks.lock_unpoisoned();
-            state.fired = true;
-            std::mem::take(&mut state.pending)
-        };
-        // Outside the lock: a hook may itself register further hooks.
-        for hook in hooks {
-            hook();
+        self.inner.triggered.store(true, Ordering::SeqCst);
+        if let Some(waker) = &*self.inner.waker.lock_unpoisoned() {
+            let _ = waker.wake();
         }
     }
 
@@ -162,34 +137,15 @@ impl Shutdown {
         self.inner.triggered.load(Ordering::SeqCst)
     }
 
-    /// Block until triggered or `timeout` elapses; `true` iff triggered.
-    /// The sweeper's interval sleep lives here, so a trigger interrupts
-    /// it immediately.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut triggered = self.inner.lock.lock_unpoisoned();
-        while !*triggered {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            triggered = self.inner.cv.wait_timeout_unpoisoned(triggered, remaining);
+    /// Ring `waker` on a trigger. The waker is stored before the flag is
+    /// read, so a trigger that fired before the loop started rings it
+    /// here, and one that fires later finds it in the slot: no wakeup is
+    /// lost either way.
+    pub(crate) fn register_waker(&self, waker: Waker) {
+        *self.inner.waker.lock_unpoisoned() = Some(waker.clone());
+        if self.is_triggered() {
+            let _ = waker.wake();
         }
-        true
-    }
-
-    /// Register a side effect to run **exactly once** at trigger time —
-    /// or immediately, if the signal already fired (registration must
-    /// not race a concurrent trigger into a lost wakeup, nor into a
-    /// double run).
-    pub(crate) fn on_trigger(&self, hook: impl Fn() + Send + Sync + 'static) {
-        {
-            let mut state = self.inner.hooks.lock_unpoisoned();
-            if !state.fired {
-                state.pending.push(Box::new(hook));
-                return;
-            }
-        }
-        hook(); // late registration: the trigger already ran its hooks
     }
 }
 
@@ -239,49 +195,6 @@ pub(crate) fn respond_to(handler: &Handler, raw: &[u8]) -> String {
     }
 }
 
-/// Start the TTL sweeper thread, evicting expired sessions every
-/// `interval` (floored at 100ms so a tiny TTL cannot become a busy
-/// loop). It exits when `shutdown` triggers **or** every other owner of
-/// the store is gone (it holds only a weak reference); the returned
-/// handle joins promptly after a trigger. Evictions are accounted from
-/// the sweep result itself: each sweep updates the metrics aggregate
-/// (sweep counters plus the on-disk session gauge) and the log line
-/// is formatted **from those counters**, so the sweeper's reporting and
-/// a concurrent `Metrics` snapshot can never disagree about totals —
-/// concurrent LRU evictions on `create` move the running totals but are
-/// never attributed to the sweep.
-pub fn spawn_sweeper(
-    store: &Arc<SessionStore>,
-    interval: Duration,
-    shutdown: Shutdown,
-) -> std::thread::JoinHandle<()> {
-    let interval = interval.max(Duration::from_millis(100));
-    let weak = Arc::downgrade(store);
-    std::thread::spawn(move || loop {
-        if shutdown.wait_timeout(interval) {
-            return;
-        }
-        let Some(store) = weak.upgrade() else { return };
-        let report = store.sweep_report(Instant::now());
-        let metrics = store.metrics();
-        metrics.sweeps.inc();
-        metrics.swept_sessions.add(report.evicted.len() as u64);
-        metrics.disk_sessions.set(store.disk_ids().len() as i64);
-        if !report.evicted.is_empty() {
-            eprintln!(
-                "jim-serve: swept {} expired session(s), {} resumable on disk \
-                 ({} evicted / {} persisted since start; {} resident, {} on disk)",
-                report.evicted.len(),
-                report.persisted,
-                metrics.evicted_total.get(),
-                metrics.persisted_total.get(),
-                metrics.resident_sessions.get(),
-                metrics.disk_sessions.get(),
-            );
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,47 +203,39 @@ mod tests {
     #[test]
     fn shutdown_trigger_is_idempotent_and_observable() {
         let s = Shutdown::new();
+        let clone = s.clone();
         assert!(!s.is_triggered());
-        assert!(!s.wait_timeout(Duration::from_millis(1)), "not yet");
         s.trigger();
         s.trigger(); // idempotent
         assert!(s.is_triggered());
-        assert!(s.wait_timeout(Duration::from_secs(3600)), "returns at once");
+        assert!(clone.is_triggered(), "every clone observes the one signal");
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
-    fn shutdown_wakes_a_parked_waiter() {
-        let s = Shutdown::new();
-        let waiter = s.clone();
-        let started = Instant::now();
-        let t = std::thread::spawn(move || waiter.wait_timeout(Duration::from_secs(30)));
-        std::thread::sleep(Duration::from_millis(20));
-        s.trigger();
-        assert!(t.join().unwrap(), "woken by the trigger, not the timeout");
-        assert!(started.elapsed() < Duration::from_secs(10));
-    }
-
-    #[test]
-    fn on_trigger_hooks_run_exactly_once_even_when_registered_late() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let fired = Arc::new(AtomicUsize::new(0));
-        let s = Shutdown::new();
-        let early = Arc::clone(&fired);
-        s.on_trigger(move || {
-            early.fetch_add(1, Ordering::SeqCst);
-        });
-        s.trigger();
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        // Registered after the fact (the event loop starting during a
-        // shutdown race): runs immediately — and does NOT replay the
-        // early hook, nor does a redundant trigger re-run anything.
-        let late = Arc::clone(&fired);
-        s.on_trigger(move || {
-            late.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
-        s.trigger();
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
+    fn trigger_rings_the_loop_waker_registered_before_or_after_it() {
+        use jim_aio::{Events, Interest, Poller};
+        let mut events = Events::with_capacity(4);
+        for trigger_first in [true, false] {
+            let s = Shutdown::new();
+            let poller = Poller::new().unwrap();
+            let waker = Waker::new().unwrap();
+            poller.add(waker.as_raw_fd(), 1, Interest::READ).unwrap();
+            if trigger_first {
+                // The loop starting during a shutdown race.
+                s.trigger();
+                s.register_waker(waker);
+            } else {
+                s.register_waker(waker);
+                assert_eq!(poller.wait(&mut events, Some(Duration::ZERO)).unwrap(), 0);
+                s.trigger();
+            }
+            assert_eq!(
+                poller.wait(&mut events, Some(Duration::ZERO)).unwrap(),
+                1,
+                "trigger first: {trigger_first}"
+            );
+        }
     }
 
     #[test]
@@ -343,23 +248,5 @@ mod tests {
         assert!(r.contains("\"ok\":false") && r.contains("UTF-8"), "{r}");
         let r = respond_to(&handler, b"{\"op\":\"ListSessions\"}\r");
         assert!(r.contains("\"ok\":true"), "{r}");
-    }
-
-    #[test]
-    fn sweeper_joins_on_shutdown_and_on_store_drop() {
-        let store = Arc::new(crate::store::SessionStore::new(StoreConfig::default()));
-        let shutdown = Shutdown::new();
-        let sweeper = spawn_sweeper(&store, Duration::from_secs(3600), shutdown.clone());
-        shutdown.trigger();
-        sweeper.join().expect("sweeper exits on shutdown");
-
-        // Without a trigger, dropping every strong store reference also
-        // ends it (it holds only a weak ref), within one interval.
-        let shutdown = Shutdown::new();
-        let sweeper = spawn_sweeper(&store, Duration::from_millis(100), shutdown);
-        drop(store);
-        sweeper
-            .join()
-            .expect("sweeper exits once the store is gone");
     }
 }

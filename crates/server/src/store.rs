@@ -19,7 +19,8 @@
 //! * **max sessions** — creating one past the cap evicts the
 //!   least-recently-used session;
 //! * **TTL** — [`SessionStore::sweep_at`] drops sessions idle longer than
-//!   the configured time-to-live (the server runs it periodically).
+//!   the configured time-to-live (the server's event loop sweeps on every
+//!   timer tick, at least once a second).
 //!
 //! ## Durability: eviction is not destruction
 //!
@@ -121,8 +122,8 @@ struct Entry {
     session: Arc<Mutex<Session>>,
     last_touched: Instant,
     /// Mirror of `Session::persisted` (fixed at insert), readable without
-    /// taking the session lock — the sweeper must classify evictions
-    /// without blocking on a slow strategy choice.
+    /// taking the session lock — a sweep runs on the event loop, which
+    /// must classify evictions without blocking on a slow strategy choice.
     persisted: bool,
 }
 
@@ -136,7 +137,7 @@ pub struct SessionStore {
     journal: Option<JournalStore>,
     /// The server-wide metrics aggregate. The store owns it because the
     /// store is the one value every server layer (handler, event loop,
-    /// sweeper, bins) already shares — store/journal counters are updated
+    /// bins) already shares — store/journal counters are updated
     /// here at the sites where the events happen, transport and per-op
     /// counters by the layers that reach the aggregate through
     /// [`SessionStore::metrics`].
@@ -431,9 +432,9 @@ impl SessionStore {
     /// Evict every session idle at `now` for longer than the TTL; returns
     /// the evicted ids ascending (eviction counters are updated —
     /// persisted sessions remain resumable on disk, the write-ahead
-    /// journal means nothing needs writing here). The server's sweeper
-    /// thread calls this with `Instant::now()`; tests can pass a
-    /// synthetic "future" instant.
+    /// journal means nothing needs writing here). The server's event loop
+    /// runs [`SessionStore::sweep_report`] on every timer tick; tests can
+    /// pass a synthetic "future" instant.
     pub fn sweep_at(&self, now: Instant) -> Vec<u64> {
         self.sweep_report(now).evicted
     }
@@ -772,8 +773,8 @@ mod tests {
     #[test]
     fn sweep_report_counts_only_its_own_victims() {
         // An LRU eviction on `create` moves the store-wide persisted
-        // total; the next sweep's report must not absorb it (the old
-        // sweeper log diffed the totals and mis-attributed exactly this).
+        // total; the next sweep's report must not absorb it (a sweep log
+        // that diffed the totals would mis-attribute exactly this).
         let ttl = Duration::from_secs(60);
         let s = journaled_store("sweepreport", 2, ttl);
         let a = create_persisted(&s);

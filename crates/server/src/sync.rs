@@ -5,7 +5,7 @@
 //! outage: every later `.lock().expect(..)` on the same mutex panics
 //! too, taking down unrelated connections. For the server's
 //! *infrastructure* state — the job queue, the completion buffer,
-//! per-ip counts, shutdown flags — the data under the lock is a plain
+//! per-ip counts, the shutdown waker — the data under the lock is a plain
 //! collection that is never left half-updated across an await of user
 //! code, so recovering the guard is strictly better than propagating
 //! the panic. (Session engine
@@ -18,7 +18,6 @@
 //! the mutex field at the call site.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 pub(crate) trait LockExt<T> {
     /// Acquire, recovering the guard from a poisoned mutex.
@@ -34,30 +33,10 @@ impl<T> LockExt<T> for Mutex<T> {
 pub(crate) trait CondvarExt {
     /// `Condvar::wait`, recovering the guard from a poisoned mutex.
     fn wait_unpoisoned<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T>;
-
-    /// `Condvar::wait_timeout`, recovering the guard from a poisoned
-    /// mutex; the timeout flag is dropped because every caller loops on
-    /// its own deadline predicate anyway.
-    fn wait_timeout_unpoisoned<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> MutexGuard<'a, T>;
 }
 
 impl CondvarExt for Condvar {
     fn wait_unpoisoned<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         self.wait(guard).unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn wait_timeout_unpoisoned<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> MutexGuard<'a, T> {
-        match self.wait_timeout(guard, timeout) {
-            Ok((g, _)) => g,
-            Err(e) => e.into_inner().0,
-        }
     }
 }

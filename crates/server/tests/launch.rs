@@ -2,13 +2,16 @@
 //! the flag set `perfbench`'s `ServeConfig::flags` produces for
 //! `huge-open`, on an OS-assigned port over a fresh data directory. A
 //! flag change that stops the server from starting fails here, not only
-//! in a benchmark run. Linux only, where the TCP front end is.
+//! in a benchmark run. The binary's own clock is checked here too: the
+//! event loop's tick sweeps an expired session with no thread of its
+//! own. Linux only, where the TCP front end is.
 
 #![cfg(target_os = "linux")]
 #![forbid(unsafe_code)]
 
 mod support;
 
+use jim_json::Json;
 use jim_server::serve::DRAIN_DEADLINE;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -70,6 +73,26 @@ impl Served {
         }
     }
 
+    /// The address from the `listening on` log line.
+    fn addr(&self) -> SocketAddr {
+        let line = self.log_line("listening on ", Duration::from_secs(30));
+        line.split("listening on ")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|addr| addr.parse().ok())
+            .unwrap_or_else(|| panic!("no address in {line:?}"))
+    }
+
+    /// Threads the child runs right now, from its `/proc` status.
+    fn threads(&self) -> usize {
+        std::fs::read_to_string(format!("/proc/{}/status", self.child.id()))
+            .expect("read the child's /proc status")
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("Threads: line")
+    }
+
     /// The first stderr line containing `needle`, within `timeout`.
     fn log_line(&self, needle: &str, timeout: Duration) -> String {
         let deadline = Instant::now() + timeout;
@@ -118,14 +141,14 @@ fn jim_serve_starts_with_the_benchmark_flags_and_drains_on_sigterm() {
     args.extend(BENCH_FLAGS);
     let mut server = Served::spawn(&args, Some(dir));
 
-    let line = server.log_line("listening on ", Duration::from_secs(30));
-    let addr: SocketAddr = line
-        .split("listening on ")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|addr| addr.parse().ok())
-        .unwrap_or_else(|| panic!("no address in {line:?}"));
-    Client::connect(addr).send(r#"{"op":"Metrics"}"#); // asserts `ok:true`
+    Client::connect(server.addr()).send(r#"{"op":"Metrics"}"#); // asserts `ok:true`
+
+    // The event loop (the main thread), its worker pool and the signal
+    // watcher; the loop's tick is the only clock, so no thread sleeps.
+    let workers = std::thread::available_parallelism()
+        .map_or(2, |n| n.get())
+        .clamp(2, 8);
+    assert_eq!(server.threads(), workers + 2);
 
     let kill = Command::new("kill")
         .args(["-TERM", &server.child.id().to_string()])
@@ -136,6 +159,29 @@ fn jim_serve_starts_with_the_benchmark_flags_and_drains_on_sigterm() {
     server.log_line("draining", DRAIN_DEADLINE + margin);
     let status = server.exit(DRAIN_DEADLINE + margin);
     assert_eq!(status.code(), Some(0), "{status}");
+}
+
+#[test]
+fn jim_serve_sweeps_an_expired_session_and_resumes_it_from_its_journal() {
+    let dir = std::env::temp_dir().join(format!("jim-launch-ttl-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Served::spawn(&["--port", "0", "--ttl-secs", "1"], Some(dir));
+    let mut client = Client::connect(server.addr());
+    let created = client.send(r#"{"op":"CreateSession","source":{"scenario":"flights"}}"#);
+    let session = created.get("session").and_then(Json::as_u64).expect("id");
+
+    // Nothing is sent on the session, so it expires after a second and
+    // the loop's next tick sweeps it.
+    server.log_line("swept 1 expired session(s)", Duration::from_secs(15));
+    let metrics = client.send(r#"{"op":"Metrics"}"#);
+    let store = metrics.get("store").expect("store section");
+    assert_eq!(store.get("swept_sessions").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        store.get("resident_sessions").and_then(Json::as_u64),
+        Some(0)
+    );
+    // Swept from memory, not destroyed: the journal resumes it.
+    client.send(&format!(r#"{{"op":"Stats","session":{session}}}"#));
 }
 
 #[test]

@@ -23,8 +23,7 @@ fn start_server() -> TestServer {
         max_sessions: 8,
         ttl: Duration::from_secs(600),
     }));
-    // A long sweep interval: sweeps must not race the gauge assertions.
-    TestServer::start_with_sweep(Arc::new(Handler::new(store)), Duration::from_secs(600))
+    TestServer::start(Arc::new(Handler::new(store)))
 }
 
 fn op_requests(metrics: &Json, op: &str) -> u64 {

@@ -364,8 +364,7 @@ fn kill_and_restart_resumes_to_resolution_over_tcp() {
 
     // Process 1: create a durable session, give the paper's first label,
     // then "die" — a **graceful shutdown** here, so the first server's
-    // accept loop and sweeper are gone before the second server starts
-    // (this used to leak both for the process lifetime).
+    // event loop is gone before the second server starts.
     let session = {
         let server = start_server_over(&dir);
         let mut client = Client::connect(server.addr);

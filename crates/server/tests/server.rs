@@ -313,7 +313,7 @@ fn ttl_eviction_of_an_expired_session() {
     assert!(h.store().sweep_at(Instant::now()).is_empty());
 
     // ...but an idle session is swept once past its TTL (synthetic clock —
-    // the server's sweeper thread does this with the real one).
+    // the server's event loop does this with the real one on every tick).
     let future = Instant::now() + ttl + Duration::from_secs(1);
     assert_eq!(h.store().sweep_at(future), vec![session]);
     let gone = send(
@@ -394,8 +394,9 @@ fn list_sessions_does_not_keep_idle_sessions_alive() {
 #[test]
 fn client_cannot_raise_the_product_size_guard() {
     // 30 rows self-joined 3 ways = 27,000 tuples, over a 500-tuple server
-    // ceiling; a client-supplied huge max_product must not lift it — the
-    // product is not enumerated but opens factorized, at full fidelity.
+    // ceiling; a client-supplied huge max_product (u64::MAX, a decimal
+    // string past 2^53) must not lift it — the product is not enumerated
+    // but opens factorized, at full fidelity.
     let mut csv = String::from("x\n");
     for i in 0..30 {
         csv.push_str(&format!("{i}\n"));
@@ -408,7 +409,7 @@ fn client_cannot_raise_the_product_size_guard() {
         },
     );
     let line = format!(
-        r#"{{"op":"CreateSession","source":{{"relations":[{{"name":"r","csv":"{}"}}],"view":["r","r","r"]}},"max_product":18446744073709551615}}"#,
+        r#"{{"op":"CreateSession","source":{{"relations":[{{"name":"r","csv":"{}"}}],"view":["r","r","r"]}},"max_product":"18446744073709551615"}}"#,
         csv.replace('\n', "\\n")
     );
     let r = expect_ok(&h, &line);

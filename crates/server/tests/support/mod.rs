@@ -1,51 +1,40 @@
 //! Shared harness for the real-TCP integration suites: a [`TestServer`]
 //! that runs `serve_with()` on an OS-assigned port with an explicit
 //! graceful [`Shutdown`] (triggered and joined on drop, so test servers
-//! no longer leak serve/sweeper threads for the process lifetime), and
-//! a JSON-lines [`Client`].
+//! do not leak serve threads for the process lifetime), and a
+//! JSON-lines [`Client`].
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use jim_json::Json;
 use jim_server::handler::Handler;
-use jim_server::serve::{serve_with, spawn_sweeper, Shutdown, TransportLimits};
+use jim_server::serve::{serve_with, Shutdown, TransportLimits};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A `jim-serve`-equivalent server, shut down (and its serve + sweeper
-/// threads joined) when dropped.
+/// A `jim-serve`-equivalent server, shut down (and its serve thread
+/// joined) when dropped.
 pub struct TestServer {
     pub addr: SocketAddr,
     shutdown: Shutdown,
     serve_thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
-    sweeper: Option<std::thread::JoinHandle<()>>,
 }
 
 impl TestServer {
-    /// Serve `handler` on an OS-assigned port, with a TTL sweeper and
-    /// the default [`TransportLimits`].
+    /// Serve `handler` on an OS-assigned port with the default
+    /// [`TransportLimits`].
     pub fn start(handler: Arc<Handler>) -> TestServer {
-        TestServer::start_with_sweep(handler, Duration::from_millis(200))
-    }
-
-    /// [`TestServer::start`] with an explicit sweep interval.
-    pub fn start_with_sweep(handler: Arc<Handler>, sweep: Duration) -> TestServer {
-        TestServer::start_with_limits(handler, sweep, TransportLimits::default())
+        TestServer::start_with_limits(handler, TransportLimits::default())
     }
 
     /// [`TestServer::start`] with explicit [`TransportLimits`] — the
     /// admission-cap / idle-timeout tests pin theirs.
-    pub fn start_with_limits(
-        handler: Arc<Handler>,
-        sweep: Duration,
-        limits: TransportLimits,
-    ) -> TestServer {
+    pub fn start_with_limits(handler: Arc<Handler>, limits: TransportLimits) -> TestServer {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind test port");
         let addr = listener.local_addr().expect("local addr");
         let shutdown = Shutdown::new();
-        let sweeper = spawn_sweeper(handler.store(), sweep, shutdown.clone());
         let serve_shutdown = shutdown.clone();
         let serve_thread =
             std::thread::spawn(move || serve_with(listener, handler, serve_shutdown, limits));
@@ -53,11 +42,10 @@ impl TestServer {
             addr,
             shutdown,
             serve_thread: Some(serve_thread),
-            sweeper: Some(sweeper),
         }
     }
 
-    /// Trigger the graceful shutdown and join both threads, returning
+    /// Trigger the graceful shutdown and join the serve thread, returning
     /// what `serve` returned. Idempotent with [`Drop`].
     pub fn shutdown(mut self) -> std::io::Result<()> {
         self.shutdown_inner().expect("serve thread exited")
@@ -65,9 +53,6 @@ impl TestServer {
 
     fn shutdown_inner(&mut self) -> Option<std::io::Result<()>> {
         self.shutdown.trigger();
-        if let Some(sweeper) = self.sweeper.take() {
-            sweeper.join().expect("sweeper thread panicked");
-        }
         self.serve_thread
             .take()
             .map(|t| t.join().expect("serve thread panicked"))

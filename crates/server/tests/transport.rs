@@ -36,11 +36,7 @@ fn start_with_limits(limits: TransportLimits) -> TestServer {
         max_sessions: 512,
         ttl: Duration::from_secs(600),
     }));
-    TestServer::start_with_limits(
-        Arc::new(Handler::new(store)),
-        Duration::from_secs(600),
-        limits,
-    )
+    TestServer::start_with_limits(Arc::new(Handler::new(store)), limits)
 }
 
 /// The typed `code` field of an `ok:false` response.
@@ -183,8 +179,8 @@ fn graceful_shutdown_drains_and_joins_serve_and_the_sweeper() {
         r#"{"op":"CreateSession","source":{"scenario":"flights"},"strategy":"LookaheadMinPrune"}"#,
     );
 
-    // Trigger the signal: serve() and the sweeper must both return
-    // (shutdown() joins them — this hangs forever if either leaks).
+    // Trigger the signal: serve() must return, and its loop is the one
+    // that sweeps (shutdown() joins it — this hangs forever if it leaks).
     server.shutdown().expect("serve returned cleanly");
 
     // The established connection is closed out...
