@@ -25,6 +25,17 @@
 //! instance and the per-question step cost is reported — inference over
 //! counted groups must stay interactive at 10¹² tuples.
 //!
+//! A fourth series, `record`, builds the benchmark of record's enumerated
+//! shapes both ways, best of [`RECORD_REPEATS`]: a `deep-inference`
+//! instance (`random_db` 2 × 4 × 100 over domain 3) and the three
+//! `wire-mix` shapes (flights × hotels, a `social::follows(12, 8, ·)`
+//! self-join and a `setgame::subdeck(12, ·)` self-join, each over one
+//! shared relation).
+//!
+//! Wherever both methods build a product, the two engines must have the
+//! same groups and the same candidate list, or the bench panics: the
+//! 10⁶-tuple rows cross-check enumeration far beyond the proptests' sizes.
+//!
 //! This bench needs the measured numbers (to emit
 //! `BENCH_factorized.json` at the workspace root; `--out <path>`
 //! overrides, `--no-write` skips), so it carries its own `Instant`-based
@@ -36,28 +47,54 @@ use jim_core::session::run_most_informative;
 use jim_core::strategy::StrategyKind;
 use jim_core::{Engine, EngineOptions, GoalOracle, JoinPredicate};
 use jim_relation::{IntoSharedRelation, Product};
-use jim_synth::{social, tpch};
+use jim_synth::{flights, random_db, setgame, social, tpch};
 use std::time::Instant;
 
 /// Minimum over `REPEATS` single-shot builds — these are second-scale
 /// operations at the big sizes, so one call per timed run.
 const REPEATS: usize = 3;
 
-fn measure<O, F: FnMut() -> O>(mut f: F) -> (f64, O) {
+/// Builds per `record` shape: those take microseconds to a few
+/// milliseconds, so their minimum needs many more tries to be stable.
+const RECORD_REPEATS: usize = 201;
+
+fn measure<O, F: FnMut() -> O>(f: F) -> (f64, O) {
+    measure_best_of(REPEATS, f)
+}
+
+fn measure_best_of<O, F: FnMut() -> O>(repeats: usize, mut f: F) -> (f64, O) {
     let mut best = f64::INFINITY;
     let mut out = None;
-    for _ in 0..REPEATS {
+    for _ in 0..repeats {
         let start = Instant::now();
         let value = std::hint::black_box(f());
         best = best.min(start.elapsed().as_nanos() as f64);
         out = Some(value);
     }
-    (best, out.expect("REPEATS >= 1"))
+    (best, out.expect("repeats >= 1"))
+}
+
+/// Panic unless the two exact methods built the same engine: the same
+/// number of groups and the same candidates (signatures, counts,
+/// representatives and order).
+fn assert_same(name: &str, factorized: &Engine, enumerated: &Engine) {
+    assert_eq!(
+        factorized.num_groups(),
+        enumerated.num_groups(),
+        "{name}: factorized and enumerated group counts differ"
+    );
+    assert!(
+        factorized.candidates().candidates() == enumerated.candidates().candidates(),
+        "{name}: factorized and enumerated candidates differ"
+    );
 }
 
 struct Sample {
     series: &'static str,
-    /// Series parameter: log events, or TPC-H scale.
+    /// The instance within the `record` series.
+    shape: Option<&'static str>,
+    /// Series parameter: log events, TPC-H scale, or a `record` shape's
+    /// seed.
     param: u64,
     product_size: u64,
     mode: &'static str,
@@ -109,6 +146,16 @@ fn main() {
             "bench factorize/social_log/{events}ev/factorized: {build_ns:.0} ns/iter \
              ({size} product tuples, {groups} groups)"
         );
+        let enumerated = (size <= options.max_product).then(|| {
+            let (build_ns, enumerated) =
+                measure(|| Engine::new(product.clone(), &options).expect("enumerable"));
+            assert_same("social_log", &engine, &enumerated);
+            println!(
+                "bench factorize/social_log/{events}ev/enumerated: {build_ns:.0} ns/iter \
+                 ({size} product tuples, {groups} groups)"
+            );
+            build_ns
+        });
         let goal = social::two_hop_goal(engine.universe());
         let (question_ns, interactions) = session_step(engine, goal);
         println!(
@@ -117,6 +164,7 @@ fn main() {
         );
         samples.push(Sample {
             series: "social_log",
+            shape: None,
             param: events as u64,
             product_size: size,
             mode: "factorized",
@@ -125,22 +173,15 @@ fn main() {
             question_ns: Some(question_ns),
             interactions: Some(interactions),
         });
-
-        if size <= options.max_product {
-            let (build_ns, engine) =
-                measure(|| Engine::new(product.clone(), &options).expect("enumerable"));
-            println!(
-                "bench factorize/social_log/{events}ev/enumerated: {build_ns:.0} ns/iter \
-                 ({size} product tuples, {} groups)",
-                engine.num_groups()
-            );
+        if let Some(build_ns) = enumerated {
             samples.push(Sample {
                 series: "social_log",
+                shape: None,
                 param: events as u64,
                 product_size: size,
                 mode: "enumerated",
                 build_ns,
-                groups: engine.num_groups(),
+                groups,
                 question_ns: None,
                 interactions: None,
             });
@@ -163,6 +204,16 @@ fn main() {
             "bench factorize/tpch/sf{scale}/factorized: {build_ns:.0} ns/iter \
              ({size} product tuples, {groups} groups)"
         );
+        let enumerated = (size <= options.max_product).then(|| {
+            let (build_ns, enumerated) =
+                measure(|| Engine::new(product.clone(), &options).expect("enumerable"));
+            assert_same("tpch", &engine, &enumerated);
+            println!(
+                "bench factorize/tpch/sf{scale}/enumerated: {build_ns:.0} ns/iter \
+                 ({size} product tuples, {groups} groups)"
+            );
+            build_ns
+        });
         let goal = {
             let u = engine.universe();
             let fk = u
@@ -177,6 +228,7 @@ fn main() {
         );
         samples.push(Sample {
             series: "tpch",
+            shape: None,
             param: scale,
             product_size: size,
             mode: "factorized",
@@ -186,21 +238,15 @@ fn main() {
             interactions: Some(interactions),
         });
 
-        if size <= options.max_product {
-            let (build_ns, engine) =
-                measure(|| Engine::new(product.clone(), &options).expect("enumerable"));
-            println!(
-                "bench factorize/tpch/sf{scale}/enumerated: {build_ns:.0} ns/iter \
-                 ({size} product tuples, {} groups)",
-                engine.num_groups()
-            );
+        if let Some(build_ns) = enumerated {
             samples.push(Sample {
                 series: "tpch",
+                shape: None,
                 param: scale,
                 product_size: size,
                 mode: "enumerated",
                 build_ns,
-                groups: engine.num_groups(),
+                groups,
                 question_ns: None,
                 interactions: None,
             });
@@ -220,6 +266,16 @@ fn main() {
             "bench factorize/follows3/{events}ev/factorized: {build_ns:.0} ns/iter \
              ({size} product tuples, {groups} groups)"
         );
+        let enumerated = (size <= options.max_product).then(|| {
+            let (build_ns, enumerated) =
+                measure(|| Engine::new(product.clone(), &options).expect("enumerable"));
+            assert_same("follows3", &engine, &enumerated);
+            println!(
+                "bench factorize/follows3/{events}ev/enumerated: {build_ns:.0} ns/iter \
+                 ({size} product tuples, {groups} groups)"
+            );
+            build_ns
+        });
         let goal = social::two_hop_goal(engine.universe());
         let (question_ns, interactions) = session_step(engine, goal);
         println!(
@@ -228,6 +284,7 @@ fn main() {
         );
         samples.push(Sample {
             series: "follows3",
+            shape: None,
             param: events as u64,
             product_size: size,
             mode: "factorized",
@@ -237,21 +294,75 @@ fn main() {
             interactions: Some(interactions),
         });
 
-        if size <= options.max_product {
-            let (build_ns, engine) =
-                measure(|| Engine::new(product.clone(), &options).expect("enumerable"));
-            println!(
-                "bench factorize/follows3/{events}ev/enumerated: {build_ns:.0} ns/iter \
-                 ({size} product tuples, {} groups)",
-                engine.num_groups()
-            );
+        if let Some(build_ns) = enumerated {
             samples.push(Sample {
                 series: "follows3",
+                shape: None,
                 param: events as u64,
                 product_size: size,
                 mode: "enumerated",
                 build_ns,
-                groups: engine.num_groups(),
+                groups,
+                question_ns: None,
+                interactions: None,
+            });
+        }
+    }
+
+    // ── Series D: the benchmark of record's enumerated shapes. ─────────
+    // `param` is the generator's seed (flights has none).
+    let deep = random_db::generate(&random_db::RandomDbConfig::uniform(2, 4, 100, 3, 1));
+    let follows = social::follows(12, 8, 1).into_shared();
+    let deck = setgame::subdeck(12, 1).into_shared();
+    let shapes: [(&str, u64, Product); 4] = [
+        (
+            "deep_inference",
+            1,
+            Product::new(vec![
+                deep.get_shared("r1").expect("r1").clone(),
+                deep.get_shared("r2").expect("r2").clone(),
+            ])
+            .expect("r1 × r2"),
+        ),
+        (
+            "flights",
+            0,
+            Product::new(vec![flights::flights(), flights::hotels()]).expect("flights × hotels"),
+        ),
+        (
+            "social",
+            1,
+            Product::new(vec![follows.clone(), follows]).expect("self-join"),
+        ),
+        (
+            "setgame",
+            1,
+            Product::new(vec![deck.clone(), deck]).expect("self-join"),
+        ),
+    ];
+    for (shape, param, product) in shapes {
+        let size = product.size();
+        let (factorized_ns, factorized) = measure_best_of(RECORD_REPEATS, || {
+            Engine::from_factorized(product.clone(), &options).expect("factorizes")
+        });
+        let (enumerated_ns, enumerated) = measure_best_of(RECORD_REPEATS, || {
+            Engine::new(product.clone(), &options).expect("enumerable")
+        });
+        assert_same(shape, &factorized, &enumerated);
+        let groups = enumerated.num_groups();
+        for (mode, build_ns) in [("factorized", factorized_ns), ("enumerated", enumerated_ns)] {
+            println!(
+                "bench factorize/record/{shape}/{mode}: {build_ns:.0} ns/iter \
+                 ({size} product tuples, {groups} groups)"
+            );
+            samples.push(Sample {
+                series: "record",
+                shape: Some(shape),
+                param,
+                product_size: size,
+                mode,
+                build_ns,
+                groups,
                 question_ns: None,
                 interactions: None,
             });
@@ -288,10 +399,15 @@ fn main() {
             }
             _ => String::new(),
         };
+        let shape = match s.shape {
+            Some(shape) => format!(", \"shape\": \"{shape}\""),
+            None => String::new(),
+        };
         json.push_str(&format!(
-            "    {{\"series\": \"{}\", \"param\": {}, \"product_size\": {}, \
+            "    {{\"series\": \"{}\"{}, \"param\": {}, \"product_size\": {}, \
              \"mode\": \"{}\", \"build_ns\": {:.0}, \"groups\": {}{}}}{}\n",
             s.series,
+            shape,
             s.param,
             s.product_size,
             s.mode,

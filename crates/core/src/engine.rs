@@ -14,6 +14,17 @@
 //! structure (within [`EngineOptions::max_combos`]). A product that
 //! neither can open is refused with a typed error; it is never sampled.
 //!
+//! Enumeration, too, works by blocks. A tuple's signature depends only on
+//! its rows' values in the columns some atom reads, so each occurrence's
+//! rows are grouped into blocks that agree on those columns, and each
+//! signature is computed once per block combination, in the combinations'
+//! rank order. A second pass lists every id in its combination's group, in
+//! rank order, into a member list allocated at its final size. Duplicate
+//! rows make this much cheaper than per-tuple work: a `deep-inference`
+//! instance's 10⁴ tuples fall into ~3,200 combinations. Looking up one id
+//! ([`Engine::classify`], the label path) still computes its signature
+//! from its rows.
+//!
 //! ## The candidate index
 //!
 //! Strategies rank *informative candidates*: one [`Candidate`] per
@@ -47,7 +58,7 @@ use crate::label::Label;
 use crate::predicate::JoinPredicate;
 use crate::stats::{InteractionRecord, ProgressStats};
 use crate::version_space::{TupleClass, VersionSpace};
-use jim_relation::{Product, ProductId, Value};
+use jim_relation::{Product, ProductId, Relation, Tuple, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,7 +67,8 @@ use std::sync::Arc;
 pub struct EngineOptions {
     /// Which attribute pairs are candidate atoms.
     pub scope: AtomScope,
-    /// Refuse to enumerate products larger than this; open them with
+    /// Refuse to enumerate products larger than this, or than `u32::MAX`
+    /// tuples whatever this says; open them with
     /// [`Engine::from_factorized`] instead. Default: 5,000,000.
     pub max_product: u64,
     /// Sweep budget for [`Engine::from_factorized`]: the most sweep work
@@ -122,15 +134,6 @@ impl GroupMembers {
         match self {
             GroupMembers::Explicit(ids) => ids,
             GroupMembers::Counted { witnesses, .. } => witnesses,
-        }
-    }
-
-    fn push(&mut self, id: ProductId) {
-        match self {
-            GroupMembers::Explicit(ids) => ids.push(id),
-            // Counted groups are built whole by `from_factorized` and never
-            // grow.
-            GroupMembers::Counted { .. } => unreachable!("counted groups never take ids"),
         }
     }
 }
@@ -316,33 +319,31 @@ impl CandidateIndex {
 }
 
 /// Where a product id's signature falls among the signature groups.
-enum Slot<'s> {
+enum Slot {
     /// An existing group, by index.
     Known(usize),
-    /// No group has this signature yet (borrowed from the sweep; clone it
-    /// to open the group).
-    New(&'s AtomSet),
+    /// No group has this signature.
+    New,
 }
 
-/// The per-id signature sweep behind enumerated construction
-/// ([`Engine::new`]) and id lookups. It computes exactly
-/// `universe.signature(&product.tuple(id)?)`, errors included, without
-/// building the tuple: the id decodes into one reused row-index buffer,
-/// the component rows' values are borrowed into one reused buffer in
-/// tuple order, each atom compares two of them with `Value`'s own `==`
-/// (so `Null == Null`, floats by `total_cmp`) into one reused
-/// [`AtomSet`], and the group map is probed by reference. Nothing is
-/// allocated per tuple; a signature is cloned only to open a new group.
+/// The per-id signature lookup behind [`Engine::group_of`], and so behind
+/// every id the label path takes; construction no longer uses it. It
+/// computes exactly `universe.signature(&product.tuple(id)?)`, errors
+/// included, without building the tuple: the id decodes into one
+/// row-index buffer, the component rows' values are borrowed into one
+/// buffer in tuple order, each atom compares two of them with `Value`'s
+/// own `==` (so `Null == Null`, floats by `total_cmp`) into one
+/// [`AtomSet`], and the group map is probed by reference.
 struct SignatureSweep<'a> {
     universe: &'a AtomUniverse,
     product: &'a Product,
     rows: Vec<usize>,
     values: Vec<&'a Value>,
     sig: AtomSet,
-    /// The signature and group of the last id found in an existing group.
-    /// Neighbouring ids often share a group (in rank order only the last
-    /// relation's row changes), and comparing two sets is much cheaper
-    /// than hashing one.
+    /// The signature and group of the last id this sweep found in an
+    /// existing group: comparing two sets is much cheaper than hashing
+    /// one. `group_of` makes a fresh sweep for every id, so no lookup
+    /// reuses them.
     last_sig: AtomSet,
     last_group: Option<usize>,
 }
@@ -362,7 +363,7 @@ impl<'a> SignatureSweep<'a> {
     }
 
     /// Compute `Θ(t)` for the tuple behind `id` and find its group.
-    fn slot(&mut self, by_sig: &HashMap<AtomSet, usize>, id: ProductId) -> Result<Slot<'_>> {
+    fn slot(&mut self, by_sig: &HashMap<AtomSet, usize>, id: ProductId) -> Result<Slot> {
         let product = self.product;
         product.decode_into(id, &mut self.rows)?;
         self.values.clear();
@@ -384,8 +385,258 @@ impl<'a> SignatureSweep<'a> {
                 self.last_group = Some(g);
                 Ok(Slot::Known(g))
             }
-            None => Ok(Slot::New(&self.sig)),
+            None => Ok(Slot::New),
         }
+    }
+}
+
+/// The rows of one relation occurrence, grouped into **blocks**: rows
+/// that agree, by `Value`'s own `==`, on every column some atom reads. A
+/// product tuple's signature depends only on the blocks its rows fall
+/// in. Blocks are numbered in order of their first row.
+struct Blocks {
+    /// The block of each row.
+    of_row: Vec<u32>,
+    /// Each block's first row, whose values stand for the whole block.
+    first: Vec<usize>,
+    /// Each block's number of rows.
+    rows: Vec<u64>,
+}
+
+impl Blocks {
+    /// Partition `relation`'s rows by their values in the columns where
+    /// `read` is set. Rows sort by those values under `Value`'s `Ord`,
+    /// which calls two values equal exactly when `==` does, so equal keys
+    /// end up side by side. The relation has at most `u32::MAX` rows (see
+    /// [`Engine::new`]).
+    fn new(relation: &Relation, read: &[bool]) -> Blocks {
+        let rows = relation.rows();
+        let key = |row: u32| {
+            rows[row as usize]
+                .values()
+                .iter()
+                .zip(read)
+                .filter(|&(_, &read)| read)
+                .map(|(value, _)| value)
+        };
+        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        // Each run of equal keys is one block; number the runs in sorted
+        // order first.
+        let mut of_row = vec![0u32; rows.len()];
+        let mut runs = 0;
+        for (i, &row) in order.iter().enumerate() {
+            if i > 0 && !key(order[i - 1]).eq(key(row)) {
+                runs += 1;
+            }
+            of_row[row as usize] = runs;
+        }
+        // Then renumber them by first row, reusing `order` for the map.
+        let number = &mut order[..=runs as usize];
+        number.fill(u32::MAX);
+        let mut blocks = Blocks {
+            of_row,
+            first: Vec::with_capacity(number.len()),
+            rows: Vec::with_capacity(number.len()),
+        };
+        for (row, block) in blocks.of_row.iter_mut().enumerate() {
+            let n = &mut number[*block as usize];
+            if *n == u32::MAX {
+                *n = blocks.first.len() as u32;
+                blocks.first.push(row);
+                blocks.rows.push(0);
+            }
+            *block = *n;
+            blocks.rows[*n as usize] += 1;
+        }
+        blocks
+    }
+
+    fn len(&self) -> usize {
+        self.first.len()
+    }
+}
+
+/// Enumerated construction: every tuple of `product` in its signature
+/// group, each group's members ascending, groups in order of their
+/// minimum id. The product has at most `u32::MAX` tuples.
+///
+/// Each occurrence's rows are partitioned into [`Blocks`] (occurrences of
+/// one shared relation share one partition), and the first pass walks the
+/// block combinations in mixed radix, last occurrence fastest. Blocks are
+/// numbered by first row, so that walk meets combinations in ascending
+/// order of their minimum id, and groups open in the order the ids would
+/// open them. Each combination computes its signature once, from its
+/// blocks' first rows, checks it against the previous combination's
+/// group and then probes the group map; the table records its group and
+/// the group's count grows by the combination's tuples. The second pass
+/// walks the ids in rank order and appends each to its combination's
+/// group, whose member list was allocated at its final size. The table,
+/// one `u32` per combination, is the only state beyond the groups, and it
+/// is freed on return.
+fn enumerate_groups(
+    universe: &AtomUniverse,
+    vs: &VersionSpace,
+    product: &Product,
+) -> Result<(Vec<Group>, HashMap<AtomSet, usize>)> {
+    if product.is_empty() {
+        return Ok((Vec::new(), HashMap::new()));
+    }
+    let relations = product.relations();
+    let n = relations.len();
+    let last = n - 1;
+
+    // Where each occurrence's values start in a tuple, and which of an
+    // occurrence's columns some atom reads.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut arity = 0;
+    for relation in relations {
+        offsets.push(arity);
+        arity += relation.schema().arity();
+    }
+    offsets.push(arity);
+    let mut read = vec![false; arity];
+    for atom in universe.atoms() {
+        read[atom.a.index()] = true;
+        read[atom.b.index()] = true;
+    }
+    let columns = |occ: usize| &read[offsets[occ]..offsets[occ + 1]];
+
+    let mut partitions: Vec<Blocks> = Vec::new();
+    let mut part_of: Vec<usize> = Vec::with_capacity(n);
+    for occ in 0..n {
+        let shared = (0..occ)
+            .find(|&j| Arc::ptr_eq(&relations[j], &relations[occ]) && columns(j) == columns(occ));
+        part_of.push(match shared {
+            Some(j) => part_of[j],
+            None => {
+                partitions.push(Blocks::new(&relations[occ], columns(occ)));
+                partitions.len() - 1
+            }
+        });
+    }
+    let blocks = |occ: usize| &partitions[part_of[occ]];
+    // Combinations are numbered in mixed radix, last occurrence fastest.
+    // There are at most as many as tuples, so the numbers fit in `u32`.
+    let mut radix = vec![0usize; n];
+    let mut combos = 1usize;
+    for occ in (0..n).rev() {
+        radix[occ] = combos;
+        combos = combos
+            .checked_mul(blocks(occ).len())
+            .ok_or(InferenceError::ProductTooLarge {
+                size: product.size(),
+                limit: u64::from(u32::MAX),
+            })?;
+    }
+
+    // Pass 1: one signature per block combination. `values` holds the
+    // current combination's tuple, one borrowed value per attribute.
+    let row_of = |occ: usize, block: usize| &relations[occ].rows()[blocks(occ).first[block]];
+    let mut values: Vec<&Value> = Vec::with_capacity(arity);
+    for occ in 0..n {
+        values.extend(row_of(occ, 0).values());
+    }
+    let mut table: Vec<u32> = Vec::with_capacity(combos);
+    let mut sigs: Vec<AtomSet> = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
+    let mut by_sig: HashMap<AtomSet, usize> = HashMap::new();
+    let mut sig = universe.empty_set();
+    let mut previous = usize::MAX;
+    let mut sel = vec![0usize; n];
+    'prefixes: loop {
+        let weight: u64 = (0..last).map(|occ| blocks(occ).rows[sel[occ]]).product();
+        let tail = blocks(last);
+        for block in 0..tail.len() {
+            borrow_row(&mut values[offsets[last]..], row_of(last, block));
+            sig.clear();
+            for (i, atom) in universe.atoms().iter().enumerate() {
+                if values[atom.a.index()] == values[atom.b.index()] {
+                    sig.insert(i);
+                }
+            }
+            let g = match sigs.get(previous) {
+                Some(prev) if *prev == sig => previous,
+                _ => match by_sig.get(&sig) {
+                    Some(&g) => g,
+                    None => {
+                        by_sig.insert(sig.clone(), sigs.len());
+                        sigs.push(sig.clone());
+                        counts.push(0);
+                        sigs.len() - 1
+                    }
+                },
+            };
+            previous = g;
+            table.push(g as u32);
+            counts[g] += weight * tail.rows[block];
+        }
+        // Advance the prefix odometer, last prefix occurrence fastest.
+        let mut occ = last;
+        loop {
+            if occ == 0 {
+                break 'prefixes;
+            }
+            occ -= 1;
+            sel[occ] += 1;
+            if sel[occ] < blocks(occ).len() {
+                borrow_row(&mut values[offsets[occ]..], row_of(occ, sel[occ]));
+                break;
+            }
+            sel[occ] = 0;
+            borrow_row(&mut values[offsets[occ]..], row_of(occ, 0));
+        }
+    }
+    debug_assert_eq!(table.len(), combos);
+
+    // Pass 2: every id, in rank order, into its combination's group.
+    let mut members: Vec<Vec<ProductId>> = counts
+        .iter()
+        .map(|&count| Vec::with_capacity(count as usize))
+        .collect();
+    let last_blocks = &blocks(last).of_row;
+    let mut row = vec![0usize; n];
+    let mut id = 0u64;
+    'rows: loop {
+        let base: usize = (0..last)
+            .map(|occ| blocks(occ).of_row[row[occ]] as usize * radix[occ])
+            .sum();
+        for &block in last_blocks {
+            members[table[base + block as usize] as usize].push(ProductId(id));
+            id += 1;
+        }
+        let mut occ = last;
+        loop {
+            if occ == 0 {
+                break 'rows;
+            }
+            occ -= 1;
+            row[occ] += 1;
+            if row[occ] < relations[occ].len() {
+                break;
+            }
+            row[occ] = 0;
+        }
+    }
+    debug_assert_eq!(id, product.size());
+
+    let groups = sigs
+        .into_iter()
+        .zip(members)
+        .map(|(sig, ids)| Group {
+            class: vs.classify(&sig),
+            sig,
+            members: GroupMembers::Explicit(ids),
+            labeled: 0,
+        })
+        .collect();
+    Ok((groups, by_sig))
+}
+
+/// Point `values` at `row`'s values, one slot per attribute.
+fn borrow_row<'r>(values: &mut [&'r Value], row: &'r Tuple) {
+    for (slot, value) in values.iter_mut().zip(row.values()) {
+        *slot = value;
     }
 }
 
@@ -407,39 +658,25 @@ pub struct Engine {
 
 impl Engine {
     /// Build an engine over the full cartesian product of `product` by
-    /// enumerating it: every id in `0..product.size()` is swept into its
-    /// signature group. Fails with [`InferenceError::ProductTooLarge`]
-    /// past [`EngineOptions::max_product`]; such a product is opened by
+    /// enumerating it: every id in `0..product.size()` lands in its
+    /// signature group, and each signature is computed once per
+    /// combination of row blocks, not once per tuple (see
+    /// `enumerate_groups`). Fails with [`InferenceError::ProductTooLarge`]
+    /// past [`EngineOptions::max_product`], or past `u32::MAX` tuples
+    /// whatever the option says; such a product is opened by
     /// [`Engine::from_factorized`] or not at all.
     pub fn new(product: Product, options: &EngineOptions) -> Result<Self> {
-        if product.size() > options.max_product {
+        // Rows, blocks, block combinations and groups are numbered in `u32`.
+        let limit = options.max_product.min(u64::from(u32::MAX));
+        if product.size() > limit {
             return Err(InferenceError::ProductTooLarge {
                 size: product.size(),
-                limit: options.max_product,
+                limit,
             });
         }
         let universe = AtomUniverse::new(product.schema().clone(), options.scope)?;
         let vs = VersionSpace::new(universe.clone());
-
-        let mut groups: Vec<Group> = Vec::new();
-        let mut by_sig: HashMap<AtomSet, usize> = HashMap::new();
-        let mut sweep = SignatureSweep::new(&universe, &product);
-        for id in (0..product.size()).map(ProductId) {
-            match sweep.slot(&by_sig, id)? {
-                Slot::Known(g) => groups[g].members.push(id),
-                Slot::New(sig) => {
-                    let class = vs.classify(sig);
-                    by_sig.insert(sig.clone(), groups.len());
-                    groups.push(Group {
-                        sig: sig.clone(),
-                        members: GroupMembers::Explicit(vec![id]),
-                        class,
-                        labeled: 0,
-                    });
-                }
-            }
-        }
-
+        let (groups, by_sig) = enumerate_groups(&universe, &vs, &product)?;
         Ok(Engine::from_groups(
             product, universe, vs, groups, by_sig, false,
         ))
@@ -971,7 +1208,7 @@ impl Engine {
             Slot::Known(g) => Ok(g),
             // The groups cover the product, so this is an internal
             // invariant broken (see `InferenceError::UnknownTuple`).
-            Slot::New(_) => Err(InferenceError::UnknownTuple { tuple: id }),
+            Slot::New => Err(InferenceError::UnknownTuple { tuple: id }),
         }
     }
 
@@ -1488,10 +1725,9 @@ mod tests {
         );
     }
 
-    /// The signature sweep against its oracle: materialize each tuple and
-    /// compute [`AtomUniverse::signature`] on it, the per-id path the
-    /// sweep replaced. Groups must agree on order, signature, class and
-    /// member list.
+    /// Enumerated construction against its oracle: materialize each tuple
+    /// and compute [`AtomUniverse::signature`] on it, one tuple at a time.
+    /// Groups must agree on order, signature, class and member list.
     mod sweep_oracle {
         use super::super::*;
         use jim_relation::{DataType, Relation, RelationSchema, Tuple, Value};
@@ -1539,13 +1775,16 @@ mod tests {
             }
         }
 
-        /// Two or three random relations over int, float and text columns,
-        /// in either atom scope; `None` when no pair of columns is
-        /// type-compatible.
+        /// One to four occurrences of one to three random relations over
+        /// int, float and text columns, in either atom scope; `None` when
+        /// no pair of columns is type-compatible. A relation has 0–8 rows
+        /// drawn from the small pools, so rows repeat and blocks form, and
+        /// one with no rows makes the product empty. Occurrences of one
+        /// relation share its `Arc`, so self-joins share a block partition.
         fn instance(seed: u64) -> Option<(Product, EngineOptions)> {
             let mut rng = StdRng::seed_from_u64(seed);
             let types = [DataType::Int, DataType::Float, DataType::Text];
-            let relations: Vec<Relation> = (0..rng.gen_range(2..=3usize))
+            let relations: Vec<Arc<Relation>> = (0..rng.gen_range(1..=3usize))
                 .map(|r| {
                     let cols: Vec<DataType> = (0..rng.gen_range(1..=3usize))
                         .map(|_| types[rng.gen_range(0..3usize)])
@@ -1556,12 +1795,17 @@ mod tests {
                         .zip(&cols)
                         .map(|(n, &d)| (n.as_str(), d))
                         .collect();
-                    let rows = (0..rng.gen_range(1..=5usize))
+                    let rows = (0..rng.gen_range(0..=8usize))
                         .map(|_| Tuple::new(cols.iter().map(|&d| value(&mut rng, d)).collect()))
                         .collect();
-                    Relation::new(RelationSchema::of(format!("r{r}"), &attrs).unwrap(), rows)
-                        .unwrap()
+                    Arc::new(
+                        Relation::new(RelationSchema::of(format!("r{r}"), &attrs).unwrap(), rows)
+                            .unwrap(),
+                    )
                 })
+                .collect();
+            let occurrences: Vec<&Arc<Relation>> = (0..rng.gen_range(1..=4usize))
+                .map(|_| &relations[rng.gen_range(0..relations.len())])
                 .collect();
             let options = EngineOptions {
                 scope: if rng.gen_bool(0.5) {
@@ -1571,7 +1815,7 @@ mod tests {
                 },
                 ..Default::default()
             };
-            let product = Product::new(relations).unwrap();
+            let product = Product::new(occurrences).unwrap();
             AtomUniverse::new(product.schema().clone(), options.scope).ok()?;
             Some((product, options))
         }
